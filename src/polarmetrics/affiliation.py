@@ -13,10 +13,10 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from .corpus import FigureheadRoster, TweetRecord
+    from .corpus import FigureheadRoster
 
 
 class PartyLabel(Enum):
@@ -74,41 +74,45 @@ def assign_party(counts: AffiliationCounts) -> PartyLabel:
     return PartyLabel.UNALIGNED
 
 
-def partition_corpus(
-    tweets: Iterable[TweetRecord], roster: FigureheadRoster
-) -> tuple[dict[str, PartyLabel], dict[PartyLabel, int]]:
-    """Label every distinct author in a tweet stream.
+class PartyLabeler:
+    """Label each author once and keep the follow counts behind the label.
 
-    Returns the user_id -> PartyLabel map plus a count of users per label.
-    Labeling is deterministic, so each user is resolved once no matter how
-    many tweets they wrote.
+    Entries are (f_d, f_r, label) tuples shared by every author with the same
+    counts, so an author costs one dict slot however many tweets they wrote.
     """
-    labels: dict[str, PartyLabel] = {}
-    for tweet in tweets:
-        user_id = tweet.user_id
-        if user_id not in labels:
-            labels[user_id] = assign_party(count_affiliation(user_id, roster))
-    tally = Counter(labels.values())
-    return labels, {label: tally.get(label, 0) for label in PartyLabel}
+
+    def __init__(self, roster: FigureheadRoster):
+        self.roster = roster
+        self.entries: dict[str, tuple[int, int, PartyLabel]] = {}
+        self._shared: dict[tuple[int, int, PartyLabel], tuple[int, int, PartyLabel]] = {}
+
+    def label(self, user_id: str) -> PartyLabel:
+        entry = self.entries.get(user_id)
+        if entry is None:
+            counts = count_affiliation(user_id, self.roster)
+            entry = (counts.dem_follows, counts.rep_follows, assign_party(counts))
+            entry = self.entries[user_id] = self._shared.setdefault(entry, entry)
+        return entry[2]
+
+    def tallies(self) -> dict[PartyLabel, int]:
+        """Number of labelled authors per label."""
+        tally = Counter(entry[2] for entry in self.entries.values())
+        return {label: tally.get(label, 0) for label in PartyLabel}
 
 
 AUDIT_HEADER = ("user_id", "f_d", "f_r", "label")
 
 
-def write_affiliation_audit(
-    path: Path | str, user_ids: Iterable[str], roster: FigureheadRoster
-) -> int:
-    """Write one audit row per user: follow counts and the resulting label."""
-    written = 0
+def write_affiliation_audit(path: Path | str, labeler: PartyLabeler) -> int:
+    """Write one audit row per labelled author, sorted by user_id."""
+    entries = labeler.entries
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(AUDIT_HEADER)
-        for user_id in user_ids:
-            counts = count_affiliation(user_id, roster)
-            label = assign_party(counts)
-            writer.writerow((user_id, counts.dem_follows, counts.rep_follows, label.value))
-            written += 1
-    return written
+        for user_id in sorted(entries):
+            dem, rep, label = entries[user_id]
+            writer.writerow((user_id, dem, rep, label.value))
+    return len(entries)
 
 
 def read_affiliation_audit(path: Path | str) -> dict[str, PartyLabel]:

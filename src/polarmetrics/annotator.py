@@ -229,6 +229,11 @@ def extract_entities(
     if starts is None:
         return []
     lowered = sentence.lower()
+    # lower() can lengthen a character ("İ" becomes "i" plus a combining dot);
+    # then origin maps each offset of `lowered` to its character in `sentence`
+    origin = None
+    if len(lowered) != len(sentence):
+        origin = [index for index, char in enumerate(sentence) for _ in char.lower()]
     groups = gazetteer._groups
     found: list[tuple[str, str]] = []
     next_free = 0
@@ -238,9 +243,13 @@ def extract_entities(
             continue
         for surface, entity_type in groups[lowered[position]]:
             if lowered.startswith(surface, position):
-                if policy.allows(entity_type):
-                    found.append((sentence[position : position + len(surface)], entity_type))
                 next_free = position + len(surface)
+                if policy.allows(entity_type):
+                    if origin is None:
+                        found.append((sentence[position:next_free], entity_type))
+                    else:
+                        span = slice(origin[position], origin[next_free - 1] + 1)
+                        found.append((sentence[span], entity_type))
                 break
     return found
 

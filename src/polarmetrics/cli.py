@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -42,17 +42,6 @@ class RunConfig:
     strict: bool = False
     shards: int = 1
 
-    def validate(self) -> None:
-        if (self.lexicon is None) != (self.gazetteer is None):
-            raise ConfigError("--lexicon and --gazetteer must be given together")
-        lexicon_mode = self.lexicon is not None
-        if lexicon_mode == (self.preannotated is not None):
-            raise ConfigError(
-                "provide exactly one annotation source: --lexicon/--gazetteer or --preannotated"
-            )
-        if self.shards < 1:
-            raise ConfigError("--shards must be at least 1")
-
 
 @dataclass
 class StreamCounters:
@@ -68,87 +57,95 @@ class StreamCounters:
     )
 
 
-def _roster_labeler(roster: corpus.FigureheadRoster) -> Callable[[str], affiliation.PartyLabel]:
-    cache: dict[str, affiliation.PartyLabel] = {}
-
-    def label_for(user_id: str) -> affiliation.PartyLabel:
-        label = cache.get(user_id)
-        if label is None:
-            label = affiliation.assign_party(affiliation.count_affiliation(user_id, roster))
-            cache[user_id] = label
-        return label
-
-    label_for.cache = cache  # type: ignore[attr-defined]
-    return label_for
+Annotate = Callable[[corpus.TweetRecord], annotator.AnnotatedTweet | None]
 
 
-def _iter_window_annotations(
+def _annotation_source(
+    lexicon: Path | None,
+    gazetteer: Path | None,
+    preannotated: Path | None,
+    entity_types: tuple[str, ...] | None,
+    strict: bool,
+    stats: corpus.IngestStats,
+) -> Annotate:
+    """Check the annotation flags and build the one source they name.
+
+    A --preannotated lookup gives None for tweets its table lacks.
+    """
+    if (lexicon is None) != (gazetteer is None):
+        raise ConfigError("--lexicon and --gazetteer must be given together")
+    if (lexicon is None) == (preannotated is None):
+        raise ConfigError(
+            "provide exactly one annotation source: --lexicon/--gazetteer or --preannotated"
+        )
+    policy = annotator.policy_for(entity_types) if entity_types else annotator.default_policy()
+    if preannotated is not None:
+        items = annotator.ingest_preannotated(preannotated, policy, strict=strict, stats=stats)
+        table = {item.tweet_id: item for item in items}
+        return lambda record: table.get(record.tweet_id)
+    lexicon_table = annotator.load_lexicon(lexicon)
+    gazetteer_table = annotator.load_gazetteer(gazetteer)
+    return lambda record: annotator.annotate_tweet(record, lexicon_table, gazetteer_table, policy)
+
+
+def _stream_mentions(
     tweets_path: Path,
     windows: corpus.EventWindows,
     label_for: Callable[[str], affiliation.PartyLabel],
-    annotate: Callable[[corpus.TweetRecord], annotator.AnnotatedTweet | None],
+    annotate: Annotate,
     strict: bool,
     counters: StreamCounters,
-) -> Iterator[tuple[annotator.AnnotatedTweet, affiliation.PartyLabel, corpus.WindowLabel]]:
-    """Stream (annotation, party, window) for every tweet that survives the gates."""
-    for record in corpus.parse_tweets(tweets_path, strict=strict, stats=counters.ingest):
-        if record.deleted:
-            counters.skipped["deleted"] += 1
-            continue
-        party = label_for(record.user_id)
-        if party is affiliation.PartyLabel.UNALIGNED:
-            counters.skipped["unaligned"] += 1
-            continue
-        window = corpus.classify_window(record.created_at, windows)
-        if window is corpus.WindowLabel.OUTSIDE:
-            counters.skipped["outside"] += 1
-            continue
-        annotated = annotate(record)
-        if annotated is None:
-            if strict:
-                raise DataError(f"tweet {record.tweet_id} has no annotation")
-            counters.skipped["unannotated"] += 1
-            continue
-        counters.volumes[window] += 1
-        yield annotated, party, window
+    out_dir: Path,
+    shards: int = 1,
+) -> tuple[dict[corpus.WindowLabel, aggregate.AggregateTable], int]:
+    """Gate every tweet, write mentions.csv and window_stats.json, reduce per window.
 
-
-def _reference_annotator(
-    lexicon_path: Path, gazetteer_path: Path, policy: annotator.EntityTypePolicy
-) -> Callable[[corpus.TweetRecord], annotator.AnnotatedTweet]:
-    lexicon = annotator.load_lexicon(lexicon_path)
-    gazetteer = annotator.load_gazetteer(gazetteer_path)
-
-    def annotate(record: corpus.TweetRecord) -> annotator.AnnotatedTweet:
-        return annotator.annotate_tweet(record, lexicon, gazetteer, policy)
-
-    return annotate
-
-
-def _preannotated_lookup(
-    path: Path, policy: annotator.EntityTypePolicy, strict: bool, counters: StreamCounters
-) -> Callable[[corpus.TweetRecord], annotator.AnnotatedTweet | None]:
-    table: dict[str, annotator.AnnotatedTweet] = {}
-    for item in annotator.ingest_preannotated(
-        path, policy, strict=strict, stats=counters.annotation
-    ):
-        table[item.tweet_id] = item
-
-    def lookup(record: corpus.TweetRecord) -> annotator.AnnotatedTweet | None:
-        return table.get(record.tweet_id)
-
-    return lookup
-
-
-def _policy_from(entity_types: tuple[str, ...] | None) -> annotator.EntityTypePolicy:
-    if entity_types:
-        return annotator.policy_for(entity_types)
-    return annotator.default_policy()
-
-
-def _write_window_stats(path: Path, volumes: dict[corpus.WindowLabel, int]) -> None:
+    A tweet stops at the first gate it fails: deleted, unaligned author,
+    outside both windows, no annotation. Retained tweets are dealt round-robin
+    to `shards` builders per window and merged, which is result-invariant.
+    Returns the table per window and the mention row count.
+    """
+    builders = {window: [aggregate.AggregateBuilder() for _ in range(shards)]
+                for window in _WINDOW_STATS_KEYS}
+    skipped, volumes = counters.skipped, counters.volumes
+    dealt = 0
+    with aggregate.MentionCsvWriter(out_dir / "mentions.csv") as writer:
+        for record in corpus.parse_tweets(tweets_path, strict=strict, stats=counters.ingest):
+            if record.deleted:
+                skipped["deleted"] += 1
+                continue
+            party = label_for(record.user_id)
+            if party is affiliation.PartyLabel.UNALIGNED:
+                skipped["unaligned"] += 1
+                continue
+            window = corpus.classify_window(record.created_at, windows)
+            if window is corpus.WindowLabel.OUTSIDE:
+                skipped["outside"] += 1
+                continue
+            annotated = annotate(record)
+            if annotated is None:
+                if strict:
+                    raise DataError(f"tweet {record.tweet_id} has no annotation")
+                skipped["unannotated"] += 1
+                continue
+            volumes[window] += 1
+            builder = builders[window][dealt % shards]
+            dealt += 1
+            for row in aggregate.emit_mention_rows(annotated, party, window):
+                writer.write(row)
+                builder.add(row)
+        mention_count = writer.count
     payload = {key: volumes[window] for window, key in _WINDOW_STATS_KEYS.items()}
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    (out_dir / "window_stats.json").write_text(
+        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    tables = {}
+    for window, parts in builders.items():
+        table = parts[0].build()
+        for builder in parts[1:]:
+            table = aggregate.merge_aggregates(table, builder.build())
+        tables[window] = table
+    return tables, mention_count
 
 
 def _read_window_stats(path: Path) -> dict[corpus.WindowLabel, int]:
@@ -167,6 +164,26 @@ def _read_window_stats(path: Path) -> dict[corpus.WindowLabel, int]:
     return volumes
 
 
+def _write_report(
+    out_dir: Path, tables: dict[corpus.WindowLabel, aggregate.AggregateTable],
+    windows: corpus.EventWindows, volumes: dict[corpus.WindowLabel, int],
+) -> polarimetry.PolarizationReport:
+    """Build the report and write report.csv and report.json."""
+    baseline, crisis = corpus.WindowLabel.BASELINE, corpus.WindowLabel.CRISIS
+    report = polarimetry.build_report(
+        tables[baseline], tables[crisis], windows, volumes[baseline], volumes[crisis]
+    )
+    polarimetry.write_report_csv(out_dir / "report.csv", report)
+    polarimetry.write_report_json(out_dir / "report.json", report)
+    return report
+
+
+def _out_dir(path: Path) -> Path:
+    out_dir = Path(path)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
 @dataclass
 class RunResult:
     report: polarimetry.PolarizationReport
@@ -181,74 +198,29 @@ def run_pipeline(config: RunConfig) -> RunResult:
     Outputs: mentions.csv, aggregates_baseline.csv, aggregates_crisis.csv,
     entities.csv, report.csv, report.json, window_stats.json, and
     affiliations.csv. The aggregate merge is associative, so the report is
-    byte-identical for any shard count and any input order.
+    byte-identical for any shard count and any input order. Once the inputs
+    are loaded, an earlier report in config.out is removed, so a run that
+    fails after that point leaves none.
     """
-    config.validate()
-    roster = corpus.load_affiliation_data(config.roster, config.followers)
-    windows = corpus.load_windows(config.windows)
-    policy = _policy_from(config.entity_types)
+    if config.shards < 1:
+        raise ConfigError("--shards must be at least 1")
     counters = StreamCounters()
+    annotate = _annotation_source(config.lexicon, config.gazetteer, config.preannotated,
+                                  config.entity_types, config.strict, counters.annotation)
+    roster = corpus.load_affiliation_data(config.roster, config.followers)
+    labeler = affiliation.PartyLabeler(roster)
+    windows = corpus.load_windows(config.windows)
+    out_dir = _out_dir(config.out)
+    for stale in ("report.csv", "report.json"):
+        (out_dir / stale).unlink(missing_ok=True)
 
-    if config.preannotated is not None:
-        annotate = _preannotated_lookup(config.preannotated, policy, config.strict, counters)
-    else:
-        annotate = _reference_annotator(config.lexicon, config.gazetteer, policy)
-
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    label_for = _roster_labeler(roster)
-    builders = {
-        corpus.WindowLabel.BASELINE: [aggregate.AggregateBuilder() for _ in range(config.shards)],
-        corpus.WindowLabel.CRISIS: [aggregate.AggregateBuilder() for _ in range(config.shards)],
-    }
-    stream = _iter_window_annotations(
-        config.tweets, windows, label_for, annotate, config.strict, counters
-    )
-    sharded = 0
-    with aggregate.MentionCsvWriter(out_dir / "mentions.csv") as mention_writer:
-        for annotated, party, window in stream:
-            builder = builders[window][sharded % config.shards]
-            sharded += 1
-            for row in aggregate.emit_mention_rows(annotated, party, window):
-                mention_writer.write(row)
-                builder.add(row)
-        mention_count = mention_writer.count
-
-    tables: dict[corpus.WindowLabel, aggregate.AggregateTable] = {}
-    for window, window_builders in builders.items():
-        table = window_builders[0].build()
-        for builder in window_builders[1:]:
-            table = aggregate.merge_aggregates(table, builder.build())
-        tables[window] = table
-
-    aggregate.write_aggregates_csv(
-        out_dir / "aggregates_baseline.csv", tables[corpus.WindowLabel.BASELINE]
-    )
-    aggregate.write_aggregates_csv(
-        out_dir / "aggregates_crisis.csv", tables[corpus.WindowLabel.CRISIS]
-    )
-    _write_window_stats(out_dir / "window_stats.json", counters.volumes)
-    affiliation.write_affiliation_audit(
-        out_dir / "affiliations.csv", sorted(label_for.cache), roster  # type: ignore[attr-defined]
-    )
-    polarimetry.write_entities_csv(
-        out_dir / "entities.csv",
-        [
-            (corpus.WindowLabel.BASELINE, tables[corpus.WindowLabel.BASELINE]),
-            (corpus.WindowLabel.CRISIS, tables[corpus.WindowLabel.CRISIS]),
-        ],
-    )
-
-    report = polarimetry.build_report(
-        tables[corpus.WindowLabel.BASELINE],
-        tables[corpus.WindowLabel.CRISIS],
-        windows,
-        counters.volumes[corpus.WindowLabel.BASELINE],
-        counters.volumes[corpus.WindowLabel.CRISIS],
-    )
-    polarimetry.write_report_csv(out_dir / "report.csv", report)
-    polarimetry.write_report_json(out_dir / "report.json", report)
+    tables, mention_count = _stream_mentions(config.tweets, windows, labeler.label, annotate,
+                                             config.strict, counters, out_dir, config.shards)
+    for window, table in tables.items():
+        aggregate.write_aggregates_csv(out_dir / f"aggregates_{window.value}.csv", table)
+    affiliation.write_affiliation_audit(out_dir / "affiliations.csv", labeler)
+    polarimetry.write_entities_csv(out_dir / "entities.csv", list(tables.items()))
+    report = _write_report(out_dir, tables, windows, counters.volumes)
     return RunResult(report, out_dir, counters, mention_count)
 
 
@@ -279,19 +251,7 @@ def _print_report(report: polarimetry.PolarizationReport, report_format: str) ->
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = RunConfig(
-        tweets=args.tweets,
-        roster=args.roster,
-        followers=args.followers,
-        windows=args.windows,
-        out=args.out,
-        lexicon=args.lexicon,
-        gazetteer=args.gazetteer,
-        preannotated=args.preannotated,
-        entity_types=_parse_entity_types(args.entity_types),
-        strict=args.strict,
-        shards=args.shards,
-    )
+    config = RunConfig(**{item.name: getattr(args, item.name) for item in fields(RunConfig)})
     result = run_pipeline(config)
     _print_stream_summary(result.counters)
     print(f"[ok] wrote {result.mention_count} mention rows under {result.out_dir}")
@@ -300,29 +260,25 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_assign(args: argparse.Namespace) -> int:
-    roster = corpus.load_affiliation_data(args.roster, args.followers)
+    labeler = affiliation.PartyLabeler(corpus.load_affiliation_data(args.roster, args.followers))
     stats = corpus.IngestStats()
-    labels, tallies = affiliation.partition_corpus(
-        corpus.parse_tweets(args.tweets, strict=args.strict, stats=stats), roster
-    )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    audit_path = out_dir / "affiliations.csv"
-    affiliation.write_affiliation_audit(audit_path, sorted(labels), roster)
+    for record in corpus.parse_tweets(args.tweets, strict=args.strict, stats=stats):
+        if not record.deleted:
+            labeler.label(record.user_id)
+    audit_path = _out_dir(args.out) / "affiliations.csv"
+    affiliation.write_affiliation_audit(audit_path, labeler)
     print(f"[ok] tweets kept: {stats.kept}, rejected: {stats.rejected}")
-    for label in affiliation.PartyLabel:
-        print(f"[ok] {label.value}: {tallies[label]} users")
+    for label, users in labeler.tallies().items():
+        print(f"[ok] {label.value}: {users} users")
     print(f"[ok] wrote {audit_path}")
     return 0
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
-    policy = _policy_from(_parse_entity_types(args.entity_types))
-    annotate = _reference_annotator(args.lexicon, args.gazetteer, policy)
+    annotate = _annotation_source(args.lexicon, args.gazetteer, None, args.entity_types,
+                                  args.strict, corpus.IngestStats())
     stats = corpus.IngestStats()
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    annotated_path = out_dir / "annotated.jsonl"
+    annotated_path = _out_dir(args.out) / "annotated.jsonl"
     deleted = 0
 
     def live_annotations() -> Iterator[annotator.AnnotatedTweet]:
@@ -341,7 +297,6 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 
 def cmd_mentions(args: argparse.Namespace) -> int:
     windows = corpus.load_windows(args.windows)
-    policy = _policy_from(_parse_entity_types(args.entity_types))
     counters = StreamCounters()
 
     if args.affiliations is not None:
@@ -353,33 +308,18 @@ def cmd_mentions(args: argparse.Namespace) -> int:
             return table.get(user_id, affiliation.PartyLabel.UNALIGNED)
 
     elif args.roster is not None and args.followers is not None:
-        label_for = _roster_labeler(corpus.load_affiliation_data(args.roster, args.followers))
+        roster = corpus.load_affiliation_data(args.roster, args.followers)
+        label_for = affiliation.PartyLabeler(roster).label
     else:
         raise ConfigError("provide --affiliations or both --roster and --followers")
 
-    if args.preannotated is not None:
-        if args.lexicon is not None or args.gazetteer is not None:
-            raise ConfigError("--preannotated replaces --lexicon/--gazetteer")
-        annotate = _preannotated_lookup(args.preannotated, policy, args.strict, counters)
-    elif args.lexicon is not None and args.gazetteer is not None:
-        annotate = _reference_annotator(args.lexicon, args.gazetteer, policy)
-    else:
-        raise ConfigError("provide --preannotated or both --lexicon and --gazetteer")
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stream = _iter_window_annotations(
-        args.tweets, windows, label_for, annotate, args.strict, counters
-    )
-    mentions_path = out_dir / "mentions.csv"
-    with aggregate.MentionCsvWriter(mentions_path) as writer:
-        for annotated, party, window in stream:
-            for row in aggregate.emit_mention_rows(annotated, party, window):
-                writer.write(row)
-        count = writer.count
-    _write_window_stats(out_dir / "window_stats.json", counters.volumes)
+    annotate = _annotation_source(args.lexicon, args.gazetteer, args.preannotated,
+                                  args.entity_types, args.strict, counters.annotation)
+    out_dir = _out_dir(args.out)
+    _, count = _stream_mentions(args.tweets, windows, label_for, annotate, args.strict, counters,
+                                out_dir)
     _print_stream_summary(counters)
-    print(f"[ok] wrote {count} mention rows to {mentions_path}")
+    print(f"[ok] wrote {count} mention rows to {out_dir / 'mentions.csv'}")
     return 0
 
 
@@ -390,8 +330,7 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     }
     for row in aggregate.read_mentions_csv(args.mentions):
         builders[row.window].add(row)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     for window, builder in builders.items():
         path = out_dir / f"aggregates_{window.value}.csv"
         rows = aggregate.write_aggregates_csv(path, builder.build())
@@ -404,9 +343,7 @@ def cmd_polarize(args: argparse.Namespace) -> int:
         (corpus.WindowLabel.BASELINE, aggregate.read_aggregates_csv(args.baseline)),
         (corpus.WindowLabel.CRISIS, aggregate.read_aggregates_csv(args.crisis)),
     ]
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    entities_path = out_dir / "entities.csv"
+    entities_path = _out_dir(args.out) / "entities.csv"
     rows = polarimetry.write_entities_csv(entities_path, tables)
     print(f"[ok] wrote {rows} entity rows to {entities_path}")
     for label, table in tables:
@@ -424,21 +361,14 @@ def cmd_polarize(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    baseline_table = aggregate.read_aggregates_csv(args.baseline)
-    crisis_table = aggregate.read_aggregates_csv(args.crisis)
+    tables = {
+        corpus.WindowLabel.BASELINE: aggregate.read_aggregates_csv(args.baseline),
+        corpus.WindowLabel.CRISIS: aggregate.read_aggregates_csv(args.crisis),
+    }
     windows = corpus.load_windows(args.windows)
     volumes = _read_window_stats(args.window_stats)
-    report = polarimetry.build_report(
-        baseline_table,
-        crisis_table,
-        windows,
-        volumes[corpus.WindowLabel.BASELINE],
-        volumes[corpus.WindowLabel.CRISIS],
-    )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    polarimetry.write_report_csv(out_dir / "report.csv", report)
-    polarimetry.write_report_json(out_dir / "report.json", report)
+    out_dir = _out_dir(args.out)
+    report = _write_report(out_dir, tables, windows, volumes)
     print(f"[ok] wrote {out_dir / 'report.csv'} and {out_dir / 'report.json'}")
     _print_report(report, args.format)
     return 0
@@ -470,9 +400,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _parse_entity_types(raw: str | None) -> tuple[str, ...] | None:
-    if raw is None:
-        return None
+def _parse_entity_types(raw: str) -> tuple[str, ...]:
     types = tuple(piece.strip() for piece in raw.split(",") if piece.strip())
     if not types:
         raise ConfigError("--entity-types must name at least one type")
@@ -507,6 +435,7 @@ def _add_annotation_flags(parser: argparse.ArgumentParser, required: bool = Fals
         )
     parser.add_argument(
         "--entity-types",
+        type=_parse_entity_types,
         help="comma-separated entity type allowlist (default LOCATION,MISC,PERSON)",
     )
 

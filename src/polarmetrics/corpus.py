@@ -20,29 +20,37 @@ from typing import Iterator
 from .affiliation import PartyLabel
 from .errors import DataError
 
-_DATE_RE = re.compile(r"\d{4}-\d{2}-\d{2}")
+# YYYY-MM-DD, optionally followed by THH:MM:SS, a fraction and Z/z/+HH:MM/-HH:MM
+_TIMESTAMP_RE = re.compile(
+    r"(\d{4}-\d{2}-\d{2})"
+    r"(?:(T(?:[01]\d|2[0-3]):[0-5]\d:[0-5]\d)(?:\.\d+)?([Zz]|[+-]\d{2}:\d{2})?)?",
+    re.ASCII,
+)
+
+# rejected lines beyond this many are counted but their messages are not kept
+MAX_KEPT_ERRORS = 100
 
 _PARTY_TOKENS = {"D": PartyLabel.DEMOCRAT, "R": PartyLabel.REPUBLICAN}
 
 
 def parse_timestamp(value: str) -> datetime:
-    """Parse an RFC 3339 timestamp, or a bare YYYY-MM-DD read as midnight UTC.
+    """Parse YYYY-MM-DD or YYYY-MM-DDTHH:MM:SS[.fraction][Z|z|+HH:MM|-HH:MM].
 
-    Naive timestamps are assumed to be UTC; anything carrying an offset is
-    converted. Sub-second precision is truncated since the pipeline works at
-    second resolution. Raises ValueError on unparseable input.
+    A bare date is midnight UTC. Naive timestamps are assumed to be UTC;
+    anything carrying an offset is converted. Sub-second precision is
+    truncated since the pipeline works at second resolution. The grammar is
+    checked here rather than left to datetime.fromisoformat, whose accepted
+    forms differ between Python versions. Raises ValueError on anything else.
     """
-    text = value.strip()
-    if _DATE_RE.fullmatch(text):
-        return datetime.strptime(text, "%Y-%m-%d").replace(tzinfo=timezone.utc)
-    if text.endswith(("Z", "z")):
-        text = text[:-1] + "+00:00"
-    moment = datetime.fromisoformat(text)
-    if moment.tzinfo is None:
-        moment = moment.replace(tzinfo=timezone.utc)
-    elif moment.tzinfo is not timezone.utc:
-        moment = moment.astimezone(timezone.utc)
-    return moment.replace(microsecond=0) if moment.microsecond else moment
+    match = _TIMESTAMP_RE.fullmatch(value.strip())
+    if match is None:
+        raise ValueError(f"unparseable timestamp {value!r}")
+    day, clock, zone = match.groups()
+    if clock is None:
+        return datetime.fromisoformat(day).replace(tzinfo=timezone.utc)
+    if zone in (None, "Z", "z"):
+        return datetime.fromisoformat(day + clock).replace(tzinfo=timezone.utc)
+    return datetime.fromisoformat(day + clock + zone).astimezone(timezone.utc)
 
 
 # ==== event windows ====
@@ -154,7 +162,11 @@ class TweetRecord:
 
 @dataclass
 class IngestStats:
-    """Tally of a line-oriented ingestion pass."""
+    """Tally of a line-oriented ingestion pass.
+
+    `rejected` counts every bad line; `errors` keeps the first
+    MAX_KEPT_ERRORS messages so memory stays bounded on mostly-bad files.
+    """
 
     kept: int = 0
     rejected: int = 0
@@ -162,7 +174,8 @@ class IngestStats:
 
     def reject(self, message: str) -> None:
         self.rejected += 1
-        self.errors.append(message)
+        if len(self.errors) < MAX_KEPT_ERRORS:
+            self.errors.append(message)
 
 
 def _parse_tweet_line(line: str, seen: set[str]) -> tuple[TweetRecord | None, str | None]:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from datetime import datetime, timezone
 
 import pytest
 
@@ -49,16 +48,21 @@ def test_assign_party_matches_sign_of_difference():
             assert label is PartyLabel.UNALIGNED
 
 
-def _record(user_id: str) -> corpus.TweetRecord:
-    return corpus.TweetRecord(
-        f"t-{user_id}", user_id, "text", datetime(2021, 1, 2, tzinfo=timezone.utc)
-    )
-
-
-def test_partition_corpus_labels_each_author_once(roster_files):
+def test_labeler_labels_each_author_once(roster_files, monkeypatch):
     roster = corpus.load_affiliation_data(*roster_files)
-    tweets = [_record(u) for u in ("dem1", "dem1", "rep1", "both1", "nobody", "mixed1")]
-    labels, tallies = affiliation.partition_corpus(tweets, roster)
+    counted = []
+    count_affiliation = affiliation.count_affiliation
+
+    def counting(user_id, roster):
+        counted.append(user_id)
+        return count_affiliation(user_id, roster)
+
+    monkeypatch.setattr(affiliation, "count_affiliation", counting)
+    labeler = affiliation.PartyLabeler(roster)
+    for user_id in ("dem1", "dem1", "rep1", "both1", "nobody", "mixed1"):
+        labeler.label(user_id)
+    assert counted == ["dem1", "rep1", "both1", "nobody", "mixed1"]
+    labels = {user_id: labeler.label(user_id) for user_id in labeler.entries}
     assert labels == {
         "dem1": PartyLabel.DEMOCRAT,
         "rep1": PartyLabel.REPUBLICAN,
@@ -66,6 +70,7 @@ def test_partition_corpus_labels_each_author_once(roster_files):
         "nobody": PartyLabel.UNALIGNED,
         "mixed1": PartyLabel.DEMOCRAT,
     }
+    tallies = labeler.tallies()
     assert tallies[PartyLabel.DEMOCRAT] == 2
     assert tallies[PartyLabel.REPUBLICAN] == 1
     assert tallies[PartyLabel.UNALIGNED] == 2
@@ -74,9 +79,10 @@ def test_partition_corpus_labels_each_author_once(roster_files):
 def test_audit_round_trip(tmp_path, roster_files):
     roster = corpus.load_affiliation_data(*roster_files)
     path = tmp_path / "affiliations.csv"
-    written = affiliation.write_affiliation_audit(
-        path, ["both1", "dem1", "nobody", "rep1"], roster
-    )
+    labeler = affiliation.PartyLabeler(roster)
+    for user_id in ("rep1", "nobody", "dem1", "both1"):
+        labeler.label(user_id)
+    written = affiliation.write_affiliation_audit(path, labeler)
     assert written == 4
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "user_id,f_d,f_r,label"

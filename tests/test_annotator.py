@@ -242,6 +242,17 @@ def test_literal_matching_inside_words():
     assert found == [("ohio", "LOCATION")]
 
 
+def test_surface_survives_case_folding_that_lengthens_text():
+    # "İ".lower() is "i" plus U+0307, so offsets in the lowered text run ahead
+    gaz = Gazetteer({"quorvia": "LOCATION"})
+    found = annotator.extract_entities("İİ quorvia rocks", gaz, default_policy())
+    assert found == [("quorvia", "LOCATION")]
+    # a match that spans a lengthened character returns the whole original character
+    gaz = Gazetteer({"quorvi\u0307a": "LOCATION"})
+    found = annotator.extract_entities("İİ QUORVİA rocks", gaz, default_policy())
+    assert found == [("QUORVİA", "LOCATION")]
+
+
 def test_match_at_string_edges():
     gaz = _gazetteer(springfield="LOCATION")
     assert annotator.extract_entities("springfield", gaz, default_policy()) == [

@@ -183,6 +183,31 @@ def test_stages_compose_to_the_same_bytes(tiny_bundle, tmp_path):
         assert (staged / name).read_bytes() == (whole / name).read_bytes(), name
 
 
+def test_assign_matches_run_for_an_author_with_only_deleted_tweets(tiny_bundle, tmp_path, capsys):
+    # ghost follows a Democrat figurehead, but its only tweet is deleted
+    write_followers(tiny_bundle["dir"], {"dema": ["dem1", "dem2", "ghost"]})
+    ghost = {"tweet_id": "t11", "user_id": "ghost", "text": "Springfield.",
+             "created_at": "2021-01-02T12:00:00Z", "deleted": True}
+    with open(tiny_bundle["tweets"], "a", encoding="utf-8") as handle:
+        handle.write(json.dumps(ghost) + "\n")
+
+    whole = tmp_path / "whole"
+    assert cli.main(_run_args(tiny_bundle, whole)) == 0
+    staged = tmp_path / "staged"
+    capsys.readouterr()
+    assert cli.main([
+        "assign",
+        "--tweets", str(tiny_bundle["tweets"]),
+        "--roster", str(tiny_bundle["roster"]),
+        "--followers", str(tiny_bundle["followers"]),
+        "--out", str(staged),
+    ]) == 0
+    assert "[ok] Democrat: 2 users" in capsys.readouterr().out
+    audit = (staged / "affiliations.csv").read_bytes()
+    assert b"ghost" not in audit
+    assert audit == (whole / "affiliations.csv").read_bytes()
+
+
 def test_preannotated_run_matches_reference_run(tiny_bundle, tmp_path):
     reference = tmp_path / "reference"
     assert cli.main(_run_args(tiny_bundle, reference)) == 0
@@ -411,6 +436,25 @@ def test_no_joint_entities_exits_three(tmp_path, capsys):
     assert len(mentions) == 1  # header only
     assert not (out / "report.csv").exists()
     assert not (out / "report.json").exists()
+
+
+def test_failed_run_removes_the_previous_report(tiny_bundle, tmp_path, capsys):
+    out = tmp_path / "out"
+    corrupted = tmp_path / "corrupted.jsonl"
+    corrupted.write_text(
+        tiny_bundle["tweets"].read_text(encoding="utf-8") + "{broken\n", encoding="utf-8"
+    )
+    failures = [
+        (_run_args(tiny_bundle, out, "--entity-types", "PERSON"), 3),
+        (_run_args(dict(tiny_bundle, tweets=corrupted), out, "--strict"), 2),
+    ]
+    for args, code in failures:
+        assert cli.main(_run_args(tiny_bundle, out)) == 0
+        assert (out / "report.csv").is_file() and (out / "report.json").is_file()
+        assert cli.main(args) == code
+        assert not (out / "report.csv").exists()
+        assert not (out / "report.json").exists()
+    capsys.readouterr()
 
 
 def test_console_script_is_installed():

@@ -48,7 +48,10 @@ def test_subsecond_precision_truncated():
     assert moment.second == 8
 
 
-@pytest.mark.parametrize("bad", ["", "yesterday", "2021-13-01", "2021-03-05T99:00:00Z"])
+@pytest.mark.parametrize(
+    "bad",
+    ["", "yesterday", "2021-13-01", "2021-03-05T99:00:00Z", "2021-W01-1", "20210101T000000Z"],
+)
 def test_unparseable_timestamps_raise(bad):
     with pytest.raises(ValueError):
         corpus.parse_timestamp(bad)
@@ -220,6 +223,17 @@ def test_malformed_lines_are_skipped_and_counted(tmp_path, line, problem):
     assert stats.rejected == 1
     assert problem in stats.errors[0]
     assert "line 1" in stats.errors[0]
+
+
+def test_reject_log_keeps_exact_count_but_bounded_messages(tmp_path):
+    path = tmp_path / "tweets.jsonl"
+    path.write_text("{broken\n" * 10_000 + json.dumps(_tweet("ok")) + "\n", encoding="utf-8")
+    stats = corpus.IngestStats()
+    assert [r.tweet_id for r in corpus.parse_tweets(path, stats=stats)] == ["ok"]
+    assert stats.rejected == 10_000
+    assert len(stats.errors) == corpus.MAX_KEPT_ERRORS
+    assert stats.errors[0].startswith("tweets.jsonl line 1: invalid JSON")
+    assert stats.errors[-1].startswith(f"tweets.jsonl line {corpus.MAX_KEPT_ERRORS}:")
 
 
 def test_duplicate_tweet_ids_rejected(tmp_path):
