@@ -121,27 +121,33 @@ class AggregateTable:
 
 
 class AggregateBuilder:
-    """Accumulates mention rows into integer cells; order never matters."""
+    """Accumulates mentions into integer cells; order never matters.
+
+    `cells` maps an entity name to [dem_sum, dem_mentions, rep_sum,
+    rep_mentions]. It is the one accumulator behind every table: rows, shard
+    merges, the aggregates CSV reader and the fused `run` pass all add into
+    it, and `build` is the one place that makes `EntityAggregate`s.
+    """
 
     def __init__(self) -> None:
-        self._cells: dict[str, list[int]] = {}
+        self.cells: dict[str, list[int]] = {}
 
     def add(self, row: EntityMentionRow) -> None:
-        cell = self._cells.get(row.entity)
-        if cell is None:
-            cell = self._cells[row.entity] = [0, 0, 0, 0]
         if row.party is PartyLabel.DEMOCRAT:
-            cell[0] += row.sentiment
-            cell[1] += 1
+            offset = 0
         elif row.party is PartyLabel.REPUBLICAN:
-            cell[2] += row.sentiment
-            cell[3] += 1
+            offset = 2
         else:
             raise ValueError("mention rows never carry the Unaligned label")
+        cell = self.cells.get(row.entity)
+        if cell is None:
+            cell = self.cells[row.entity] = [0, 0, 0, 0]
+        cell[offset] += row.sentiment
+        cell[offset + 1] += 1
 
     def build(self) -> AggregateTable:
         return AggregateTable(
-            {name: EntityAggregate(name, *cell) for name, cell in self._cells.items()}
+            {name: EntityAggregate(name, *cell) for name, cell in self.cells.items()}
         )
 
 
@@ -155,20 +161,15 @@ def reduce_to_instances(rows: Iterable[EntityMentionRow]) -> AggregateTable:
 
 def merge_aggregates(left: AggregateTable, right: AggregateTable) -> AggregateTable:
     """Merge two shard tables by adding their integer cells."""
-    merged = dict(left.entries)
-    for name, aggregate in right.entries.items():
-        existing = merged.get(name)
-        if existing is None:
-            merged[name] = aggregate
-        else:
-            merged[name] = EntityAggregate(
-                name,
-                existing.dem_sum + aggregate.dem_sum,
-                existing.dem_mentions + aggregate.dem_mentions,
-                existing.rep_sum + aggregate.rep_sum,
-                existing.rep_mentions + aggregate.rep_mentions,
-            )
-    return AggregateTable(merged)
+    builder = AggregateBuilder()
+    for table in (left, right):
+        for name, entry in table.entries.items():
+            cell = builder.cells.setdefault(name, [0, 0, 0, 0])
+            cell[0] += entry.dem_sum
+            cell[1] += entry.dem_mentions
+            cell[2] += entry.rep_sum
+            cell[3] += entry.rep_mentions
+    return builder.build()
 
 
 # ==== rendering and CSV round-trips ====
@@ -213,6 +214,11 @@ class MentionCsvWriter:
             (row.entity, row.entity_type, row.user_id, row.sentiment, row.party.code, row.window.value)
         )
         self.count += 1
+
+    def write_rendered(self, rows: list[tuple[str, str, str, int, str, str]]) -> None:
+        """Write rows already rendered as (entity, type, user_id, sentiment, party code, window)."""
+        self._writer.writerows(rows)
+        self.count += len(rows)
 
     def close(self) -> None:
         self._handle.close()
@@ -292,7 +298,7 @@ def read_aggregates_csv(path: Path | str) -> AggregateTable:
     sums and counts are validated instead.
     """
     path = Path(path)
-    builder: dict[str, list[int]] = {}
+    builder = AggregateBuilder()
     seen: set[tuple[str, str]] = set()
     try:
         handle = open(path, encoding="utf-8", newline="")
@@ -321,11 +327,11 @@ def read_aggregates_csv(path: Path | str) -> AggregateTable:
                 raise DataError(
                     f"{path.name} line {lineno}: sum {total} impossible for {count} mentions"
                 )
-            cell = builder.setdefault(entity, [0, 0, 0, 0])
+            cell = builder.cells.setdefault(entity, [0, 0, 0, 0])
             if party_code == "D":
                 cell[0], cell[1] = total, count
             elif party_code == "R":
                 cell[2], cell[3] = total, count
             else:
                 raise DataError(f"{path.name} line {lineno}: unknown party code {party_code!r}")
-    return AggregateTable({name: EntityAggregate(name, *cell) for name, cell in builder.items()})
+    return builder.build()

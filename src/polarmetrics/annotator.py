@@ -24,6 +24,8 @@ SENTENCE_BREAK_RE = re.compile(r"(?<=[.!?])\s+")
 
 NEUTRAL_SENTIMENT = 2
 
+Mention = tuple[str, str, int]  # (surface, entity type, sentence sentiment)
+
 DEFAULT_ALLOWED_TYPES = frozenset({"LOCATION", "MISC", "PERSON"})
 DEFAULT_DENIED_TYPES = frozenset({"EMAIL", "DATE", "NUMBER", "PERCENT", "TIME", "MONEY", "URL"})
 
@@ -41,10 +43,10 @@ class Lexicon:
 class Gazetteer:
     """Known entity surfaces (lowercase) mapped to their entity type.
 
-    Precomputes a first-character index so scanning long tweet streams stays
-    cheap: candidate start positions are found with one compiled character
-    class, then surfaces sharing that first character are tried longest
-    first.
+    Precomputes, per first character, the distinct surface lengths (longest
+    first), so scanning long tweet streams stays cheap: candidate start
+    positions are found with one compiled character class, then each length
+    costs one slice and one dict lookup.
     """
 
     def __init__(self, surfaces: Mapping[str, str]):
@@ -54,13 +56,11 @@ class Gazetteer:
                 raise ValueError(f"gazetteer surface {surface!r} must be nonempty lowercase")
             cleaned[surface] = entity_type
         self.surfaces = cleaned
-        groups: dict[str, list[tuple[str, str]]] = {}
-        for surface, entity_type in cleaned.items():
-            groups.setdefault(surface[0], []).append((surface, entity_type))
-        for bucket in groups.values():
-            bucket.sort(key=lambda item: (-len(item[0]), item[0]))
-        self._groups = groups
-        first_chars = "".join(sorted(groups))
+        lengths: dict[str, set[int]] = {}
+        for surface in cleaned:
+            lengths.setdefault(surface[0], set()).add(len(surface))
+        self._lengths = {first: sorted(found, reverse=True) for first, found in lengths.items()}
+        first_chars = "".join(sorted(lengths))
         self._starts = re.compile("[" + re.escape(first_chars) + "]") if first_chars else None
 
     def __len__(self) -> int:
@@ -223,35 +223,64 @@ def extract_entities(
 
     Matches never overlap; a match whose type the policy rejects still
     consumes its span but is not returned. Returned surfaces keep the
-    casing they had in the sentence.
+    casing they had in the sentence. A match must start and end on whole
+    characters of the sentence, never inside one that lowercasing lengthens.
     """
     starts = gazetteer._starts
     if starts is None:
         return []
     lowered = sentence.lower()
     # lower() can lengthen a character ("İ" becomes "i" plus a combining dot);
-    # then origin maps each offset of `lowered` to its character in `sentence`
+    # then origin maps each offset of `lowered` that starts a character of
+    # `sentence`, and its end, to that character's index
     origin = None
     if len(lowered) != len(sentence):
-        origin = [index for index, char in enumerate(sentence) for _ in char.lower()]
-    groups = gazetteer._groups
+        origin = {}
+        offset = 0
+        for index, char in enumerate(sentence):
+            origin[offset] = index
+            offset += len(char.lower())
+        origin[offset] = len(sentence)
+    lengths, surfaces, allowed = gazetteer._lengths, gazetteer.surfaces, policy.allowed
+    size = len(lowered)
     found: list[tuple[str, str]] = []
     next_free = 0
     for candidate in starts.finditer(lowered):
         position = candidate.start()
-        if position < next_free:
+        if position < next_free or (origin is not None and position not in origin):
             continue
-        for surface, entity_type in groups[lowered[position]]:
-            if lowered.startswith(surface, position):
-                next_free = position + len(surface)
-                if policy.allows(entity_type):
-                    if origin is None:
-                        found.append((sentence[position:next_free], entity_type))
-                    else:
-                        span = slice(origin[position], origin[next_free - 1] + 1)
-                        found.append((sentence[span], entity_type))
-                break
+        for length in lengths[lowered[position]]:
+            end = position + length
+            if end > size:
+                continue
+            entity_type = surfaces.get(lowered[position:end])
+            if entity_type is None or (origin is not None and end not in origin):
+                continue
+            next_free = end
+            if entity_type in allowed:
+                if origin is None:
+                    found.append((sentence[position:end], entity_type))
+                else:
+                    found.append((sentence[origin[position]:origin[end]], entity_type))
+            break
     return found
+
+
+def annotate_mentions(
+    text: str, lexicon: Lexicon, gazetteer: Gazetteer, policy: EntityTypePolicy
+) -> list[Mention]:
+    """Every kept entity of a tweet text as (surface, type, sentence sentiment).
+
+    Gives the entities of `annotate_tweet` in the same order without building
+    its objects; a sentence is scored only when it has an entity.
+    """
+    mentions: list[Mention] = []
+    for sentence in split_sentences(text):
+        entities = extract_entities(sentence, gazetteer, policy)
+        if entities:
+            sentiment = score_sentence(sentence, lexicon)
+            mentions += [(surface, entity_type, sentiment) for surface, entity_type in entities]
+    return mentions
 
 
 def annotate_tweet(

@@ -15,7 +15,7 @@ import json
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from . import affiliation, aggregate, annotator, corpus, polarimetry, synth
 from .errors import ConfigError, DataError, NoJointEntitiesError
@@ -57,7 +57,11 @@ class StreamCounters:
     )
 
 
-Annotate = Callable[[corpus.TweetRecord], annotator.AnnotatedTweet | None]
+Annotate = Callable[[corpus.TweetRecord], tuple[str, Sequence[annotator.Mention]] | None]
+
+
+def _policy(entity_types: tuple[str, ...] | None) -> annotator.EntityTypePolicy:
+    return annotator.policy_for(entity_types) if entity_types else annotator.default_policy()
 
 
 def _annotation_source(
@@ -70,7 +74,8 @@ def _annotation_source(
 ) -> Annotate:
     """Check the annotation flags and build the one source they name.
 
-    A --preannotated lookup gives None for tweets its table lacks.
+    The source gives a tweet's annotated user_id and its mentions in sentence
+    order; a --preannotated lookup gives None for tweets its table lacks.
     """
     if (lexicon is None) != (gazetteer is None):
         raise ConfigError("--lexicon and --gazetteer must be given together")
@@ -78,14 +83,23 @@ def _annotation_source(
         raise ConfigError(
             "provide exactly one annotation source: --lexicon/--gazetteer or --preannotated"
         )
-    policy = annotator.policy_for(entity_types) if entity_types else annotator.default_policy()
+    policy = _policy(entity_types)
     if preannotated is not None:
         items = annotator.ingest_preannotated(preannotated, policy, strict=strict, stats=stats)
-        table = {item.tweet_id: item for item in items}
+        table = {
+            item.tweet_id: (item.user_id, tuple(
+                (surface, entity_type, sentence.sentiment)
+                for sentence in item.sentences for surface, entity_type in sentence.entities
+            ))
+            for item in items
+        }
         return lambda record: table.get(record.tweet_id)
     lexicon_table = annotator.load_lexicon(lexicon)
     gazetteer_table = annotator.load_gazetteer(gazetteer)
-    return lambda record: annotator.annotate_tweet(record, lexicon_table, gazetteer_table, policy)
+    annotate_mentions = annotator.annotate_mentions
+    return lambda record: (
+        record.user_id, annotate_mentions(record.text, lexicon_table, gazetteer_table, policy)
+    )
 
 
 def _stream_mentions(
@@ -103,11 +117,19 @@ def _stream_mentions(
     A tweet stops at the first gate it fails: deleted, unaligned author,
     outside both windows, no annotation. Retained tweets are dealt round-robin
     to `shards` builders per window and merged, which is result-invariant.
-    Returns the table per window and the mention row count.
+    Each mention goes straight from its (surface, type, sentiment) tuple to a
+    mentions.csv row and a builder cell. Returns the table per window and the
+    mention row count.
     """
-    builders = {window: [aggregate.AggregateBuilder() for _ in range(shards)]
-                for window in _WINDOW_STATS_KEYS}
-    skipped, volumes = counters.skipped, counters.volumes
+    democrat, unaligned = affiliation.PartyLabel.DEMOCRAT, affiliation.PartyLabel.UNALIGNED
+    baseline, crisis = corpus.WindowLabel.BASELINE, corpus.WindowLabel.CRISIS
+    window_labels = (baseline, crisis)
+    window_values = tuple(window.value for window in window_labels)
+    builders = tuple([aggregate.AggregateBuilder() for _ in range(shards)]
+                     for _ in window_labels)
+    volumes = [0, 0]
+    skipped = counters.skipped
+    names: dict[str, str] = {}  # surface -> normalized entity name
     dealt = 0
     with aggregate.MentionCsvWriter(out_dir / "mentions.csv") as writer:
         for record in corpus.parse_tweets(tweets_path, strict=strict, stats=counters.ingest):
@@ -115,32 +137,59 @@ def _stream_mentions(
                 skipped["deleted"] += 1
                 continue
             party = label_for(record.user_id)
-            if party is affiliation.PartyLabel.UNALIGNED:
+            if party is unaligned:
                 skipped["unaligned"] += 1
                 continue
             window = corpus.classify_window(record.created_at, windows)
-            if window is corpus.WindowLabel.OUTSIDE:
+            if window is baseline:
+                slot = 0
+            elif window is crisis:
+                slot = 1
+            else:
                 skipped["outside"] += 1
                 continue
-            annotated = annotate(record)
-            if annotated is None:
+            annotation = annotate(record)
+            if annotation is None:
                 if strict:
                     raise DataError(f"tweet {record.tweet_id} has no annotation")
                 skipped["unannotated"] += 1
                 continue
-            volumes[window] += 1
-            builder = builders[window][dealt % shards]
+            volumes[slot] += 1
+            cells = builders[slot][dealt % shards].cells
             dealt += 1
-            for row in aggregate.emit_mention_rows(annotated, party, window):
-                writer.write(row)
-                builder.add(row)
+            user_id, mentions = annotation
+            if not mentions:
+                continue
+            if party is democrat:
+                offset, code = 0, "D"
+            else:
+                offset, code = 2, "R"
+            window_value = window_values[slot]
+            rows = []
+            for surface, entity_type, sentiment in mentions:
+                name = names.get(surface)
+                if name is None:
+                    name = names[surface] = aggregate.normalize_entity_name(surface)
+                if not name:
+                    aggregate.logger.warning(
+                        "dropping mention with empty normalized name (tweet %s)", record.tweet_id
+                    )
+                    continue
+                rows.append((name, entity_type, user_id, sentiment, code, window_value))
+                cell = cells.get(name)
+                if cell is None:
+                    cell = cells[name] = [0, 0, 0, 0]
+                cell[offset] += sentiment
+                cell[offset + 1] += 1
+            writer.write_rendered(rows)
         mention_count = writer.count
-    payload = {key: volumes[window] for window, key in _WINDOW_STATS_KEYS.items()}
+    counters.volumes.update(zip(window_labels, volumes))
+    payload = {key: counters.volumes[window] for window, key in _WINDOW_STATS_KEYS.items()}
     (out_dir / "window_stats.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     tables = {}
-    for window, parts in builders.items():
+    for window, parts in zip(window_labels, builders):
         table = parts[0].build()
         for builder in parts[1:]:
             table = aggregate.merge_aggregates(table, builder.build())
@@ -198,12 +247,14 @@ def run_pipeline(config: RunConfig) -> RunResult:
     Outputs: mentions.csv, aggregates_baseline.csv, aggregates_crisis.csv,
     entities.csv, report.csv, report.json, window_stats.json, and
     affiliations.csv. The aggregate merge is associative, so the report is
-    byte-identical for any shard count and any input order. Once the inputs
-    are loaded, an earlier report in config.out is removed, so a run that
-    fails after that point leaves none.
+    byte-identical for any shard count and any input order. Before any input
+    is read, an earlier report in config.out is removed, so a failed run
+    leaves none.
     """
     if config.shards < 1:
         raise ConfigError("--shards must be at least 1")
+    for stale in ("report.csv", "report.json"):
+        (Path(config.out) / stale).unlink(missing_ok=True)
     counters = StreamCounters()
     annotate = _annotation_source(config.lexicon, config.gazetteer, config.preannotated,
                                   config.entity_types, config.strict, counters.annotation)
@@ -211,8 +262,6 @@ def run_pipeline(config: RunConfig) -> RunResult:
     labeler = affiliation.PartyLabeler(roster)
     windows = corpus.load_windows(config.windows)
     out_dir = _out_dir(config.out)
-    for stale in ("report.csv", "report.json"):
-        (out_dir / stale).unlink(missing_ok=True)
 
     tables, mention_count = _stream_mentions(config.tweets, windows, labeler.label, annotate,
                                              config.strict, counters, out_dir, config.shards)
@@ -275,8 +324,9 @@ def cmd_assign(args: argparse.Namespace) -> int:
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
-    annotate = _annotation_source(args.lexicon, args.gazetteer, None, args.entity_types,
-                                  args.strict, corpus.IngestStats())
+    policy = _policy(args.entity_types)
+    lexicon = annotator.load_lexicon(args.lexicon)
+    gazetteer = annotator.load_gazetteer(args.gazetteer)
     stats = corpus.IngestStats()
     annotated_path = _out_dir(args.out) / "annotated.jsonl"
     deleted = 0
@@ -287,7 +337,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
             if record.deleted:
                 deleted += 1
                 continue
-            yield annotate(record)
+            yield annotator.annotate_tweet(record, lexicon, gazetteer, policy)
 
     count = annotator.write_preannotated(annotated_path, live_annotations())
     print(f"[ok] tweets kept: {stats.kept}, rejected: {stats.rejected}, deleted: {deleted}")
@@ -324,10 +374,7 @@ def cmd_mentions(args: argparse.Namespace) -> int:
 
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
-    builders = {
-        corpus.WindowLabel.BASELINE: aggregate.AggregateBuilder(),
-        corpus.WindowLabel.CRISIS: aggregate.AggregateBuilder(),
-    }
+    builders = {window: aggregate.AggregateBuilder() for window in _WINDOW_STATS_KEYS}
     for row in aggregate.read_mentions_csv(args.mentions):
         builders[row.window].add(row)
     out_dir = _out_dir(args.out)

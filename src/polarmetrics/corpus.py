@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .affiliation import PartyLabel
 from .errors import DataError
@@ -47,9 +47,11 @@ def parse_timestamp(value: str) -> datetime:
         raise ValueError(f"unparseable timestamp {value!r}")
     day, clock, zone = match.groups()
     if clock is None:
-        return datetime.fromisoformat(day).replace(tzinfo=timezone.utc)
+        clock = "T00:00:00"
     if zone in (None, "Z", "z"):
-        return datetime.fromisoformat(day + clock).replace(tzinfo=timezone.utc)
+        # a +00:00 suffix makes fromisoformat return timezone.utc directly,
+        # far cheaper than .replace(tzinfo=...) on the parsed datetime
+        return datetime.fromisoformat(day + clock + "+00:00")
     return datetime.fromisoformat(day + clock + zone).astimezone(timezone.utc)
 
 
@@ -151,8 +153,9 @@ def load_windows(path: Path | str) -> EventWindows:
 # ==== tweets ====
 
 
-@dataclass(frozen=True)
-class TweetRecord:
+class TweetRecord(NamedTuple):
+    """One parsed tweet; a named tuple because one is built per input line."""
+
     tweet_id: str
     user_id: str
     text: str

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,41 @@ STD_WINDOWS = {
 
 BASELINE_TS = "2021-01-02T12:00:00Z"
 CRISIS_TS = "2021-01-09T12:00:00Z"
+
+
+# surfaces sharing first letters, a denied type, "İ" in both lowered forms,
+# whitespace-only surfaces and one whose double space normalization collapses
+EQUIVALENCE_SURFACES = {
+    "ab": "MISC",
+    "abc": "PERSON",
+    "abcd ef": "LOCATION",
+    "ab x": "DATE",
+    "a": "MISC",
+    "i": "MISC",
+    "i\u0307": "PERSON",
+    "i\u0307i": "LOCATION",
+    "quorvia": "LOCATION",
+    "quorvia  rocks": "MISC",
+    " ": "MISC",
+    "  ": "PERSON",
+}
+EQUIVALENCE_VOCAB = [
+    "ab", "Abc", "ABCD", "ef", "x", "a", "İ", "İİ", "i", "I", "quorvia", "QUORVİA",
+    "rocks", "good", "awful", "the", "café",
+]
+
+
+def equivalence_texts(seed: int, count: int) -> list[str]:
+    """Seeded random tweet texts of several sentences over EQUIVALENCE_VOCAB."""
+    rng = random.Random(seed)
+    texts = []
+    for _ in range(count):
+        pieces = []
+        for _ in range(rng.randrange(0, 12)):
+            pieces.append(rng.choice(EQUIVALENCE_VOCAB))
+            pieces.append(rng.choice([" ", " ", "  ", "\t", ". ", "! ", "? ", ""]))
+        texts.append("".join(pieces))
+    return texts
 
 
 def write_windows(directory: Path, payload: dict | None = None) -> Path:

@@ -15,10 +15,11 @@ from polarmetrics.annotator import (
     Gazetteer,
     Lexicon,
     default_policy,
+    score_sentence,
 )
 from polarmetrics.errors import ConfigError, DataError
 
-from conftest import write_gazetteer, write_lexicon
+from conftest import EQUIVALENCE_SURFACES, equivalence_texts, write_gazetteer, write_lexicon
 
 UTC = timezone.utc
 
@@ -251,6 +252,57 @@ def test_surface_survives_case_folding_that_lengthens_text():
     gaz = Gazetteer({"quorvi\u0307a": "LOCATION"})
     found = annotator.extract_entities("İİ QUORVİA rocks", gaz, default_policy())
     assert found == [("QUORVİA", "LOCATION")]
+
+
+def test_match_never_ends_inside_a_lengthened_character():
+    # "i" must not match the first half of "İ" ("i" plus U+0307)
+    gaz = Gazetteer({"i": "MISC", "quorvia": "LOCATION"})
+    found = annotator.extract_entities("İİ quorvia rocks", gaz, default_policy())
+    assert found == [("quorvia", "LOCATION")]
+    # the whole lowered character still matches
+    gaz = Gazetteer({"i\u0307": "MISC"})
+    assert annotator.extract_entities("İ", gaz, default_policy()) == [("İ", "MISC")]
+
+
+def _brute_force_entities(
+    sentence: str, surfaces: dict[str, str], allowed: frozenset[str]
+) -> list[tuple[str, str]]:
+    """Longest match at each whole-character position, tried over every end offset."""
+    lowered = sentence.lower()
+    origin = {}  # offset in lowered of each character of sentence (and the end) -> its index
+    offset = 0
+    for index, char in enumerate(sentence):
+        origin[offset] = index
+        offset += len(char.lower())
+    origin[offset] = len(sentence)
+    found = []
+    position = 0
+    while position < len(lowered):
+        ends = range(len(lowered), position, -1) if position in origin else ()
+        end = next((e for e in ends if e in origin and lowered[position:e] in surfaces), None)
+        if end is None:
+            position += 1
+            continue
+        entity_type = surfaces[lowered[position:end]]
+        if entity_type in allowed:
+            found.append((sentence[origin[position]:origin[end]], entity_type))
+        position = end
+    return found
+
+
+def test_length_indexed_scan_matches_brute_force():
+    gaz = Gazetteer(EQUIVALENCE_SURFACES)
+    lex = _lexicon(good=1, awful=-2)
+    for policy in (default_policy(), annotator.policy_for(["DATE", "MISC"])):
+        for text in equivalence_texts(71, 400):
+            expected = []
+            for sentence in annotator.split_sentences(text):
+                found = annotator.extract_entities(sentence, gaz, policy)
+                brute = _brute_force_entities(sentence, EQUIVALENCE_SURFACES, policy.allowed)
+                assert found == brute
+                expected += [(surface, entity_type, score_sentence(sentence, lex))
+                             for surface, entity_type in found]
+            assert annotator.annotate_mentions(text, lex, gaz, policy) == expected
 
 
 def test_match_at_string_edges():

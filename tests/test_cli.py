@@ -4,15 +4,27 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from polarmetrics import cli
+from polarmetrics import affiliation, aggregate, annotator, cli, corpus
 
-from conftest import write_followers, write_roster, write_tweets, write_windows
+from conftest import (
+    BASELINE_TS,
+    CRISIS_TS,
+    EQUIVALENCE_SURFACES,
+    equivalence_texts,
+    write_followers,
+    write_gazetteer,
+    write_lexicon,
+    write_roster,
+    write_tweets,
+    write_windows,
+)
 
 GOLDEN_REPORT_ROW = "test-event,2.333333,3.000000,1.000000,1.000000,30.0%,40.0%,+10.0pp"
 
@@ -234,6 +246,90 @@ def test_preannotated_run_matches_reference_run(tiny_bundle, tmp_path):
         assert (adapted / name).read_bytes() == (reference / name).read_bytes(), name
 
 
+def _equivalence_bundle(directory: Path) -> dict:
+    """Random several-sentence tweets from aligned, unaligned and deleted authors."""
+    rng = random.Random(83)
+    tweets = [
+        {
+            "tweet_id": f"t{index}",
+            "user_id": rng.choice(["d1", "d2", "r1", "r2", "nobody"]),
+            "text": text,
+            "created_at": rng.choice([BASELINE_TS, CRISIS_TS, "2021-02-01T00:00:00Z"]),
+            "deleted": rng.random() < 0.1,
+        }
+        for index, text in enumerate(equivalence_texts(83, 300))
+    ]
+    return {
+        "tweets": write_tweets(directory, tweets),
+        "roster": write_roster(directory, [("dema", "D"), ("repa", "R")]),
+        "followers": write_followers(directory, {"dema": ["d1", "d2"], "repa": ["r1", "r2"]}),
+        "windows": write_windows(directory),
+        "lexicon": write_lexicon(directory, {"good": 1, "awful": -2}),
+        # a gazetteer file cannot hold whitespace-only surfaces
+        "gazetteer": write_gazetteer(
+            directory, {s: t for s, t in EQUIVALENCE_SURFACES.items() if s.strip()}
+        ),
+    }
+
+
+def _write_preannotated(bundle: dict, path: Path) -> None:
+    """Reference annotations under another user_id, plus whitespace-only entities."""
+    lexicon = annotator.load_lexicon(bundle["lexicon"])
+    gazetteer = annotator.load_gazetteer(bundle["gazetteer"])
+    policy = annotator.default_policy()
+    lines = []
+    for record in corpus.parse_tweets(bundle["tweets"]):
+        payload = annotator.annotation_payload(
+            annotator.annotate_tweet(record._replace(deleted=False), lexicon, gazetteer, policy)
+        )
+        payload["user_id"] = "annotated-" + record.user_id
+        for sentence in payload["sentences"]:
+            if " " in sentence["text"]:
+                sentence["entities"].append({"surface": " ", "type": "MISC"})
+        lines.append(json.dumps(payload, ensure_ascii=False) + "\n")
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+@pytest.mark.parametrize("preannotated", [False, True])
+@pytest.mark.parametrize("shards", [1, 2, 8])
+def test_fused_run_matches_annotate_then_emit(tmp_path, shards, preannotated):
+    bundle = _equivalence_bundle(tmp_path)
+    config = cli.RunConfig(bundle["tweets"], bundle["roster"], bundle["followers"],
+                           bundle["windows"], tmp_path / "run", shards=shards)
+    policy = annotator.default_policy()
+    live = [record for record in corpus.parse_tweets(config.tweets) if not record.deleted]
+    if preannotated:
+        config.preannotated = tmp_path / "annotated.jsonl"
+        _write_preannotated(bundle, config.preannotated)
+        items = annotator.ingest_preannotated(config.preannotated, policy)
+        annotations = {item.tweet_id: item for item in items}
+    else:
+        config.lexicon, config.gazetteer = bundle["lexicon"], bundle["gazetteer"]
+        lexicon = annotator.load_lexicon(bundle["lexicon"])
+        gazetteer = annotator.load_gazetteer(bundle["gazetteer"])
+        annotations = {record.tweet_id: annotator.annotate_tweet(record, lexicon, gazetteer, policy)
+                       for record in live}
+    cli.run_pipeline(config)
+
+    # the unfused path: whole annotation objects, then one row object per mention
+    roster = corpus.load_affiliation_data(config.roster, config.followers)
+    labeler = affiliation.PartyLabeler(roster)
+    windows = corpus.load_windows(config.windows)
+    rows = []
+    for record in live:
+        party = labeler.label(record.user_id)
+        window = corpus.classify_window(record.created_at, windows)
+        rows += aggregate.emit_mention_rows(annotations[record.tweet_id], party, window)
+    expected = tmp_path / "expected"
+    expected.mkdir()
+    assert aggregate.write_mentions_csv(expected / "mentions.csv", rows) > 100
+    for window in (corpus.WindowLabel.BASELINE, corpus.WindowLabel.CRISIS):
+        table = aggregate.reduce_to_instances(row for row in rows if row.window is window)
+        aggregate.write_aggregates_csv(expected / f"aggregates_{window.value}.csv", table)
+    for path in sorted(expected.iterdir()):
+        assert (config.out / path.name).read_bytes() == path.read_bytes(), path.name
+
+
 def test_mentions_stage_with_live_roster_matches_audit_path(tiny_bundle, tmp_path):
     staged = tmp_path / "staged"
     assert cli.main([
@@ -444,9 +540,12 @@ def test_failed_run_removes_the_previous_report(tiny_bundle, tmp_path, capsys):
     corrupted.write_text(
         tiny_bundle["tweets"].read_text(encoding="utf-8") + "{broken\n", encoding="utf-8"
     )
+    bad_lexicon = tmp_path / "bad_lexicon.tsv"
+    bad_lexicon.write_text("good\t9\n", encoding="utf-8")
     failures = [
         (_run_args(tiny_bundle, out, "--entity-types", "PERSON"), 3),
         (_run_args(dict(tiny_bundle, tweets=corrupted), out, "--strict"), 2),
+        (_run_args(dict(tiny_bundle, lexicon=bad_lexicon), out), 2),
     ]
     for args, code in failures:
         assert cli.main(_run_args(tiny_bundle, out)) == 0
