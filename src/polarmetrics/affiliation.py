@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
     from .corpus import FigureheadRoster
@@ -93,6 +93,12 @@ class PartyLabeler:
             entry = (counts.dem_follows, counts.rep_follows, assign_party(counts))
             entry = self.entries[user_id] = self._shared.setdefault(entry, entry)
         return entry[2]
+
+    def adopt(self, entries: Iterable[tuple[str, tuple[int, int, PartyLabel]]]) -> None:
+        """Add (user_id, entry) pairs labelled by another copy of this labeler."""
+        for user_id, entry in entries:
+            if user_id not in self.entries:
+                self.entries[user_id] = self._shared.setdefault(entry, entry)
 
     def tallies(self) -> dict[PartyLabel, int]:
         """Number of labelled authors per label."""

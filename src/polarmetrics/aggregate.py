@@ -145,6 +145,16 @@ class AggregateBuilder:
         cell[offset] += row.sentiment
         cell[offset + 1] += 1
 
+    def absorb(self, cells: dict[str, list[int]]) -> None:
+        """Add another builder's cells into this one's."""
+        for name, cell in cells.items():
+            mine = self.cells.get(name)
+            if mine is None:
+                self.cells[name] = list(cell)
+            else:
+                for index, value in enumerate(cell):
+                    mine[index] += value
+
     def build(self) -> AggregateTable:
         return AggregateTable(
             {name: EntityAggregate(name, *cell) for name, cell in self.cells.items()}
@@ -203,10 +213,11 @@ AGGREGATES_HEADER = ("entity", "party", "sentiment_sum", "mention_count", "mean_
 class MentionCsvWriter:
     """Streams mention rows to CSV without holding them in memory."""
 
-    def __init__(self, path: Path | str):
+    def __init__(self, path: Path | str, header: bool = True):
         self._handle = open(path, "w", encoding="utf-8", newline="")
         self._writer = csv.writer(self._handle)
-        self._writer.writerow(MENTIONS_HEADER)
+        if header:
+            self._writer.writerow(MENTIONS_HEADER)
         self.count = 0
 
     def write(self, row: EntityMentionRow) -> None:

@@ -13,17 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Iterator
 
 from . import affiliation, aggregate, annotator, corpus, polarimetry, synth
 from .errors import ConfigError, DataError, NoJointEntitiesError
-
-_WINDOW_STATS_KEYS = {
-    corpus.WindowLabel.BASELINE: "baseline_tweets",
-    corpus.WindowLabel.CRISIS: "crisis_tweets",
-}
+from .tweetpass import WINDOW_STATS_KEYS, Annotate, StreamCounters, stream_mentions
 
 
 @dataclass
@@ -41,23 +37,6 @@ class RunConfig:
     entity_types: tuple[str, ...] | None = None
     strict: bool = False
     shards: int = 1
-
-
-@dataclass
-class StreamCounters:
-    """Counts collected while draining a tweet stream."""
-
-    ingest: corpus.IngestStats = field(default_factory=corpus.IngestStats)
-    annotation: corpus.IngestStats = field(default_factory=corpus.IngestStats)
-    skipped: dict[str, int] = field(
-        default_factory=lambda: {"deleted": 0, "unaligned": 0, "outside": 0, "unannotated": 0}
-    )
-    volumes: dict[corpus.WindowLabel, int] = field(
-        default_factory=lambda: {corpus.WindowLabel.BASELINE: 0, corpus.WindowLabel.CRISIS: 0}
-    )
-
-
-Annotate = Callable[[corpus.TweetRecord], tuple[str, Sequence[annotator.Mention]] | None]
 
 
 def _policy(entity_types: tuple[str, ...] | None) -> annotator.EntityTypePolicy:
@@ -86,13 +65,19 @@ def _annotation_source(
     policy = _policy(entity_types)
     if preannotated is not None:
         items = annotator.ingest_preannotated(preannotated, policy, strict=strict, stats=stats)
-        table = {
-            item.tweet_id: (item.user_id, tuple(
-                (surface, entity_type, sentence.sentiment)
-                for sentence in item.sentences for surface, entity_type in sentence.entities
-            ))
-            for item in items
-        }
+        # json.loads makes new strings for every line: keep one copy of each
+        # equal string, mention tuple and (user_id, mentions) pair
+        share = {}.setdefault
+        table = {}
+        for item in items:
+            mentions = []
+            for sentence in item.sentences:
+                for surface, entity_type in sentence.entities:
+                    mention = (share(surface, surface), share(entity_type, entity_type),
+                               sentence.sentiment)
+                    mentions.append(share(mention, mention))
+            annotation = (share(item.user_id, item.user_id), tuple(mentions))
+            table[item.tweet_id] = share(annotation, annotation)
         return lambda record: table.get(record.tweet_id)
     lexicon_table = annotator.load_lexicon(lexicon)
     gazetteer_table = annotator.load_gazetteer(gazetteer)
@@ -100,101 +85,6 @@ def _annotation_source(
     return lambda record: (
         record.user_id, annotate_mentions(record.text, lexicon_table, gazetteer_table, policy)
     )
-
-
-def _stream_mentions(
-    tweets_path: Path,
-    windows: corpus.EventWindows,
-    label_for: Callable[[str], affiliation.PartyLabel],
-    annotate: Annotate,
-    strict: bool,
-    counters: StreamCounters,
-    out_dir: Path,
-    shards: int = 1,
-) -> tuple[dict[corpus.WindowLabel, aggregate.AggregateTable], int]:
-    """Gate every tweet, write mentions.csv and window_stats.json, reduce per window.
-
-    A tweet stops at the first gate it fails: deleted, unaligned author,
-    outside both windows, no annotation. Retained tweets are dealt round-robin
-    to `shards` builders per window and merged, which is result-invariant.
-    Each mention goes straight from its (surface, type, sentiment) tuple to a
-    mentions.csv row and a builder cell. Returns the table per window and the
-    mention row count.
-    """
-    democrat, unaligned = affiliation.PartyLabel.DEMOCRAT, affiliation.PartyLabel.UNALIGNED
-    baseline, crisis = corpus.WindowLabel.BASELINE, corpus.WindowLabel.CRISIS
-    window_labels = (baseline, crisis)
-    window_values = tuple(window.value for window in window_labels)
-    builders = tuple([aggregate.AggregateBuilder() for _ in range(shards)]
-                     for _ in window_labels)
-    volumes = [0, 0]
-    skipped = counters.skipped
-    names: dict[str, str] = {}  # surface -> normalized entity name
-    dealt = 0
-    with aggregate.MentionCsvWriter(out_dir / "mentions.csv") as writer:
-        for record in corpus.parse_tweets(tweets_path, strict=strict, stats=counters.ingest):
-            if record.deleted:
-                skipped["deleted"] += 1
-                continue
-            party = label_for(record.user_id)
-            if party is unaligned:
-                skipped["unaligned"] += 1
-                continue
-            window = corpus.classify_window(record.created_at, windows)
-            if window is baseline:
-                slot = 0
-            elif window is crisis:
-                slot = 1
-            else:
-                skipped["outside"] += 1
-                continue
-            annotation = annotate(record)
-            if annotation is None:
-                if strict:
-                    raise DataError(f"tweet {record.tweet_id} has no annotation")
-                skipped["unannotated"] += 1
-                continue
-            volumes[slot] += 1
-            cells = builders[slot][dealt % shards].cells
-            dealt += 1
-            user_id, mentions = annotation
-            if not mentions:
-                continue
-            if party is democrat:
-                offset, code = 0, "D"
-            else:
-                offset, code = 2, "R"
-            window_value = window_values[slot]
-            rows = []
-            for surface, entity_type, sentiment in mentions:
-                name = names.get(surface)
-                if name is None:
-                    name = names[surface] = aggregate.normalize_entity_name(surface)
-                if not name:
-                    aggregate.logger.warning(
-                        "dropping mention with empty normalized name (tweet %s)", record.tweet_id
-                    )
-                    continue
-                rows.append((name, entity_type, user_id, sentiment, code, window_value))
-                cell = cells.get(name)
-                if cell is None:
-                    cell = cells[name] = [0, 0, 0, 0]
-                cell[offset] += sentiment
-                cell[offset + 1] += 1
-            writer.write_rendered(rows)
-        mention_count = writer.count
-    counters.volumes.update(zip(window_labels, volumes))
-    payload = {key: counters.volumes[window] for window, key in _WINDOW_STATS_KEYS.items()}
-    (out_dir / "window_stats.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    tables = {}
-    for window, parts in zip(window_labels, builders):
-        table = parts[0].build()
-        for builder in parts[1:]:
-            table = aggregate.merge_aggregates(table, builder.build())
-        tables[window] = table
-    return tables, mention_count
 
 
 def _read_window_stats(path: Path) -> dict[corpus.WindowLabel, int]:
@@ -205,7 +95,7 @@ def _read_window_stats(path: Path) -> dict[corpus.WindowLabel, int]:
     except json.JSONDecodeError as exc:
         raise DataError(f"{path.name}: invalid JSON ({exc.msg})") from exc
     volumes: dict[corpus.WindowLabel, int] = {}
-    for window, key in _WINDOW_STATS_KEYS.items():
+    for window, key in WINDOW_STATS_KEYS.items():
         value = payload.get(key) if isinstance(payload, dict) else None
         if not isinstance(value, int) or value < 0:
             raise DataError(f"{path.name}: missing or bad {key}")
@@ -263,8 +153,9 @@ def run_pipeline(config: RunConfig) -> RunResult:
     windows = corpus.load_windows(config.windows)
     out_dir = _out_dir(config.out)
 
-    tables, mention_count = _stream_mentions(config.tweets, windows, labeler.label, annotate,
-                                             config.strict, counters, out_dir, config.shards)
+    tables, mention_count = stream_mentions(config.tweets, windows, labeler.label, annotate,
+                                             config.strict, counters, out_dir, config.shards,
+                                             labeler)
     for window, table in tables.items():
         aggregate.write_aggregates_csv(out_dir / f"aggregates_{window.value}.csv", table)
     affiliation.write_affiliation_audit(out_dir / "affiliations.csv", labeler)
@@ -366,7 +257,7 @@ def cmd_mentions(args: argparse.Namespace) -> int:
     annotate = _annotation_source(args.lexicon, args.gazetteer, args.preannotated,
                                   args.entity_types, args.strict, counters.annotation)
     out_dir = _out_dir(args.out)
-    _, count = _stream_mentions(args.tweets, windows, label_for, annotate, args.strict, counters,
+    _, count = stream_mentions(args.tweets, windows, label_for, annotate, args.strict, counters,
                                 out_dir)
     _print_stream_summary(counters)
     print(f"[ok] wrote {count} mention rows to {out_dir / 'mentions.csv'}")
@@ -374,7 +265,7 @@ def cmd_mentions(args: argparse.Namespace) -> int:
 
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
-    builders = {window: aggregate.AggregateBuilder() for window in _WINDOW_STATS_KEYS}
+    builders = {window: aggregate.AggregateBuilder() for window in WINDOW_STATS_KEYS}
     for row in aggregate.read_mentions_csv(args.mentions):
         builders[row.window].add(row)
     out_dir = _out_dir(args.out)

@@ -8,6 +8,7 @@ datetimes at second resolution.
 
 from __future__ import annotations
 
+import io
 import json
 import re
 from csv import reader as csv_reader
@@ -180,43 +181,121 @@ class IngestStats:
         if len(self.errors) < MAX_KEPT_ERRORS:
             self.errors.append(message)
 
+    def reject_line(self, source: str, lineno: int, problem: str, tweet_id: str | None) -> None:
+        """Count one bad line of `source`; `tweet_id` is the line's id if that was valid."""
+        self.reject(f"{source} line {lineno}: {problem}")
 
-def _parse_tweet_line(line: str, seen: set[str]) -> tuple[TweetRecord | None, str | None]:
+
+@dataclass
+class LineLog(IngestStats):
+    """IngestStats that keeps its first rejects unformatted.
+
+    `lines` holds (line number, problem, tweet_id or None) for the first
+    MAX_KEPT_ERRORS rejects, so a caller that reads a file in byte ranges can
+    renumber them and re-judge them against the ids kept in earlier ranges.
+    """
+
+    lines: list[tuple[int, str, str | None]] = field(default_factory=list)
+
+    def reject_line(self, source: str, lineno: int, problem: str, tweet_id: str | None) -> None:
+        self.rejected += 1
+        if len(self.lines) < MAX_KEPT_ERRORS:
+            self.lines.append((lineno, problem, tweet_id))
+
+
+def duplicate_problem(tweet_id: str) -> str:
+    return f"duplicate tweet_id {tweet_id!r}"
+
+
+def _parse_tweet_line(
+    line: str, seen: set[str]
+) -> tuple[TweetRecord | None, str | None, str | None]:
+    """Return (record, None, None) or (None, problem, tweet_id if it was valid)."""
     text = line.strip()
     if not text:
-        return None, "blank line"
+        return None, "blank line", None
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
-        return None, f"invalid JSON ({exc.msg})"
+        return None, f"invalid JSON ({exc.msg})", None
     if not isinstance(payload, dict):
-        return None, "expected a JSON object"
+        return None, "expected a JSON object", None
     tweet_id = payload.get("tweet_id")
     if not isinstance(tweet_id, str) or not tweet_id:
-        return None, "missing or empty tweet_id"
+        return None, "missing or empty tweet_id", None
     if tweet_id in seen:
-        return None, f"duplicate tweet_id {tweet_id!r}"
+        return None, duplicate_problem(tweet_id), tweet_id
     user_id = payload.get("user_id")
     if not isinstance(user_id, str) or not user_id:
-        return None, "missing or empty user_id"
+        return None, "missing or empty user_id", tweet_id
     body = payload.get("text")
     if not isinstance(body, str):
-        return None, "missing text"
+        return None, "missing text", tweet_id
     raw_created = payload.get("created_at")
     if not isinstance(raw_created, str):
-        return None, "missing created_at"
+        return None, "missing created_at", tweet_id
     try:
         created_at = parse_timestamp(raw_created)
     except ValueError:
-        return None, f"unparseable created_at {raw_created!r}"
+        return None, f"unparseable created_at {raw_created!r}", tweet_id
     deleted = payload.get("deleted", False)
     if not isinstance(deleted, bool):
-        return None, "deleted must be a boolean"
-    return TweetRecord(tweet_id, user_id, body, created_at, deleted), None
+        return None, "deleted must be a boolean", tweet_id
+    return TweetRecord(tweet_id, user_id, body, created_at, deleted), None, None
+
+
+class _ByteRange(io.RawIOBase):
+    """Unbuffered reads of bytes [start, end) of a file."""
+
+    def __init__(self, path: Path, start: int, end: int):
+        self._file = open(path, "rb", buffering=0)
+        self._file.seek(start)
+        self._left = end - start
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        size = min(len(buffer), self._left)
+        if size <= 0:
+            return 0
+        count = self._file.readinto(memoryview(buffer)[:size])
+        self._left -= count
+        return count
+
+    def close(self) -> None:
+        self._file.close()
+        super().close()
+
+
+def line_spans(path: Path | str, count: int) -> list[tuple[int, int]]:
+    """Cut a file into at most `count` byte ranges of about equal size.
+
+    Every range but the last ends just after a b"\\n", so no line, CRLF pair or
+    UTF-8 sequence is split, and reading the ranges one after another in text
+    mode gives the same lines as reading the whole file.
+    """
+    size = Path(path).stat().st_size
+    cuts = [0]
+    with open(path, "rb") as handle:
+        for index in range(1, count):
+            handle.seek(max(size * index // count, cuts[-1] + 1) - 1)
+            handle.readline()
+            cut = handle.tell()
+            if cut >= size:
+                break
+            cuts.append(cut)
+    cuts.append(size)
+    return list(zip(cuts, cuts[1:]))
 
 
 def parse_tweets(
-    path: Path | str, *, strict: bool = False, stats: IngestStats | None = None
+    path: Path | str,
+    *,
+    strict: bool = False,
+    stats: IngestStats | None = None,
+    span: tuple[int, int] | None = None,
+    seen: set[str] | None = None,
 ) -> Iterator[TweetRecord]:
     """Yield tweet records from a JSON-lines file in file order.
 
@@ -226,6 +305,10 @@ def parse_tweets(
             otherwise bad lines are skipped and counted in stats.
         stats: optional tally that receives kept/rejected counts and the
             line-numbered error messages.
+        span: read only bytes [start, end) of the file, as cut by
+            `line_spans`; line numbers then count from the range's start.
+        seen: the tweet ids kept so far, for the duplicate check; every id
+            kept here is added to it.
 
     Deleted tweets are yielded as-is; downstream stages decide what to skip.
     Duplicate tweet_id values within the file count as malformed lines.
@@ -233,19 +316,23 @@ def parse_tweets(
     path = Path(path)
     if stats is None:
         stats = IngestStats()
-    seen: set[str] = set()
+    if seen is None:
+        seen = set()
     try:
-        handle = open(path, encoding="utf-8")
+        if span is None:
+            handle = open(path, encoding="utf-8")
+        else:
+            handle = io.TextIOWrapper(io.BufferedReader(_ByteRange(path, *span), 1 << 16),
+                                      encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read tweets file {path}: {exc}") from exc
     with handle:
         for lineno, line in enumerate(handle, start=1):
-            record, problem = _parse_tweet_line(line, seen)
+            record, problem, tweet_id = _parse_tweet_line(line, seen)
             if record is None:
-                message = f"{path.name} line {lineno}: {problem}"
                 if strict:
-                    raise DataError(message)
-                stats.reject(message)
+                    raise DataError(f"{path.name} line {lineno}: {problem}")
+                stats.reject_line(path.name, lineno, problem, tweet_id)
                 continue
             seen.add(record.tweet_id)
             stats.kept += 1

@@ -246,6 +246,27 @@ def test_preannotated_run_matches_reference_run(tiny_bundle, tmp_path):
         assert (adapted / name).read_bytes() == (reference / name).read_bytes(), name
 
 
+def test_preannotated_table_keeps_one_copy_of_equal_strings(tiny_bundle, tmp_path):
+    annotated = tmp_path / "annotated.jsonl"
+    annotated.write_text("".join(
+        json.dumps({"tweet_id": tweet_id, "user_id": "dem1", "sentences": [
+            {"text": "Springfield.", "sentiment": 3,
+             "entities": [{"surface": "Springfield", "type": "LOCATION"}]},
+            {"text": "Springfield!", "sentiment": 1,
+             "entities": [{"surface": "Springfield", "type": "LOCATION"}]},
+        ]}) + "\n"
+        for tweet_id in ("t1", "t2")
+    ), encoding="utf-8")
+    annotate = cli._annotation_source(None, None, annotated, None, False, corpus.IngestStats())
+    records = list(corpus.parse_tweets(tiny_bundle["tweets"]))
+    (user1, first), (user2, second) = annotate(records[0]), annotate(records[1])
+    assert first == second == (("Springfield", "LOCATION", 3), ("Springfield", "LOCATION", 1))
+    assert user1 is user2
+    assert first[0][0] is second[0][0] is second[1][0]
+    assert first[0][1] is second[1][1]
+    assert first[0] is second[0]
+
+
 def _equivalence_bundle(directory: Path) -> dict:
     """Random several-sentence tweets from aligned, unaligned and deleted authors."""
     rng = random.Random(83)

@@ -327,3 +327,32 @@ def test_stray_follower_list_is_an_error(tmp_path):
     write_followers(tmp_path, {"a": [], "ghost": ["u1"]})
     with pytest.raises(DataError, match="ghost"):
         corpus.load_affiliation_data(tmp_path / "roster.csv", tmp_path / "followers")
+
+
+def test_line_spans_read_back_as_the_whole_file(tmp_path):
+    # CRLF and LF endings, a bare CR inside a line, non-ASCII text on both
+    # sides of every cut, a duplicate across cuts and no final newline
+    lines = [json.dumps(_tweet(f"t{index % 17}", text="Zürich — ß" * (index % 4)),
+                        ensure_ascii=False) for index in range(40)]
+    lines[7] = '{"tweet_id": "cr",\r"user_id": "u1"}'
+    path = tmp_path / "tweets.jsonl"
+    path.write_bytes(("\r\n".join(lines[:20]) + "\n" + "\n".join(lines[20:])).encode("utf-8"))
+    whole = corpus.LineLog()
+    expected = list(corpus.parse_tweets(path, stats=whole))
+    for count in (2, 3, 7, 40, 100):
+        spans = corpus.line_spans(path, count)
+        assert spans[0][0] == 0 and spans[-1][1] == path.stat().st_size
+        assert all(end == start for (_, end), (start, _) in zip(spans, spans[1:]))
+        assert len(spans) <= count
+        records, lines_read, rejects = [], 0, []
+        for span in spans:
+            log = corpus.LineLog()
+            records += corpus.parse_tweets(path, stats=log, span=span)
+            rejects += [(lines_read + line, problem) for line, problem, _ in log.lines]
+            lines_read += log.kept + log.rejected
+        assert lines_read == whole.kept + whole.rejected
+        # ranges check duplicates only within themselves
+        assert {r.tweet_id for r in records} == {r.tweet_id for r in expected}
+        assert [problem for line, problem in rejects if "duplicate" not in problem] == [
+            problem for line, problem, _ in whole.lines if "duplicate" not in problem
+        ]
