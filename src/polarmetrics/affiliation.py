@@ -15,6 +15,8 @@ from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
+from .atomic import atomic_write
+
 if TYPE_CHECKING:
     from .corpus import FigureheadRoster
 
@@ -50,19 +52,30 @@ class AffiliationCounts:
     rep_follows: int
 
 
+def follow_counts(user_ids: Iterable[str], roster: FigureheadRoster) -> dict[str, list[int]]:
+    """[f_d, f_r] for each of user_ids: the distinct figureheads of each party they follow.
+
+    Walks the figureheads once and intersects each follower table with the
+    whole id set. CPython iterates the smaller side, so one table is probed
+    by many ids in a row and stays in cache, instead of every id probing
+    every table. Users absent from every follower list get [0, 0].
+    """
+    pending = set(user_ids)
+    counts = {user_id: [0, 0] for user_id in pending}
+    for handle, party in roster.figureheads.items():
+        slot = 0 if party is PartyLabel.DEMOCRAT else 1
+        for user_id in roster.followers[handle].intersection(pending):
+            counts[user_id][slot] += 1
+    return counts
+
+
 def count_affiliation(user_id: str, roster: FigureheadRoster) -> AffiliationCounts:
     """Count the distinct figureheads of each party that user_id follows.
 
     Users absent from every follower list get (0, 0). Counts never exceed
     the number of figureheads per party in the roster.
     """
-    dem = rep = 0
-    for handle, party in roster.figureheads.items():
-        if user_id in roster.followers[handle]:
-            if party is PartyLabel.DEMOCRAT:
-                dem += 1
-            else:
-                rep += 1
+    dem, rep = follow_counts((user_id,), roster)[user_id]
     return AffiliationCounts(user_id, dem, rep)
 
 
@@ -89,10 +102,20 @@ class PartyLabeler:
     def label(self, user_id: str) -> PartyLabel:
         entry = self.entries.get(user_id)
         if entry is None:
-            counts = count_affiliation(user_id, self.roster)
-            entry = (counts.dem_follows, counts.rep_follows, assign_party(counts))
-            entry = self.entries[user_id] = self._shared.setdefault(entry, entry)
+            entry = self._store(count_affiliation(user_id, self.roster))
         return entry[2]
+
+    def label_all(self, user_ids: Iterable[str]) -> None:
+        """Label every author of user_ids not labelled yet, one follower table at a time."""
+        entries = self.entries
+        pending = [user_id for user_id in user_ids if user_id not in entries]
+        for user_id, (dem, rep) in follow_counts(pending, self.roster).items():
+            self._store(AffiliationCounts(user_id, dem, rep))
+
+    def _store(self, counts: AffiliationCounts) -> tuple[int, int, PartyLabel]:
+        entry = (counts.dem_follows, counts.rep_follows, assign_party(counts))
+        entry = self.entries[counts.user_id] = self._shared.setdefault(entry, entry)
+        return entry
 
     def adopt(self, entries: Iterable[tuple[str, tuple[int, int, PartyLabel]]]) -> None:
         """Add (user_id, entry) pairs labelled by another copy of this labeler."""
@@ -112,7 +135,7 @@ AUDIT_HEADER = ("user_id", "f_d", "f_r", "label")
 def write_affiliation_audit(path: Path | str, labeler: PartyLabeler) -> int:
     """Write one audit row per labelled author, sorted by user_id."""
     entries = labeler.entries
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with atomic_write(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(AUDIT_HEADER)
         for user_id in sorted(entries):

@@ -19,6 +19,7 @@ from typing import Iterable, Iterator
 
 from .affiliation import PartyLabel
 from .annotator import AnnotatedTweet
+from .atomic import atomic_write
 from .corpus import WindowLabel
 from .errors import DataError
 
@@ -287,7 +288,7 @@ def read_mentions_csv(path: Path | str) -> Iterator[EntityMentionRow]:
 def write_aggregates_csv(path: Path | str, table: AggregateTable) -> int:
     """Write one row per entity per party with mentions, sorted for determinism."""
     written = 0
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with atomic_write(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(AGGREGATES_HEADER)
         for name in table.entity_names():

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
+from .atomic import atomic_write
 from .corpus import IngestStats, TweetRecord
 from .errors import ConfigError, DataError
 
@@ -43,10 +44,11 @@ class Lexicon:
 class Gazetteer:
     """Known entity surfaces (lowercase) mapped to their entity type.
 
-    Precomputes, per first character, the distinct surface lengths (longest
-    first), so scanning long tweet streams stays cheap: candidate start
-    positions are found with one compiled character class, then each length
-    costs one slice and one dict lookup.
+    Precomputes, per first two characters, the distinct surface lengths
+    (longest first, then 1 if the first character is itself a surface), so
+    scanning long tweet streams stays cheap: candidate start positions are
+    found with one compiled character class, a position costs one slice and
+    one dict lookup before any length is tried, and each length one more.
     """
 
     def __init__(self, surfaces: Mapping[str, str]):
@@ -56,11 +58,17 @@ class Gazetteer:
                 raise ValueError(f"gazetteer surface {surface!r} must be nonempty lowercase")
             cleaned[surface] = entity_type
         self.surfaces = cleaned
+        self._singles = frozenset(surface for surface in cleaned if len(surface) == 1)
         lengths: dict[str, set[int]] = {}
         for surface in cleaned:
-            lengths.setdefault(surface[0], set()).add(len(surface))
-        self._lengths = {first: sorted(found, reverse=True) for first, found in lengths.items()}
-        first_chars = "".join(sorted(lengths))
+            if len(surface) > 1:
+                lengths.setdefault(surface[:2], set()).add(len(surface))
+        self._lengths = {}
+        for pair, found in lengths.items():
+            ordered = self._lengths[pair] = sorted(found, reverse=True)
+            if pair[0] in self._singles:
+                ordered.append(1)
+        first_chars = "".join(sorted({pair[0] for pair in lengths} | self._singles))
         self._starts = re.compile("[" + re.escape(first_chars) + "]") if first_chars else None
 
     def __len__(self) -> int:
@@ -241,7 +249,8 @@ def extract_entities(
             origin[offset] = index
             offset += len(char.lower())
         origin[offset] = len(sentence)
-    lengths, surfaces, allowed = gazetteer._lengths, gazetteer.surfaces, policy.allowed
+    by_prefix, singles = gazetteer._lengths, gazetteer._singles
+    surfaces, allowed = gazetteer.surfaces, policy.allowed
     size = len(lowered)
     found: list[tuple[str, str]] = []
     next_free = 0
@@ -249,7 +258,12 @@ def extract_entities(
         position = candidate.start()
         if position < next_free or (origin is not None and position not in origin):
             continue
-        for length in lengths[lowered[position]]:
+        lengths = by_prefix.get(lowered[position:position + 2])
+        if lengths is None:
+            if not singles or lowered[position] not in singles:
+                continue
+            lengths = (1,)
+        for length in lengths:
             end = position + length
             if end > size:
                 continue
@@ -330,7 +344,7 @@ def annotation_payload(annotated: AnnotatedTweet) -> dict:
 def write_preannotated(path: Path | str, annotated: Iterable[AnnotatedTweet]) -> int:
     """Serialize annotated tweets to the adapter format, one JSON object per line."""
     count = 0
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_write(path) as handle:
         for item in annotated:
             handle.write(json.dumps(annotation_payload(item), ensure_ascii=False))
             handle.write("\n")

@@ -153,9 +153,10 @@ def run_pipeline(config: RunConfig) -> RunResult:
     windows = corpus.load_windows(config.windows)
     out_dir = _out_dir(config.out)
 
-    tables, mention_count = stream_mentions(config.tweets, windows, labeler.label, annotate,
-                                             config.strict, counters, out_dir, config.shards,
-                                             labeler)
+    builders, mention_count = stream_mentions(config.tweets, windows, labeler.label, annotate,
+                                               config.strict, counters, out_dir, config.shards,
+                                               labeler)
+    tables = {window: builder.build() for window, builder in builders.items()}
     for window, table in tables.items():
         aggregate.write_aggregates_csv(out_dir / f"aggregates_{window.value}.csv", table)
     affiliation.write_affiliation_audit(out_dir / "affiliations.csv", labeler)
@@ -202,9 +203,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_assign(args: argparse.Namespace) -> int:
     labeler = affiliation.PartyLabeler(corpus.load_affiliation_data(args.roster, args.followers))
     stats = corpus.IngestStats()
-    for record in corpus.parse_tweets(args.tweets, strict=args.strict, stats=stats):
-        if not record.deleted:
-            labeler.label(record.user_id)
+    records = corpus.parse_tweets(args.tweets, strict=args.strict, stats=stats)
+    labeler.label_all({record.user_id for record in records if not record.deleted})
     audit_path = _out_dir(args.out) / "affiliations.csv"
     affiliation.write_affiliation_audit(audit_path, labeler)
     print(f"[ok] tweets kept: {stats.kept}, rejected: {stats.rejected}")
@@ -240,6 +240,7 @@ def cmd_mentions(args: argparse.Namespace) -> int:
     windows = corpus.load_windows(args.windows)
     counters = StreamCounters()
 
+    labeler = None
     if args.affiliations is not None:
         if args.roster is not None or args.followers is not None:
             raise ConfigError("--affiliations replaces --roster/--followers")
@@ -249,8 +250,8 @@ def cmd_mentions(args: argparse.Namespace) -> int:
             return table.get(user_id, affiliation.PartyLabel.UNALIGNED)
 
     elif args.roster is not None and args.followers is not None:
-        roster = corpus.load_affiliation_data(args.roster, args.followers)
-        label_for = affiliation.PartyLabeler(roster).label
+        labeler = affiliation.PartyLabeler(corpus.load_affiliation_data(args.roster, args.followers))
+        label_for = labeler.label
     else:
         raise ConfigError("provide --affiliations or both --roster and --followers")
 
@@ -258,7 +259,7 @@ def cmd_mentions(args: argparse.Namespace) -> int:
                                   args.entity_types, args.strict, counters.annotation)
     out_dir = _out_dir(args.out)
     _, count = stream_mentions(args.tweets, windows, label_for, annotate, args.strict, counters,
-                                out_dir)
+                                out_dir, labeler=labeler)
     _print_stream_summary(counters)
     print(f"[ok] wrote {count} mention rows to {out_dir / 'mentions.csv'}")
     return 0

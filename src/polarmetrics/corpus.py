@@ -31,6 +31,9 @@ _TIMESTAMP_RE = re.compile(
 # rejected lines beyond this many are counted but their messages are not kept
 MAX_KEPT_ERRORS = 100
 
+# a byte that is not valid UTF-8, as the "surrogateescape" error handler decodes it
+_ESCAPED_BYTE_RE = re.compile("[\udc80-\udcff]")
+
 _PARTY_TOKENS = {"D": PartyLabel.DEMOCRAT, "R": PartyLabel.REPUBLICAN}
 
 
@@ -214,6 +217,8 @@ def _parse_tweet_line(
     text = line.strip()
     if not text:
         return None, "blank line", None
+    if not text.isascii() and _ESCAPED_BYTE_RE.search(text):
+        return None, "invalid UTF-8", None
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -311,7 +316,8 @@ def parse_tweets(
             kept here is added to it.
 
     Deleted tweets are yielded as-is; downstream stages decide what to skip.
-    Duplicate tweet_id values within the file count as malformed lines.
+    Duplicate tweet_id values within the file, and lines holding bytes that
+    are not valid UTF-8, count as malformed lines.
     """
     path = Path(path)
     if stats is None:
@@ -319,11 +325,13 @@ def parse_tweets(
     if seen is None:
         seen = set()
     try:
+        # bytes that are not UTF-8 decode to lone surrogates, so the bad line
+        # is rejected on its own instead of ending the read
         if span is None:
-            handle = open(path, encoding="utf-8")
+            handle = open(path, encoding="utf-8", errors="surrogateescape")
         else:
             handle = io.TextIOWrapper(io.BufferedReader(_ByteRange(path, *span), 1 << 16),
-                                      encoding="utf-8")
+                                      encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise DataError(f"cannot read tweets file {path}: {exc}") from exc
     with handle:

@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 
 from .affiliation import PartyLabel
 from .aggregate import AggregateTable, format_decimal
+from .atomic import atomic_write
 from .corpus import EventWindows, WindowLabel
 from .errors import DataError, NoJointEntitiesError
 
@@ -213,7 +214,7 @@ def _report_row(report: PolarizationReport) -> tuple[str, ...]:
 
 
 def write_report_csv(path: Path | str, report: PolarizationReport) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with atomic_write(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(REPORT_HEADER)
         writer.writerow(_report_row(report))
@@ -243,7 +244,7 @@ def report_to_dict(report: PolarizationReport) -> dict:
 
 
 def write_report_json(path: Path | str, report: PolarizationReport) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_write(path) as handle:
         json.dump(report_to_dict(report), handle, indent=2, sort_keys=True)
         handle.write("\n")
 
@@ -253,7 +254,7 @@ def write_entities_csv(
 ) -> int:
     """Write the per-entity companion rows for each window, sorted by entity."""
     written = 0
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with atomic_write(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(ENTITIES_HEADER)
         for label, table in tables:

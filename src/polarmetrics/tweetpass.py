@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import gc
+import itertools
 import json
 import os
 import pickle
@@ -27,6 +28,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence, TextIO
 
 from . import affiliation, aggregate, annotator, corpus
+from .atomic import atomic_write
 from .errors import DataError
 
 if TYPE_CHECKING:
@@ -46,10 +48,13 @@ MIN_RANGE_BYTES = 1 << 20
 DELETED, UNALIGNED, OUTSIDE, UNANNOTATED, RETAINED = range(5)
 _SKIP_KEYS = ("deleted", "unaligned", "outside", "unannotated")
 
+# Records pulled from the parser at a time. A chunk's new authors are labelled
+# together, one follower table at a time, before its first tweet is gated; a
+# worker looks at the parent's stop event once per chunk.
+CHUNK_RECORDS = 1024
+
 # kept tweets per pickled chunk of a worker's facts file
 _FACTS_CHUNK = 8192
-# kept tweets between two looks of a worker at the parent's stop event
-_STOP_CHECK_EVERY = 4096
 
 
 @dataclass
@@ -114,9 +119,32 @@ class _RangeResult:
     tally: list[int]  # kept tweets per fate
     cells: tuple[list[dict[str, list[int]]], ...]  # per window, per shard
     rows: int
-    unannotated: str | None  # with --strict: the retained tweet without annotation it stopped at
+    # with --strict: (line, tweet_id) of the retained tweet without annotation it stopped at
+    unannotated: tuple[int, str] | None
     # a worker's labelled authors: (user_id, labeler entry, tweets labelled), by index
     labelled: list[tuple[str, tuple, int]] = field(default_factory=list)
+
+
+def _pulled(
+    records: Iterator[corpus.TweetRecord],
+    log: corpus.LineLog,
+    labeler: affiliation.PartyLabeler | None,
+    stop: Event | None,
+) -> Iterator[tuple[int, corpus.TweetRecord]]:
+    """(range-local line number, record) pairs, pulled CHUNK_RECORDS at a time.
+
+    Each chunk's authors of non-deleted records are labelled together before
+    its first pair is yielded. No chunk is pulled once `stop` is set.
+    """
+    while stop is None or not stop.is_set():
+        # the parser counts a line before yielding its record
+        chunk = [(log.kept + log.rejected, record)
+                 for record in itertools.islice(records, CHUNK_RECORDS)]
+        if not chunk:
+            return
+        if labeler is not None:
+            labeler.label_all(record.user_id for _, record in chunk if not record.deleted)
+        yield from chunk
 
 
 def _pass_range(
@@ -129,6 +157,7 @@ def _pass_range(
     writer: aggregate.MentionCsvWriter,
     shards: int,
     facts: _KeptFacts | None,
+    labeler: affiliation.PartyLabeler | None,
     stop: Event | None = None,
 ) -> _RangeResult:
     """Gate, label, annotate, write and reduce the tweets of one byte range.
@@ -137,9 +166,12 @@ def _pass_range(
     outside both windows, no annotation. Retained tweets are dealt
     round-robin to `shards` builders per window. Each mention goes straight
     from its (surface, type, sentiment) tuple to a mentions.csv row and a
-    builder cell. With `strict`, the pass stops at the first rejected line or
-    retained tweet without annotation; the merge reports it. It also stops
-    once the `stop` event is set, checked every _STOP_CHECK_EVERY kept tweets.
+    builder cell. `labeler`, the labeler behind `label_for` if there is one,
+    labels each chunk's authors ahead of it. With `strict`, the pass stops at
+    the first rejected line or retained tweet without annotation; the merge
+    reports whichever comes first. Records are read a chunk ahead, so the log
+    may already hold rejects of later lines. The pass also stops once the
+    `stop` event is set.
     """
     democrat, unaligned = affiliation.PartyLabel.DEMOCRAT, affiliation.PartyLabel.UNALIGNED
     baseline, crisis = corpus.WindowLabel.BASELINE, corpus.WindowLabel.CRISIS
@@ -153,10 +185,8 @@ def _pass_range(
     if facts is not None:
         note_id, note_line, note_fate = facts.ids.append, facts.lines.append, facts.fates.append
         note_rows, note_author, slots = facts.first_rows.append, facts.authors.append, facts.slots
-    for record in records:
-        if strict and log.rejected:
-            break
-        if stop is not None and not log.kept % _STOP_CHECK_EVERY and stop.is_set():
+    for line, record in _pulled(records, log, labeler, stop):
+        if strict and log.rejected and log.lines[0][0] < line:
             break
         if record.deleted:
             fate = DELETED
@@ -179,13 +209,13 @@ def _pass_range(
         tally[fate] += 1
         if facts is not None:
             note_id(record.tweet_id)
-            note_line(log.kept + log.rejected)
+            note_line(line)
             note_fate(fate)
             note_rows(writer.count)
             note_author(slots.setdefault(record.user_id, len(slots)) if fate else -1)
         if fate < RETAINED:
             if strict and fate == UNANNOTATED:
-                unannotated = record.tweet_id
+                unannotated = (line, record.tweet_id)
                 break
             continue
         slot = fate - RETAINED
@@ -252,7 +282,7 @@ def _work_range(index: int, span: tuple[int, int]) -> _RangeResult:
     with closing(records), aggregate.MentionCsvWriter(_scratch_file(job.scratch, "part", index),
                                                       header=False) as writer:
         result = _pass_range(records, log, job.windows, job.label_for, job.annotate, job.strict,
-                             writer, job.shards, facts, job.stop)
+                             writer, job.shards, facts, job.labeler, job.stop)
     facts.dump(_scratch_file(job.scratch, "facts", index), result.rows)
     if job.labeler is not None:
         entries = job.labeler.entries
@@ -330,11 +360,15 @@ class _Merge:
         problems += [(line, corpus.duplicate_problem(tweet_id))
                      for line, tweet_id, *_ in retracted]
         problems.sort()
-        if self.strict and problems:
-            line, problem = problems[0]
-            raise DataError(f"{self.source} line {self.lines + line}: {problem}")
-        if result.unannotated is not None:
-            raise DataError(f"tweet {result.unannotated} has no annotation")
+        if self.strict:
+            # the range read past its stopping point, so a later reject may be
+            # logged; the earlier of the two problems is the one-range error
+            unannotated = result.unannotated
+            if unannotated is not None and (not problems or unannotated[0] < problems[0][0]):
+                raise DataError(f"tweet {unannotated[1]} has no annotation")
+            if problems:
+                line, problem = problems[0]
+                raise DataError(f"{self.source} line {self.lines + line}: {problem}")
 
         stats = self.stats
         for line, problem in problems[:corpus.MAX_KEPT_ERRORS - len(stats.errors)]:
@@ -397,15 +431,16 @@ def stream_mentions(
     out_dir: Path,
     shards: int = 1,
     labeler: affiliation.PartyLabeler | None = None,
-) -> tuple[dict[corpus.WindowLabel, aggregate.AggregateTable], int]:
+) -> tuple[dict[corpus.WindowLabel, aggregate.AggregateBuilder], int]:
     """Gate every tweet, write mentions.csv and window_stats.json, reduce per window.
 
     The tweets file is read in byte ranges (see `_tweet_spans`). This process
     runs the first; forked workers run the others, each into a part file.
     The merge joins them in file order, so every artifact and count equals
-    what one range gives. `labeler` is the labeler behind `label_for`; it
-    receives the authors the workers labelled. Returns the table per window
-    and the mention row count.
+    what one range gives. `labeler` is the labeler behind `label_for`, if
+    there is one: it labels each chunk's authors at once and receives the
+    authors the workers labelled. Returns the merged builder per window and
+    the mention row count.
     """
     tweets_path = Path(tweets_path)
     spans = _tweet_spans(tweets_path)
@@ -439,7 +474,7 @@ def stream_mentions(
             # opened after the forks, so no worker inherits its unwritten buffer
             with closing(records), aggregate.MentionCsvWriter(mentions_path) as writer:
                 first = _pass_range(records, log, windows, label_for, annotate, strict, writer,
-                                    shards, None)
+                                    shards, None, labeler)
             merge.add(first)
             with open(mentions_path, "a", encoding="utf-8", newline="") as target:
                 for index, future in enumerate(futures, 1):
@@ -460,8 +495,6 @@ def stream_mentions(
     counters.skipped.update(zip(_SKIP_KEYS, merge.tally))
     counters.volumes.update(zip(window_labels, merge.tally[RETAINED:]))
     payload = {key: counters.volumes[window] for window, key in WINDOW_STATS_KEYS.items()}
-    (out_dir / "window_stats.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    tables = {window: builder.build() for window, builder in zip(window_labels, merge.totals)}
-    return tables, merge.rows
+    with atomic_write(out_dir / "window_stats.json") as handle:
+        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return dict(zip(window_labels, merge.totals)), merge.rows

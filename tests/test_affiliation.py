@@ -7,6 +7,7 @@ import random
 import pytest
 
 from polarmetrics import affiliation, corpus
+from polarmetrics.corpus import FigureheadRoster
 from polarmetrics.affiliation import AffiliationCounts, PartyLabel
 from polarmetrics.errors import DataError
 
@@ -126,3 +127,32 @@ def test_counts_are_per_distinct_figurehead_not_per_line(tmp_path):
     counts = affiliation.count_affiliation("u1", roster)
     assert (counts.dem_follows, counts.rep_follows) == (1, 1)
     assert affiliation.assign_party(counts) is PartyLabel.UNALIGNED
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_label_all_matches_per_author_counts(tmp_path, seed):
+    rng = random.Random(seed)
+    users = [f"u{index}" for index in range(rng.randrange(1, 300))]
+    figureheads = {f"h{index}": rng.choice([PartyLabel.DEMOCRAT, PartyLabel.REPUBLICAN])
+                   for index in range(rng.randrange(1, 40))}
+    # follower tables both smaller and larger than the set of authors labelled at once
+    followers = {handle: frozenset(rng.sample(users, rng.randrange(0, len(users) + 1)))
+                 for handle in figureheads}
+    roster = FigureheadRoster(figureheads, followers)
+    authors = rng.choices(users + ["stranger", "u"], k=rng.randrange(0, 400))
+
+    expected = {}
+    for user_id in authors:
+        counts = affiliation.count_affiliation(user_id, roster)
+        expected[user_id] = (counts.dem_follows, counts.rep_follows,
+                             affiliation.assign_party(counts))
+    one_by_one, at_once = affiliation.PartyLabeler(roster), affiliation.PartyLabeler(roster)
+    for user_id in authors:
+        one_by_one.label(user_id)
+    half = len(authors) // 2
+    at_once.label_all(authors[:half])
+    at_once.label_all(iter(authors[half // 2:]))  # overlaps ids labelled already
+    assert at_once.entries == one_by_one.entries == expected
+    affiliation.write_affiliation_audit(tmp_path / "one.csv", one_by_one)
+    affiliation.write_affiliation_audit(tmp_path / "all.csv", at_once)
+    assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "all.csv").read_bytes()

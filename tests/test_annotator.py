@@ -305,6 +305,41 @@ def test_length_indexed_scan_matches_brute_force():
             assert annotator.annotate_mentions(text, lex, gaz, policy) == expected
 
 
+# Surfaces sharing two-character prefixes of several lengths, one-character
+# surfaces (alone and as the first character of longer ones), surfaces that
+# start with "i" plus a combining dot (the lowercase of "İ"), and a surface
+# whose first character is the second of another.
+PREFIX_SURFACES = {
+    **EQUIVALENCE_SURFACES,
+    "abx": "LOCATION",
+    "ab ab": "PERSON",
+    "b": "MISC",
+    "ba": "PERSON",
+    "bab": "LOCATION",
+    "x": "DATE",
+    "xa": "MISC",
+    "i\u0307x": "MISC",
+    "i\u0307\u0307": "PERSON",
+    "ii": "DATE",
+    "e": "MISC",
+    "ef": "LOCATION",
+}
+PREFIX_VOCAB = ["ab", "Abx", "ba", "BAB", "x", "xa", "İ", "İx", "İİ", "ii", "i", "e", "ef", "café"]
+
+
+def test_two_character_index_matches_brute_force():
+    gaz = Gazetteer(PREFIX_SURFACES)
+    assert "ab" in gaz._lengths and "a" in gaz._singles and "i\u0307" in gaz._lengths
+    rng = random.Random(5)
+    for policy in (default_policy(), annotator.policy_for(["DATE", "MISC"])):
+        for _ in range(600):
+            sentence = "".join(rng.choice(PREFIX_VOCAB) + rng.choice(["", " ", "  ", "b"])
+                               for _ in range(rng.randrange(0, 10)))
+            assert annotator.extract_entities(sentence, gaz, policy) == _brute_force_entities(
+                sentence, PREFIX_SURFACES, policy.allowed
+            ), sentence
+
+
 def test_match_at_string_edges():
     gaz = _gazetteer(springfield="LOCATION")
     assert annotator.extract_entities("springfield", gaz, default_policy()) == [

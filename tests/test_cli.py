@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from polarmetrics import affiliation, aggregate, annotator, cli, corpus
+from polarmetrics import affiliation, aggregate, annotator, cli, corpus, polarimetry
+from polarmetrics.atomic import atomic_write
 
 from conftest import (
     BASELINE_TS,
@@ -575,6 +576,31 @@ def test_failed_run_removes_the_previous_report(tiny_bundle, tmp_path, capsys):
         assert not (out / "report.csv").exists()
         assert not (out / "report.json").exists()
     capsys.readouterr()
+
+
+def test_writer_that_raises_midway_leaves_the_earlier_artifact(tiny_bundle, tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(_run_args(tiny_bundle, out)) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    builder = aggregate.AggregateBuilder()
+    builder.absorb({"acme": [3, 1, 2, 1]})
+    table = builder.build()
+
+    def tables_then_failure():
+        yield corpus.WindowLabel.BASELINE, table
+        raise OSError("no space left on device")
+
+    with pytest.raises(OSError):
+        polarimetry.write_entities_csv(out / "entities.csv", tables_then_failure())
+    with pytest.raises(OSError), atomic_write(out / "report.json") as handle:
+        handle.write("{")
+        raise OSError("no space left on device")
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    with atomic_write(out / "report.json") as handle:
+        handle.write("{}\n")
+    assert (out / "report.json").read_text(encoding="utf-8") == "{}\n"
+    assert sorted(path.name for path in out.iterdir()) == sorted(before)
 
 
 def test_console_script_is_installed():

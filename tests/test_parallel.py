@@ -223,6 +223,80 @@ def test_strict_reports_an_unannotated_tweet_after_a_range_cut(monkeypatch, tmp_
     assert messages == {"tweet f40 has no annotation"}
 
 
+def _annotated_prefix(bundle: dict, lines: list[str], count: int) -> Path:
+    """A --preannotated table holding the first `count` tweets of `lines`, without mentions."""
+    path = bundle["tweets"].with_name("annotated.jsonl")
+    with open(path, "w", encoding="utf-8") as handle:
+        for line in lines[:count]:
+            tweet = json.loads(line)
+            handle.write(json.dumps({"tweet_id": tweet["tweet_id"], "user_id": tweet["user_id"],
+                                     "sentences": []}) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1024])
+def test_strict_names_the_earlier_of_an_unannotated_tweet_and_a_bad_line(monkeypatch, tmp_path,
+                                                                         chunk):
+    # f40 (line 42) is the first retained tweet the table lacks; the parser
+    # reads a chunk ahead, so a bad line just after it is already logged
+    # when the pass reaches it
+    monkeypatch.setattr(tweetpass, "CHUNK_RECORDS", chunk)
+    lines = [_tweet("t0", "dem1", "Acme is good.")] + _filler(50)
+    for bad_at, expected in ((42, "tweet f40 has no annotation"),
+                             (41, "tweets.jsonl line 42: expected a JSON object")):
+        marked = lines[:bad_at] + ["[1, 2]"] + lines[bad_at:] + ["{broken"]
+        bundle = _bundle(tmp_path, marked)
+        annotated = _annotated_prefix(bundle, lines, 40)
+        messages = set()
+        for count in RANGE_COUNTS:
+            _force_ranges(monkeypatch, bundle, count)
+            config = cli.RunConfig(bundle["tweets"], bundle["roster"], bundle["followers"],
+                                   bundle["windows"], tmp_path / f"pre{bad_at}-{count}",
+                                   preannotated=annotated, strict=True)
+            with pytest.raises(DataError) as caught:
+                cli.run_pipeline(config)
+            messages.add(str(caught.value))
+        assert messages == {expected}
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_chunk_boundaries_leave_every_artifact_unchanged(monkeypatch, tmp_path, chunk):
+    # authors recur across chunks, some only in deleted or duplicate tweets
+    lines = [_tweet("t0", "dem1", "Acme is good."), _tweet("t1", "dem9", "x", deleted=True)]
+    lines += _filler(40)
+    lines += ["{broken", _tweet("t0", "dem9", "quorvia is good.", CRISIS_TS)]
+    lines += _filler(20, "g")
+    bundle = _bundle(tmp_path, lines)
+    whole = _assert_range_invariant(monkeypatch, bundle, tmp_path / "whole")
+    monkeypatch.setattr(tweetpass, "CHUNK_RECORDS", chunk)
+    assert _assert_range_invariant(monkeypatch, bundle, tmp_path / "chunked") == whole
+    assert b"dem9" not in whole["artifacts"]["affiliations.csv"]
+
+
+def test_lines_that_are_not_utf8_are_rejected_in_every_range(monkeypatch, tmp_path):
+    lines = [_tweet("t0", "dem1", "Acme is good.")] + _filler(30)
+    lines.insert(10, _tweet("bad1", "dem1", "Acme @@ is good."))
+    lines.insert(20, '@@{"tweet_id": "bad2"}')
+    lines.insert(25, _tweet("bad3", "dem1", "Zürich @@"))
+    # a JSON escape of a lone surrogate is valid JSON and stays accepted
+    lines.insert(15, '{"tweet_id": "s1", "user_id": "dem1", "text": "Zürich \\udc80 is good.", '
+                     f'"created_at": "{BASELINE_TS}"}}')
+    lines.append(_tweet("t0", "rep1", "Acme is bad."))
+    bundle = _bundle(tmp_path, lines)
+    raw = bundle["tweets"].read_bytes()
+    bundle["tweets"].write_bytes(raw.replace(b"@@", b"\xff", 2).replace(b"@@", b"\xc3"))
+    outcome = _assert_range_invariant(monkeypatch, bundle, tmp_path)
+    assert outcome["ingest"][2] == [
+        "tweets.jsonl line 11: invalid UTF-8",
+        "tweets.jsonl line 22: invalid UTF-8",
+        "tweets.jsonl line 27: invalid UTF-8",
+        "tweets.jsonl line 36: duplicate tweet_id 't0'",
+    ]
+    assert b"z\xc3\xbcrich,LOCATION,dem1,3,D,baseline" in outcome["artifacts"]["mentions.csv"]
+    assert _strict_errors(monkeypatch, bundle, tmp_path) == "tweets.jsonl line 11: invalid UTF-8"
+
+
 def test_reject_messages_carry_global_line_numbers_in_file_order(monkeypatch, tmp_path):
     lines = []
     for index in range(150):
