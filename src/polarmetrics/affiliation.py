@@ -135,12 +135,13 @@ AUDIT_HEADER = ("user_id", "f_d", "f_r", "label")
 def write_affiliation_audit(path: Path | str, labeler: PartyLabeler) -> int:
     """Write one audit row per labelled author, sorted by user_id."""
     entries = labeler.entries
+    values = {label: label.value for label in PartyLabel}
     with atomic_write(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(AUDIT_HEADER)
         for user_id in sorted(entries):
             dem, rep, label = entries[user_id]
-            writer.writerow((user_id, dem, rep, label.value))
+            writer.writerow((user_id, dem, rep, values[label]))
     return len(entries)
 
 

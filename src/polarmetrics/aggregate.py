@@ -186,25 +186,26 @@ def merge_aggregates(left: AggregateTable, right: AggregateTable) -> AggregateTa
 # ==== rendering and CSV round-trips ====
 
 
-def format_decimal(value: Fraction | int, places: int) -> str:
-    """Render an exact rational with fixed decimals, rounding halves up.
+def format_ratio(numerator: int, denominator: int, places: int) -> str:
+    """Render numerator/denominator (denominator > 0) with fixed decimals, halves up.
 
-    Half-up means away from zero, so Fraction(205, 100) at one place is
-    "2.1" and its negation is "-2.1". Exact arithmetic keeps the rendering
+    Half-up means away from zero, so 205/100 at one place is "2.1" and
+    -205/100 is "-2.1". Integer arithmetic keeps the rendering exact and
     deterministic across runs and platforms.
     """
-    value = Fraction(value)
-    negative = value < 0
-    magnitude = -value if negative else value
-    scaled = magnitude * 10**places
-    units = scaled.numerator // scaled.denominator
-    if 2 * (scaled.numerator - units * scaled.denominator) >= scaled.denominator:
+    scale = 10**places
+    units, rest = divmod(abs(numerator) * scale, denominator)
+    if 2 * rest >= denominator:
         units += 1
-    whole, part = divmod(units, 10**places)
+    whole, part = divmod(units, scale)
     text = f"{whole}.{part:0{places}d}" if places else str(whole)
-    if negative and units:
-        text = "-" + text
-    return text
+    return "-" + text if numerator < 0 and units else text
+
+
+def format_decimal(value: Fraction | int, places: int) -> str:
+    """Render an exact rational with fixed decimals, rounding halves up (see format_ratio)."""
+    value = Fraction(value)
+    return format_ratio(value.numerator, value.denominator, places)
 
 
 MENTIONS_HEADER = ("entity", "entity_type", "user_id", "sentiment", "party", "window")
@@ -287,20 +288,18 @@ def read_mentions_csv(path: Path | str) -> Iterator[EntityMentionRow]:
 
 def write_aggregates_csv(path: Path | str, table: AggregateTable) -> int:
     """Write one row per entity per party with mentions, sorted for determinism."""
-    written = 0
+    rows = []
+    for name in table.entity_names():
+        aggregate = table.entries[name]
+        for code, total, count in (("D", aggregate.dem_sum, aggregate.dem_mentions),
+                                   ("R", aggregate.rep_sum, aggregate.rep_mentions)):
+            if count:
+                rows.append((name, code, total, count, format_ratio(total, count, 6)))
     with atomic_write(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(AGGREGATES_HEADER)
-        for name in table.entity_names():
-            aggregate = table.entries[name]
-            for party in (PartyLabel.DEMOCRAT, PartyLabel.REPUBLICAN):
-                total, count = aggregate.totals(party)
-                if count:
-                    writer.writerow(
-                        (name, party.code, total, count, format_decimal(Fraction(total, count), 6))
-                    )
-                    written += 1
-    return written
+        writer.writerows(rows)
+    return len(rows)
 
 
 def read_aggregates_csv(path: Path | str) -> AggregateTable:

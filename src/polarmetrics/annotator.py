@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 from .atomic import atomic_write
-from .corpus import IngestStats, TweetRecord
+from .corpus import IngestStats, TweetRecord, has_lone_surrogate, has_undecodable_byte
 from .errors import ConfigError, DataError
 
 TOKEN_RE = re.compile(r"[^\W_]+")
@@ -358,6 +358,8 @@ def _parse_annotated_line(
     text = line.strip()
     if not text:
         return None, "blank line"
+    if not text.isascii() and has_undecodable_byte(text):
+        return None, "invalid UTF-8"
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -372,6 +374,9 @@ def _parse_annotated_line(
     user_id = payload.get("user_id")
     if not isinstance(user_id, str) or not user_id:
         return None, "missing or empty user_id"
+    # str.isascii() reads a flag of the string: the checks cost ASCII fields no call
+    if not user_id.isascii() and has_lone_surrogate(user_id):
+        return None, "user_id holds a lone surrogate"
     raw_sentences = payload.get("sentences")
     if not isinstance(raw_sentences, list):
         return None, "sentences must be a list"
@@ -402,6 +407,9 @@ def _parse_annotated_line(
             if surface.lower() not in lowered:
                 return None, f"sentence {index} entity {surface!r} does not occur in its text"
             if policy.allows(entity_type):
+                if not (surface.isascii() and entity_type.isascii()) and (
+                        has_lone_surrogate(surface) or has_lone_surrogate(entity_type)):
+                    return None, f"sentence {index} entity {surface!r} holds a lone surrogate"
                 kept.append((surface, entity_type))
         sentences.append(SentenceAnnotation(sentence_text, sentiment, tuple(kept)))
     return AnnotatedTweet(tweet_id, user_id, tuple(sentences)), None
@@ -427,7 +435,8 @@ def ingest_preannotated(
         stats = IngestStats()
     seen: set[str] = set()
     try:
-        handle = open(path, encoding="utf-8")
+        # as for tweets, a line with bytes that are not UTF-8 is one bad line
+        handle = open(path, encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise DataError(f"cannot read annotations file {path}: {exc}") from exc
     with handle:

@@ -5,21 +5,40 @@ pass. Each intermediate stage (assign, annotate, mentions, aggregate,
 polarize, report) is also runnable on its own so partial pipelines can be
 inspected or recomputed; composing the stages by hand produces the same
 report as `run`. Exit codes: 0 success, 1 usage error, 2 data error, 3 no
-jointly-mentioned entities.
+jointly-mentioned entities, 4 a worker process of the tweet pass died.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
+import re
+import shutil
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Mapping, Sequence
 
 from . import affiliation, aggregate, annotator, corpus, polarimetry, synth
-from .errors import ConfigError, DataError, NoJointEntitiesError
-from .tweetpass import WINDOW_STATS_KEYS, Annotate, StreamCounters, stream_mentions
+from .errors import ConfigError, DataError, NoJointEntitiesError, WorkerError
+from .tweetpass import SCRATCH_PREFIX, WINDOW_STATS_KEYS, Annotate, StreamCounters, stream_mentions
+
+RUN_ARTIFACTS = (
+    "mentions.csv",
+    "aggregates_baseline.csv",
+    "aggregates_crisis.csv",
+    "entities.csv",
+    "report.csv",
+    "report.json",
+    "window_stats.json",
+    "affiliations.csv",
+)
+
+# the temporary file atomic_write keeps an artifact in: .<name>.<pid>.tmp
+_TEMP_FILE_RE = re.compile(r"\.(.+)\.\d+\.tmp")
 
 
 @dataclass
@@ -106,11 +125,12 @@ def _read_window_stats(path: Path) -> dict[corpus.WindowLabel, int]:
 def _write_report(
     out_dir: Path, tables: dict[corpus.WindowLabel, aggregate.AggregateTable],
     windows: corpus.EventWindows, volumes: dict[corpus.WindowLabel, int],
+    polarities: Mapping[corpus.WindowLabel, Sequence[polarimetry.EntityPolarity]] | None = None,
 ) -> polarimetry.PolarizationReport:
     """Build the report and write report.csv and report.json."""
     baseline, crisis = corpus.WindowLabel.BASELINE, corpus.WindowLabel.CRISIS
     report = polarimetry.build_report(
-        tables[baseline], tables[crisis], windows, volumes[baseline], volumes[crisis]
+        tables[baseline], tables[crisis], windows, volumes[baseline], volumes[crisis], polarities
     )
     polarimetry.write_report_csv(out_dir / "report.csv", report)
     polarimetry.write_report_json(out_dir / "report.json", report)
@@ -121,6 +141,43 @@ def _out_dir(path: Path) -> Path:
     out_dir = Path(path)
     out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir
+
+
+def _remove_leftovers(out: Path) -> None:
+    """Remove what a killed run leaves in `out`, and nothing else.
+
+    That is the tweet pass's scratch directories and the temporary files
+    that artifacts are written to before they take their names.
+    """
+    try:
+        entries = os.scandir(out)
+    except (FileNotFoundError, NotADirectoryError):
+        return
+    with entries:
+        for entry in entries:
+            if entry.name.startswith(SCRATCH_PREFIX):
+                if entry.is_dir(follow_symlinks=False):
+                    shutil.rmtree(entry.path, ignore_errors=True)
+                continue
+            temp = _TEMP_FILE_RE.fullmatch(entry.name)
+            if temp and temp[1] in RUN_ARTIFACTS and entry.is_file(follow_symlinks=False):
+                os.unlink(entry.path)
+
+
+@contextmanager
+def _inputs_frozen() -> Iterator[None]:
+    """Keep every object alive at entry, the loaded inputs above all, out of collections.
+
+    The follower sets and the annotation table are most of the heap and live
+    until the run ends. Frozen, no collection walks them again, and no
+    collection in a forked worker writes to the pages it shares with this
+    process.
+    """
+    gc.freeze()
+    try:
+        yield
+    finally:
+        gc.unfreeze()
 
 
 @dataclass
@@ -139,10 +196,11 @@ def run_pipeline(config: RunConfig) -> RunResult:
     affiliations.csv. The aggregate merge is associative, so the report is
     byte-identical for any shard count and any input order. Before any input
     is read, an earlier report in config.out is removed, so a failed run
-    leaves none.
+    leaves none, and so is what a killed run left there.
     """
     if config.shards < 1:
         raise ConfigError("--shards must be at least 1")
+    _remove_leftovers(Path(config.out))
     for stale in ("report.csv", "report.json"):
         (Path(config.out) / stale).unlink(missing_ok=True)
     counters = StreamCounters()
@@ -153,15 +211,18 @@ def run_pipeline(config: RunConfig) -> RunResult:
     windows = corpus.load_windows(config.windows)
     out_dir = _out_dir(config.out)
 
-    builders, mention_count = stream_mentions(config.tweets, windows, labeler.label, annotate,
-                                               config.strict, counters, out_dir, config.shards,
-                                               labeler)
-    tables = {window: builder.build() for window, builder in builders.items()}
-    for window, table in tables.items():
-        aggregate.write_aggregates_csv(out_dir / f"aggregates_{window.value}.csv", table)
-    affiliation.write_affiliation_audit(out_dir / "affiliations.csv", labeler)
-    polarimetry.write_entities_csv(out_dir / "entities.csv", list(tables.items()))
-    report = _write_report(out_dir, tables, windows, counters.volumes)
+    with _inputs_frozen():
+        builders, mention_count = stream_mentions(config.tweets, windows, labeler.label,
+                                                   annotate, config.strict, counters, out_dir,
+                                                   config.shards, labeler)
+        tables = {window: builder.build() for window, builder in builders.items()}
+        for window, table in tables.items():
+            aggregate.write_aggregates_csv(out_dir / f"aggregates_{window.value}.csv", table)
+        affiliation.write_affiliation_audit(out_dir / "affiliations.csv", labeler)
+        polarities = {window: polarimetry.entity_polarities(table)
+                      for window, table in tables.items()}
+        polarimetry.write_entities_csv(out_dir / "entities.csv", polarities.items())
+        report = _write_report(out_dir, tables, windows, counters.volumes, polarities)
     return RunResult(report, out_dir, counters, mention_count)
 
 
@@ -237,6 +298,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 
 
 def cmd_mentions(args: argparse.Namespace) -> int:
+    _remove_leftovers(args.out)
     windows = corpus.load_windows(args.windows)
     counters = StreamCounters()
 
@@ -258,8 +320,9 @@ def cmd_mentions(args: argparse.Namespace) -> int:
     annotate = _annotation_source(args.lexicon, args.gazetteer, args.preannotated,
                                   args.entity_types, args.strict, counters.annotation)
     out_dir = _out_dir(args.out)
-    _, count = stream_mentions(args.tweets, windows, label_for, annotate, args.strict, counters,
-                                out_dir, labeler=labeler)
+    with _inputs_frozen():
+        _, count = stream_mentions(args.tweets, windows, label_for, annotate, args.strict,
+                                   counters, out_dir, labeler=labeler)
     _print_stream_summary(counters)
     print(f"[ok] wrote {count} mention rows to {out_dir / 'mentions.csv'}")
     return 0
@@ -282,11 +345,11 @@ def cmd_polarize(args: argparse.Namespace) -> int:
         (corpus.WindowLabel.BASELINE, aggregate.read_aggregates_csv(args.baseline)),
         (corpus.WindowLabel.CRISIS, aggregate.read_aggregates_csv(args.crisis)),
     ]
+    per_window = [(label, polarimetry.entity_polarities(table)) for label, table in tables]
     entities_path = _out_dir(args.out) / "entities.csv"
-    rows = polarimetry.write_entities_csv(entities_path, tables)
+    rows = polarimetry.write_entities_csv(entities_path, per_window)
     print(f"[ok] wrote {rows} entity rows to {entities_path}")
-    for label, table in tables:
-        polarities = polarimetry.entity_polarities(table)
+    for label, polarities in per_window:
         if not polarities:
             raise NoJointEntitiesError(
                 f"no jointly-mentioned entities in the {label.value} window"
@@ -482,6 +545,9 @@ def main(argv: list[str] | None = None) -> int:
     except NoJointEntitiesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except WorkerError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -34,7 +34,24 @@ MAX_KEPT_ERRORS = 100
 # a byte that is not valid UTF-8, as the "surrogateescape" error handler decodes it
 _ESCAPED_BYTE_RE = re.compile("[\udc80-\udcff]")
 
+# any UTF-16 surrogate; in a decoded JSON string, one that was not half of a pair
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
+
 _PARTY_TOKENS = {"D": PartyLabel.DEMOCRAT, "R": PartyLabel.REPUBLICAN}
+
+
+def has_lone_surrogate(text: str) -> bool:
+    """True if `text` holds a lone surrogate, which no artifact can encode as UTF-8.
+
+    JSON lets a \\u escape name one half of a surrogate pair alone. Checking
+    `isascii`, a flag of the string, first keeps the cost off ASCII strings.
+    """
+    return not text.isascii() and _SURROGATE_RE.search(text) is not None
+
+
+def has_undecodable_byte(line: str) -> bool:
+    """True if `line`, read with errors="surrogateescape", held a byte that is not UTF-8."""
+    return not line.isascii() and _ESCAPED_BYTE_RE.search(line) is not None
 
 
 def parse_timestamp(value: str) -> datetime:
@@ -122,6 +139,8 @@ def parse_event_windows(payload: object, source: str = "windows config") -> Even
     name = payload.get("event_name")
     if not isinstance(name, str) or not name.strip():
         raise DataError(f"{source}: missing or empty event_name")
+    if has_lone_surrogate(name):
+        raise DataError(f"{source}: event_name holds a lone surrogate")
 
     def _window(key: str) -> TimeWindow:
         block = payload.get(key)
@@ -147,6 +166,8 @@ def load_windows(path: Path | str) -> EventWindows:
         raw = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read windows file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path.name}: invalid UTF-8") from exc
     try:
         payload = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -217,6 +238,7 @@ def _parse_tweet_line(
     text = line.strip()
     if not text:
         return None, "blank line", None
+    # has_undecodable_byte and has_lone_surrogate, inlined: this runs once per line
     if not text.isascii() and _ESCAPED_BYTE_RE.search(text):
         return None, "invalid UTF-8", None
     try:
@@ -233,6 +255,8 @@ def _parse_tweet_line(
     user_id = payload.get("user_id")
     if not isinstance(user_id, str) or not user_id:
         return None, "missing or empty user_id", tweet_id
+    if not user_id.isascii() and _SURROGATE_RE.search(user_id):
+        return None, "user_id holds a lone surrogate", tweet_id
     body = payload.get("text")
     if not isinstance(body, str):
         return None, "missing text", tweet_id
@@ -352,13 +376,30 @@ def parse_tweets(
 
 @dataclass(frozen=True)
 class FigureheadRoster:
-    """Figurehead handles with party tags plus per-handle follower sets."""
+    """Figurehead handles with party tags plus per-handle follower sets (never mutated)."""
 
     figureheads: dict[str, PartyLabel]
-    followers: dict[str, frozenset[str]]
+    followers: dict[str, set[str]]
 
-    def handles_for(self, party: PartyLabel) -> list[str]:
-        return [handle for handle, tag in self.figureheads.items() if tag is party]
+
+def _follower_ids(text: str) -> set[str]:
+    """The ids of one follower list: its stripped lines, less blanks and #-comments.
+
+    The set is built by C-level calls, without a Python step per line. A line
+    whose entry starts with "#" has only whitespace before its first "#", so
+    visiting the first "#" of each line finds every such entry, as the text
+    from there to the line's end, stripped. No id starts with "#", so
+    discarding that string is safe whatever line it came from.
+    """
+    ids = set(map(str.strip, text.splitlines()))
+    ids.discard("")
+    mark = text.find("#")
+    while mark >= 0:
+        newline = text.find("\n", mark)
+        entry = text[mark:newline if newline >= 0 else len(text)].splitlines()[0]
+        ids.discard(entry.strip())
+        mark = text.find("#", mark + len(entry))
+    return ids
 
 
 def load_affiliation_data(roster_path: Path | str, followers_dir: Path | str) -> FigureheadRoster:
@@ -374,43 +415,39 @@ def load_affiliation_data(roster_path: Path | str, followers_dir: Path | str) ->
     followers_dir = Path(followers_dir)
     figureheads: dict[str, PartyLabel] = {}
     try:
-        handle_file = open(roster_path, encoding="utf-8", newline="")
+        with open(roster_path, encoding="utf-8", newline="") as handle_file:
+            rows = list(csv_reader(handle_file))
     except OSError as exc:
         raise DataError(f"cannot read roster file {roster_path}: {exc}") from exc
-    with handle_file:
-        rows = csv_reader(handle_file)
-        header = next(rows, None)
-        if header is None or [cell.strip() for cell in header] != ["handle", "party"]:
-            raise DataError(f"{roster_path.name}: expected header handle,party")
-        for lineno, row in enumerate(rows, start=2):
-            if len(row) != 2:
-                raise DataError(f"{roster_path.name} line {lineno}: expected 2 fields")
-            handle = row[0].strip()
-            if not handle:
-                raise DataError(f"{roster_path.name} line {lineno}: empty handle")
-            if handle in figureheads:
-                raise DataError(f"{roster_path.name} line {lineno}: duplicate handle {handle!r}")
-            party = _PARTY_TOKENS.get(row[1].strip().upper())
-            if party is None:
-                raise DataError(f"{roster_path.name} line {lineno}: unknown party {row[1]!r}")
-            figureheads[handle] = party
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{roster_path.name}: invalid UTF-8") from exc
+    if not rows or [cell.strip() for cell in rows[0]] != ["handle", "party"]:
+        raise DataError(f"{roster_path.name}: expected header handle,party")
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != 2:
+            raise DataError(f"{roster_path.name} line {lineno}: expected 2 fields")
+        handle = row[0].strip()
+        if not handle:
+            raise DataError(f"{roster_path.name} line {lineno}: empty handle")
+        if handle in figureheads:
+            raise DataError(f"{roster_path.name} line {lineno}: duplicate handle {handle!r}")
+        party = _PARTY_TOKENS.get(row[1].strip().upper())
+        if party is None:
+            raise DataError(f"{roster_path.name} line {lineno}: unknown party {row[1]!r}")
+        figureheads[handle] = party
 
     if not followers_dir.is_dir():
         raise DataError(f"followers directory {followers_dir} does not exist")
-    followers: dict[str, frozenset[str]] = {}
+    followers: dict[str, set[str]] = {}
     for handle in figureheads:
         follower_path = followers_dir / f"{handle}.txt"
         try:
-            lines = follower_path.read_text(encoding="utf-8").splitlines()
+            text = follower_path.read_text(encoding="utf-8")
         except OSError as exc:
             raise DataError(f"missing follower list for handle {handle!r}: {exc}") from exc
-        ids = set()
-        for line in lines:
-            entry = line.strip()
-            if not entry or entry.startswith("#"):
-                continue
-            ids.add(entry)
-        followers[handle] = frozenset(ids)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{follower_path.name}: invalid UTF-8") from exc
+        followers[handle] = _follower_ids(text)
     for stray in sorted(followers_dir.glob("*.txt")):
         if stray.stem not in figureheads:
             raise DataError(f"follower list {stray.name} names a handle missing from the roster")

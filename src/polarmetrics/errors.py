@@ -15,3 +15,7 @@ class DataError(PipelineError):
 
 class NoJointEntitiesError(PipelineError):
     """No entity carries sentiment from both parties, so corpus polarization is undefined."""
+
+
+class WorkerError(PipelineError):
+    """A worker process of the tweet pass ended before returning its range."""

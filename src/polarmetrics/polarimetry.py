@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .affiliation import PartyLabel
 from .aggregate import AggregateTable, format_decimal
@@ -78,13 +79,24 @@ def joint_entities(table: AggregateTable) -> list[str]:
 
 
 def entity_polarities(table: AggregateTable) -> list[EntityPolarity]:
+    """Every joint entity's polarization and weight, sorted by name.
+
+    With sums D, R over d, r mentions, |D/d - R/r| / 5 is built as one
+    Fraction, |D*r - R*d| / (5*d*r), straight from the integer cells.
+    Raises ValueError if a mean falls outside the sentiment scale.
+    """
     out: list[EntityPolarity] = []
+    entries = table.entries
     for name in joint_entities(table):
-        aggregate = table.entries[name]
-        score = entity_polarization(
-            aggregate.mean(PartyLabel.DEMOCRAT), aggregate.mean(PartyLabel.REPUBLICAN)
-        )
-        out.append(EntityPolarity(name, score, aggregate.weight))
+        aggregate = entries[name]
+        dem_sum, dem_count = aggregate.dem_sum, aggregate.dem_mentions
+        rep_sum, rep_count = aggregate.rep_sum, aggregate.rep_mentions
+        for total, count in ((dem_sum, dem_count), (rep_sum, rep_count)):
+            if not 0 <= total <= 4 * count:
+                raise ValueError(f"mean sentiment {total / count} outside the 0..4 scale")
+        score = Fraction(abs(dem_sum * rep_count - rep_sum * dem_count),
+                         SENTIMENT_STEPS * dem_count * rep_count)
+        out.append(EntityPolarity(name, score, dem_count + rep_count))
     return out
 
 
@@ -96,8 +108,19 @@ def corpus_polarization(polarities: Sequence[EntityPolarity]) -> CorpusPolarizat
     if not polarities:
         raise NoJointEntitiesError("no jointly-mentioned entities")
     total_weight = sum(item.weight for item in polarities)
-    weighted = sum((item.polarization * item.weight for item in polarities), start=Fraction(0))
-    return CorpusPolarization(weighted / total_weight, len(polarities), total_weight)
+    # the weighted numerators summed per distinct denominator, then over their
+    # least common multiple: one Fraction instead of one per entity
+    by_denominator: dict[int, int] = {}
+    for item in polarities:
+        score = item.polarization
+        denominator = score.denominator
+        by_denominator[denominator] = (by_denominator.get(denominator, 0)
+                                       + score.numerator * item.weight)
+    common = math.lcm(*by_denominator)
+    weighted = sum(numerator * (common // denominator)
+                   for denominator, numerator in by_denominator.items())
+    return CorpusPolarization(Fraction(weighted, common * total_weight), len(polarities),
+                              total_weight)
 
 
 def party_average_sentiment(table: AggregateTable, party: PartyLabel) -> Fraction:
@@ -137,8 +160,11 @@ class PolarizationReport:
         return (self.crisis.polarization - self.baseline.polarization) * 100
 
 
-def summarize_window(table: AggregateTable, tweet_volume: int, label: WindowLabel) -> WindowSummary:
-    polarities = entity_polarities(table)
+def summarize_window(
+    table: AggregateTable, tweet_volume: int, label: WindowLabel,
+    polarities: Sequence[EntityPolarity],
+) -> WindowSummary:
+    """One window's report line; `polarities` is `entity_polarities(table)`."""
     if not polarities:
         raise NoJointEntitiesError(f"no jointly-mentioned entities in the {label.value} window")
     corpus = corpus_polarization(polarities)
@@ -160,12 +186,21 @@ def build_report(
     windows: EventWindows,
     baseline_volume: int,
     crisis_volume: int,
+    polarities: Mapping[WindowLabel, Sequence[EntityPolarity]] | None = None,
 ) -> PolarizationReport:
-    """Assemble the per-event report from both window aggregate tables."""
+    """Assemble the per-event report from both window aggregate tables.
+
+    `polarities` holds each window's `entity_polarities`, if the caller has
+    computed them already.
+    """
+    baseline, crisis = WindowLabel.BASELINE, WindowLabel.CRISIS
+    if polarities is None:
+        polarities = {baseline: entity_polarities(baseline_table),
+                      crisis: entity_polarities(crisis_table)}
     return PolarizationReport(
         event_name=windows.event_name,
-        baseline=summarize_window(baseline_table, baseline_volume, WindowLabel.BASELINE),
-        crisis=summarize_window(crisis_table, crisis_volume, WindowLabel.CRISIS),
+        baseline=summarize_window(baseline_table, baseline_volume, baseline, polarities[baseline]),
+        crisis=summarize_window(crisis_table, crisis_volume, crisis, polarities[crisis]),
     )
 
 
@@ -250,15 +285,15 @@ def write_report_json(path: Path | str, report: PolarizationReport) -> None:
 
 
 def write_entities_csv(
-    path: Path | str, tables: Iterable[tuple[WindowLabel, AggregateTable]]
+    path: Path | str, windows: Iterable[tuple[WindowLabel, Sequence[EntityPolarity]]]
 ) -> int:
-    """Write the per-entity companion rows for each window, sorted by entity."""
+    """Write the per-entity companion rows: each window's `entity_polarities`, in order."""
     written = 0
     with atomic_write(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(ENTITIES_HEADER)
-        for label, table in tables:
-            for item in entity_polarities(table):
+        for label, polarities in windows:
+            for item in polarities:
                 writer.writerow(
                     (item.entity, format_decimal(item.polarization, 6), item.weight, label.value)
                 )

@@ -13,7 +13,6 @@ over the whole file gives.
 from __future__ import annotations
 
 import csv
-import gc
 import itertools
 import json
 import os
@@ -29,7 +28,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence, TextIO
 
 from . import affiliation, aggregate, annotator, corpus
 from .atomic import atomic_write
-from .errors import DataError
+from .errors import DataError, WorkerError
 
 if TYPE_CHECKING:
     from multiprocessing.synchronize import Event
@@ -55,6 +54,9 @@ CHUNK_RECORDS = 1024
 
 # kept tweets per pickled chunk of a worker's facts file
 _FACTS_CHUNK = 8192
+
+# name prefix of the scratch directory a pass keeps its part files in, in --out
+SCRATCH_PREFIX = ".tweet-pass-"
 
 
 @dataclass
@@ -123,6 +125,8 @@ class _RangeResult:
     unannotated: tuple[int, str] | None
     # a worker's labelled authors: (user_id, labeler entry, tweets labelled), by index
     labelled: list[tuple[str, tuple, int]] = field(default_factory=list)
+    # (line, tweet_id) of each mention dropped because its name normalizes to nothing
+    empty_names: list[tuple[int, str]] = field(default_factory=list)
 
 
 def _pulled(
@@ -166,8 +170,9 @@ def _pass_range(
     outside both windows, no annotation. Retained tweets are dealt
     round-robin to `shards` builders per window. Each mention goes straight
     from its (surface, type, sentiment) tuple to a mentions.csv row and a
-    builder cell. `labeler`, the labeler behind `label_for` if there is one,
-    labels each chunk's authors ahead of it. With `strict`, the pass stops at
+    builder cell; a mention whose name normalizes to nothing is dropped and
+    noted in the result. `labeler`, the labeler behind `label_for` if there
+    is one, labels each chunk's authors ahead of it. With `strict`, the pass stops at
     the first rejected line or retained tweet without annotation; the merge
     reports whichever comes first. Records are read a chunk ahead, so the log
     may already hold rejects of later lines. The pass also stops once the
@@ -180,6 +185,7 @@ def _pass_range(
                      for _ in window_values)
     tally = [0] * (RETAINED + len(window_values))
     names: dict[str, str] = {}  # surface -> normalized entity name
+    empty_names: list[tuple[int, str]] = []
     dealt = 0
     unannotated = None
     if facts is not None:
@@ -235,9 +241,7 @@ def _pass_range(
             if name is None:
                 name = names[surface] = aggregate.normalize_entity_name(surface)
             if not name:
-                aggregate.logger.warning(
-                    "dropping mention with empty normalized name (tweet %s)", record.tweet_id
-                )
+                empty_names.append((line, record.tweet_id))
                 continue
             rows.append((name, entity_type, user_id, sentiment, code, window_value))
             cell = cells.get(name)
@@ -247,7 +251,8 @@ def _pass_range(
             cell[offset + 1] += 1
         writer.write_rendered(rows)
     cells_per_window = tuple([builder.cells for builder in parts] for parts in builders)
-    return _RangeResult(log, tally, cells_per_window, writer.count, unannotated)
+    return _RangeResult(log, tally, cells_per_window, writer.count, unannotated,
+                        empty_names=empty_names)
 
 
 @dataclass
@@ -333,6 +338,8 @@ class _Merge:
         self.tally = [0] * (RETAINED + 2)
         self.totals = (aggregate.AggregateBuilder(), aggregate.AggregateBuilder())
         self.rows = 0
+        self.empty_names = 0  # mentions dropped for a name that normalizes to nothing
+        self.first_empty: str | None = None  # the tweet id of the first of them
 
     def add(self, result: _RangeResult, seen: set[str] | None = None,
             facts: Path | None = None, grow: bool = False) -> list[tuple]:
@@ -381,6 +388,11 @@ class _Merge:
             self.tally[fate] += count
         for _, _, fate, *_ in retracted:
             self.tally[fate] -= 1
+        undone = {line for line, *_ in retracted}
+        empty = [tweet_id for line, tweet_id in result.empty_names if line not in undone]
+        if empty and self.first_empty is None:
+            self.first_empty = empty[0]
+        self.empty_names += len(empty)
         for builder, shard_cells in zip(self.totals, result.cells):
             for cells in shard_cells:
                 builder.absorb(cells)
@@ -449,15 +461,17 @@ def stream_mentions(
     # set-up ends at this call; the pool and its forks come after it
     records = corpus.parse_tweets(tweets_path, stats=log, span=spans[0], seen=seen)
     merge = _Merge(tweets_path.name, strict, counters.ingest, labeler)
-    scratch = Path(tempfile.mkdtemp(prefix=".tweet-pass-", dir=out_dir))
+    scratch = Path(tempfile.mkdtemp(prefix=SCRATCH_PREFIX, dir=out_dir))
     try:
         mentions_path = scratch / "mentions.csv"
         pool = None
+        broken: tuple[type[Exception], ...] = ()  # what reading a dead worker's result raises
         if len(spans) > 1:
             # Imported only here: with these modules imported before set-up,
             # loading the follower lists took ~15 % longer (wide-funnel).
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
 
             # fork, not spawn: workers inherit the loaded inputs instead of
             # loading them again. The pool forks all its processes at the
@@ -465,9 +479,9 @@ def stream_mentions(
             fork = multiprocessing.get_context("fork")
             job = _Job(tweets_path, windows, label_for, annotate, strict, shards, labeler, scratch,
                        fork.Event())
-            gc.freeze()  # so collections in the workers do not write to inherited objects
             pool = ProcessPoolExecutor(len(spans) - 1, mp_context=fork, initializer=_inherit,
                                        initargs=(job,))
+            broken = (BrokenProcessPool,)
         try:
             futures = [pool.submit(_work_range, index, span)
                        for index, span in enumerate(spans[1:], 1)] if pool else []
@@ -482,14 +496,19 @@ def stream_mentions(
                                           _scratch_file(scratch, "facts", index),
                                           grow=index < len(futures))
                     merge.append_part(_scratch_file(scratch, "part", index), target, retracted)
+        except broken as exc:
+            raise WorkerError(f"a worker process reading {tweets_path.name} ended before "
+                              f"finishing its range: {exc}") from exc
         finally:
             if pool is not None:
                 job.stop.set()  # after an error, workers give up their ranges early
                 pool.shutdown(cancel_futures=True)
-                gc.unfreeze()
         os.replace(mentions_path, out_dir / "mentions.csv")
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
+    if merge.empty_names:
+        aggregate.logger.warning("dropped %d mentions whose names normalize to nothing "
+                                 "(the first in tweet %s)", merge.empty_names, merge.first_empty)
 
     window_labels = tuple(WINDOW_STATS_KEYS)
     counters.skipped.update(zip(_SKIP_KEYS, merge.tally))

@@ -587,7 +587,7 @@ def test_writer_that_raises_midway_leaves_the_earlier_artifact(tiny_bundle, tmp_
     table = builder.build()
 
     def tables_then_failure():
-        yield corpus.WindowLabel.BASELINE, table
+        yield corpus.WindowLabel.BASELINE, polarimetry.entity_polarities(table)
         raise OSError("no space left on device")
 
     with pytest.raises(OSError):
@@ -601,6 +601,43 @@ def test_writer_that_raises_midway_leaves_the_earlier_artifact(tiny_bundle, tmp_
         handle.write("{}\n")
     assert (out / "report.json").read_text(encoding="utf-8") == "{}\n"
     assert sorted(path.name for path in out.iterdir()) == sorted(before)
+
+
+def test_run_removes_what_a_killed_run_left_and_nothing_else(tiny_bundle, tmp_path, capsys):
+    out = tmp_path / "out"
+    scratch = out / ".tweet-pass-k9x2"
+    scratch.mkdir(parents=True)
+    (scratch / "part-1").write_text("acme,MISC,dem1,3,D,baseline\n", encoding="utf-8")
+    (out / ".report.csv.4242.tmp").write_text("event,", encoding="utf-8")
+    (out / ".aggregates_crisis.csv.7.tmp").write_text("entity,", encoding="utf-8")
+    unrelated = {"notes.txt": "keep", ".notes.txt.4242.tmp": "keep", ".tweet-pass-log": "keep"}
+    for name, text in unrelated.items():
+        (out / name).write_text(text, encoding="utf-8")
+    assert cli.main(_run_args(tiny_bundle, out)) == 0
+    capsys.readouterr()
+    assert sorted(path.name for path in out.iterdir()) == sorted([*RUN_ARTIFACTS, *unrelated])
+    for name, text in unrelated.items():
+        assert (out / name).read_text(encoding="utf-8") == text
+
+
+@pytest.mark.parametrize("target", ["windows", "roster", "followers", "preannotated"])
+def test_input_that_is_not_utf8_is_a_data_error(tiny_bundle, tmp_path, capsys, target):
+    staged = tmp_path / "staged"
+    assert cli.main(["annotate", "--tweets", str(tiny_bundle["tweets"]),
+                     "--lexicon", str(tiny_bundle["lexicon"]),
+                     "--gazetteer", str(tiny_bundle["gazetteer"]), "--out", str(staged)]) == 0
+    table = staged / "annotated.jsonl"
+    path = {"windows": tiny_bundle["windows"], "roster": tiny_bundle["roster"],
+            "followers": tiny_bundle["followers"] / "dema.txt", "preannotated": table}[target]
+    path.write_bytes(b"\xff" + path.read_bytes())
+    capsys.readouterr()
+    args = ["run", "--tweets", str(tiny_bundle["tweets"]), "--roster", str(tiny_bundle["roster"]),
+            "--followers", str(tiny_bundle["followers"]),
+            "--windows", str(tiny_bundle["windows"]), "--preannotated", str(table),
+            "--out", str(tmp_path / "out"), "--strict"]
+    assert cli.main(args) == 2
+    expected = "annotated.jsonl line 1" if target == "preannotated" else path.name
+    assert capsys.readouterr().err == f"error: {expected}: invalid UTF-8\n"
 
 
 def test_console_script_is_installed():

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import json
 import random
+import tempfile
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from polarmetrics import corpus
 from polarmetrics.affiliation import PartyLabel
@@ -272,7 +276,8 @@ def test_load_affiliation_data(roster_files):
     roster = corpus.load_affiliation_data(roster_path, followers_dir)
     assert roster.figureheads["dema"] is PartyLabel.DEMOCRAT
     assert roster.figureheads["repb"] is PartyLabel.REPUBLICAN
-    assert roster.handles_for(PartyLabel.DEMOCRAT) == ["dema", "demb"]
+    assert [handle for handle, party in roster.figureheads.items()
+            if party is PartyLabel.DEMOCRAT] == ["dema", "demb"]
     assert "dem1" in roster.followers["dema"]
     assert "dem1" not in roster.followers["repa"]
 
@@ -292,6 +297,40 @@ def test_follower_lists_skip_comments_and_dups(tmp_path):
     (followers / "a.txt").write_text("# header\nu1\n\nu1\n u2 \n", encoding="utf-8")
     roster = corpus.load_affiliation_data(tmp_path / "roster.csv", followers)
     assert roster.followers["a"] == frozenset({"u1", "u2"})
+
+
+def _reference_follower_ids(path: Path) -> frozenset[str]:
+    """The per-line loop the loader replaced: strip, skip blanks and #-comments."""
+    ids = set()
+    for line in path.read_text(encoding="utf-8").splitlines():
+        entry = line.strip()
+        if not entry or entry.startswith("#"):
+            continue
+        ids.add(entry)
+    return frozenset(ids)
+
+
+# every character str.splitlines breaks at, whitespace that strip removes but
+# that breaks no line, "#" and a few id characters
+_FOLLOWER_PIECES = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                    "\u2028", "\u2029", " ", "\t", "\xa0", "\u3000", "#", "# note", "u1",
+                    "u2", "é", "a#b"]
+
+
+@given(st.lists(st.sampled_from(_FOLLOWER_PIECES), max_size=40).map("".join))
+@example("")
+@example("u1")  # no final newline
+@example("# header\n  # indented\nu1\n\n \t \nu1\r\nu2\ra#b\n#\n")
+@example("u1\x85# after a NEL\u2028 #x\u2029u2\x0b#\x0c\x1c#\x1d\x1e\xa0#\u3000u#1")
+def test_follower_loader_matches_the_per_line_loop(text):
+    with tempfile.TemporaryDirectory() as scratch:
+        directory = Path(scratch)
+        write_roster(directory, [("a", "D")])
+        write_followers(directory, {"a": []})
+        path = directory / "followers" / "a.txt"
+        path.write_bytes(text.encode("utf-8"))
+        roster = corpus.load_affiliation_data(directory / "roster.csv", directory / "followers")
+        assert roster.followers["a"] == _reference_follower_ids(path)
 
 
 def test_bad_roster_header(tmp_path):

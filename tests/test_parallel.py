@@ -10,8 +10,12 @@ the ranges without the cross-range merge fails each test.
 from __future__ import annotations
 
 import concurrent.futures
+import gc
 import json
+import logging
 import multiprocessing
+import os
+import re
 from pathlib import Path
 
 import pytest
@@ -372,3 +376,180 @@ def test_one_cpu_reads_one_range_in_process(monkeypatch, tmp_path):
     assert tweetpass._tweet_spans(bundle["tweets"]) == [None]
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)  # a pool would fail
     cli.run_pipeline(_config(bundle, tmp_path / "out"))
+
+
+def _args(bundle: dict, out: Path, *extra: str) -> list[str]:
+    args = ["run", "--tweets", str(bundle["tweets"]), "--roster", str(bundle["roster"]),
+            "--followers", str(bundle["followers"]), "--windows", str(bundle["windows"]),
+            "--out", str(out), *extra]
+    if "--preannotated" not in extra:
+        args += ["--lexicon", str(bundle["lexicon"]), "--gazetteer", str(bundle["gazetteer"])]
+    return args
+
+
+def _write_table(path: Path, lines: list[str], extra_entity: dict | None = None,
+                 replace: dict[str, dict] | None = None) -> Path:
+    """A --preannotated table: each tweet's text as one sentence, "acme" its entity when there.
+
+    `extra_entity` joins every sentence's entities; `replace` maps a tweet id
+    to the table line written for it instead.
+    """
+    written = set()
+    with open(path, "w", encoding="utf-8") as handle:
+        for line in lines:
+            tweet = json.loads(line)
+            if tweet["tweet_id"] in written:
+                continue
+            written.add(tweet["tweet_id"])
+            entities = [{"surface": "acme", "type": "MISC"}] if "acme" in tweet["text"].lower() \
+                else []
+            if extra_entity is not None:
+                entities.append(extra_entity)
+            payload = {"tweet_id": tweet["tweet_id"], "user_id": tweet["user_id"],
+                       "sentences": [{"text": tweet["text"], "sentiment": 3,
+                                      "entities": entities}]}
+            payload = (replace or {}).get(tweet["tweet_id"], payload)
+            handle.write(json.dumps(payload) + "\n")
+    return path
+
+
+def _run_at(monkeypatch, bundle: dict, count: int, args: list[str], capsys) -> tuple[int, str]:
+    _force_ranges(monkeypatch, bundle, count)
+    code = cli.main(args)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert not multiprocessing.active_children()
+    return code, err
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_lone_surrogate_user_id_is_a_counted_reject(monkeypatch, tmp_path, capsys, count):
+    # a valid JSON escape that no artifact can encode; the line sits in range 2 of 2
+    lines = [_tweet("t0", "dem1", "Acme is good.")] + _filler(40)
+    lines.insert(30, '{"tweet_id": "s1", "user_id": "x\\udc80", "text": "Acme is good.", '
+                     f'"created_at": "{BASELINE_TS}"}}')
+    bundle = _bundle(tmp_path, lines)
+    code, _ = _run_at(monkeypatch, bundle, count, _args(bundle, tmp_path / "out"), capsys)
+    assert code == 0
+    (tmp_path / "clean").mkdir()
+    clean = _bundle(tmp_path / "clean", lines[:30] + lines[31:])
+    _force_ranges(monkeypatch, clean, 1)
+    expected = _outcome(cli.run_pipeline(_config(clean, tmp_path / "clean-out")))
+    written = {path.name: path.read_bytes() for path in sorted((tmp_path / "out").iterdir())}
+    assert written == expected["artifacts"]
+
+    code, err = _run_at(monkeypatch, bundle, count,
+                        _args(bundle, tmp_path / "strict", "--strict"), capsys)
+    assert code == 2
+    assert err == "error: tweets.jsonl line 31: user_id holds a lone surrogate\n"
+    assert not (tmp_path / "strict" / "report.csv").exists()
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_lone_surrogate_preannotated_surface_is_a_counted_reject(monkeypatch, tmp_path, capsys,
+                                                                  count):
+    lines = [_tweet("t0", "dem1", "Acme is good.")] + _filler(40)
+    lines.insert(30, _tweet("s1", "dem1", "Zeta and acme"))
+    bundle = _bundle(tmp_path, lines)
+    bad = {"tweet_id": "s1", "user_id": "dem1", "sentences": [
+        {"text": "zeta\udc80 and acme", "sentiment": 4,
+         "entities": [{"surface": "zeta\udc80", "type": "MISC"}]}]}
+    table = _write_table(tmp_path / "annotated.jsonl", lines, replace={"s1": bad})
+    args = _args(bundle, tmp_path / "out", "--preannotated", str(table))
+    code, _ = _run_at(monkeypatch, bundle, count, args, capsys)
+    assert code == 0
+    mentions = (tmp_path / "out" / "mentions.csv").read_text(encoding="utf-8")
+    assert "zeta" not in mentions and "acme" in mentions
+
+    args = _args(bundle, tmp_path / "strict", "--preannotated", str(table), "--strict")
+    code, err = _run_at(monkeypatch, bundle, count, args, capsys)
+    assert code == 2
+    assert err == ("error: annotated.jsonl line 31: sentence 0 entity 'zeta\\udc80' holds a "
+                   "lone surrogate\n")
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_lone_surrogate_event_name_is_a_data_error(monkeypatch, tmp_path, capsys, count):
+    bundle = _bundle(tmp_path, [_tweet("t0", "dem1", "Acme is good.")] + _filler(40))
+    bundle["windows"].write_text(
+        bundle["windows"].read_text(encoding="utf-8").replace('"test-event"', '"ev\\udc80"'),
+        encoding="utf-8")
+    out = tmp_path / "out"
+    code, err = _run_at(monkeypatch, bundle, count, _args(bundle, out), capsys)
+    assert code == 2
+    assert err == "error: windows.json: event_name holds a lone surrogate\n"
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+def _die(index: int, span: tuple[int, int]) -> None:
+    os._exit(1)  # as an out-of-memory kill would end a worker
+
+
+def test_a_worker_that_dies_ends_the_run_with_exit_4(monkeypatch, tmp_path, capsys):
+    bundle = _bundle(tmp_path, [_tweet("t0", "dem1", "Acme is good.")] + _filler(60))
+    out = tmp_path / "out"
+    assert cli.main(_args(bundle, out)) == 0  # leaves a report behind
+    capsys.readouterr()
+    monkeypatch.setattr(tweetpass, "_work_range", _die)
+    code, err = _run_at(monkeypatch, bundle, 2, _args(bundle, out), capsys)
+    assert code == 4
+    assert err.startswith("error: a worker process reading tweets.jsonl ended before finishing")
+    assert err.count("\n") == 1
+    left = sorted(path.name for path in out.iterdir())
+    assert "report.csv" not in left and "report.json" not in left
+    assert not [name for name in left if name.startswith(".")]
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_inputs_stay_frozen_while_the_pass_runs(monkeypatch, tmp_path, capsys, count):
+    lines = [_tweet("t0", "dem1", "Acme is good.")] + _filler(40)
+    bundle = _bundle(tmp_path, lines)
+    _force_ranges(monkeypatch, bundle, count)
+    before = gc.get_freeze_count()
+    during = []
+    pass_range = tweetpass._pass_range
+
+    def watched(*args, **kwargs):
+        during.append(gc.get_freeze_count())
+        return pass_range(*args, **kwargs)
+
+    monkeypatch.setattr(tweetpass, "_pass_range", watched)
+    cli.run_pipeline(_config(bundle, tmp_path / "ok"))
+    assert during and min(during) > before
+    assert gc.get_freeze_count() == before
+
+    during.clear()
+    broken = _bundle(tmp_path, lines + ["{broken"])
+    assert cli.main(_args(broken, tmp_path / "bad", "--strict")) == 2
+    capsys.readouterr()
+    assert during and min(during) > before
+    assert gc.get_freeze_count() == before
+
+
+def test_mentions_with_empty_names_give_one_warning_per_run(monkeypatch, tmp_path, caplog):
+    # every sentence also names " ", which normalizes to nothing; t0 repeats
+    # at the end, so with two ranges its drop is counted and taken back
+    lines = [_tweet("t0", "dem1", "Acme is good.")] + _filler(40)
+    lines.append(_tweet("t0", "rep1", "Acme is bad.", CRISIS_TS))
+    bundle = _bundle(tmp_path, lines)
+    blank = _write_table(tmp_path / "blank.jsonl", lines, {"surface": " ", "type": "MISC"})
+    clean = _write_table(tmp_path / "clean.jsonl", lines)
+    outcomes, warnings = {}, {}
+    for count in (1, 2):
+        _force_ranges(monkeypatch, bundle, count)
+        for name, table in (("blank", blank), ("clean", clean)):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="polarmetrics"):
+                result = cli.run_pipeline(cli.RunConfig(
+                    bundle["tweets"], bundle["roster"], bundle["followers"], bundle["windows"],
+                    tmp_path / f"{name}{count}", preannotated=table))
+            outcomes[name, count] = _outcome(result)
+            warnings[name, count] = [record.getMessage() for record in caplog.records]
+    assert outcomes["blank", 1] == outcomes["blank", 2] == outcomes["clean", 1]
+    assert warnings["clean", 1] == warnings["clean", 2] == []
+    assert warnings["blank", 1] == warnings["blank", 2]
+    (message,) = warnings["blank", 1]
+    retained = sum(outcomes["clean", 1]["volumes"].values())
+    assert message == (f"dropped {retained} mentions whose names normalize to nothing "
+                       "(the first in tweet t0)")
+    assert not multiprocessing.active_children()

@@ -7,10 +7,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from polarmetrics import polarimetry
 from polarmetrics.affiliation import PartyLabel
-from polarmetrics.aggregate import AggregateTable, EntityAggregate
+from polarmetrics.aggregate import AggregateTable, EntityAggregate, format_decimal, format_ratio
 from polarmetrics.corpus import WindowLabel, parse_event_windows
 from polarmetrics.errors import DataError, NoJointEntitiesError
 from polarmetrics.polarimetry import (
@@ -236,7 +238,9 @@ def test_entities_csv(tmp_path):
         (WindowLabel.CRISIS, _table(_agg("alpha", 4, 1, 0, 1))),
     ]
     path = tmp_path / "entities.csv"
-    rows = polarimetry.write_entities_csv(path, report_windows)
+    rows = polarimetry.write_entities_csv(
+        path, [(label, polarimetry.entity_polarities(table)) for label, table in report_windows]
+    )
     assert rows == 3
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "entity,p,weight,window"
@@ -292,3 +296,61 @@ def test_swapping_parties_preserves_polarization():
         assert polarimetry.party_average_sentiment(table, D) == (
             polarimetry.party_average_sentiment(swapped, R)
         )
+
+
+# ==== integer arithmetic against the Fraction arithmetic it replaced ====
+
+
+def _reference_format_decimal(value: Fraction, places: int) -> str:
+    """The Fraction-based half-up rendering the integer core replaced."""
+    negative = value < 0
+    magnitude = -value if negative else value
+    scaled = magnitude * 10**places
+    units = scaled.numerator // scaled.denominator
+    if 2 * (scaled.numerator - units * scaled.denominator) >= scaled.denominator:
+        units += 1
+    whole, part = divmod(units, 10**places)
+    text = f"{whole}.{part:0{places}d}" if places else str(whole)
+    if negative and units:
+        text = "-" + text
+    return text
+
+
+@given(st.integers(-10**9, 10**9), st.integers(1, 10**6), st.sampled_from([0, 1, 2, 6]))
+@example(205, 100, 1)  # a half rounds away from zero
+@example(-205, 100, 1)
+@example(-1, 3, 2)  # rounds to zero: no sign
+@example(-5, 1000, 2)
+@example(1, 8, 2)
+def test_integer_formatter_matches_fraction_rendering(numerator, denominator, places):
+    expected = _reference_format_decimal(Fraction(numerator, denominator), places)
+    assert format_ratio(numerator, denominator, places) == expected
+    assert format_decimal(Fraction(numerator, denominator), places) == expected
+
+
+_cells = st.tuples(st.integers(1, 60), st.integers(1, 60)).flatmap(
+    lambda counts: st.tuples(st.integers(0, 4 * counts[0]), st.just(counts[0]),
+                             st.integers(0, 4 * counts[1]), st.just(counts[1]))
+)
+
+
+@given(st.lists(_cells, min_size=1, max_size=40))
+def test_integer_polarities_and_grouped_sum_match_the_fraction_sum(cells):
+    table = _table(*(_agg(f"e{index:02d}", *cell) for index, cell in enumerate(cells)))
+    polarities = polarimetry.entity_polarities(table)
+    assert [(item.entity, item.polarization, item.weight) for item in polarities] == [
+        (name, entity_polarization(Fraction(dem_sum, dem_n), Fraction(rep_sum, rep_n)),
+         dem_n + rep_n)
+        for name, (dem_sum, dem_n, rep_sum, rep_n)
+        in sorted((f"e{index:02d}", cell) for index, cell in enumerate(cells))
+    ]
+    weight = sum(item.weight for item in polarities)
+    naive = sum((item.polarization * item.weight for item in polarities), start=Fraction(0))
+    combined = corpus_polarization(polarities)
+    assert combined.value == naive / weight
+    assert (combined.total_weight, combined.entity_count) == (weight, len(polarities))
+
+
+def test_entity_polarities_reject_a_mean_off_the_scale():
+    with pytest.raises(ValueError, match="mean sentiment 4.5 outside"):
+        polarimetry.entity_polarities(_table(_agg("hot", 9, 2, 0, 1)))
