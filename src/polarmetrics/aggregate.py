@@ -125,9 +125,9 @@ class AggregateBuilder:
     """Accumulates mentions into integer cells; order never matters.
 
     `cells` maps an entity name to [dem_sum, dem_mentions, rep_sum,
-    rep_mentions]. It is the one accumulator behind every table: rows, shard
-    merges, the aggregates CSV reader and the fused `run` pass all add into
-    it, and `build` is the one place that makes `EntityAggregate`s.
+    rep_mentions]. It is the one accumulator behind every table: rows, the
+    aggregates CSV reader and the range merges of the fused `run` pass all
+    add into it, and `build` is the one place that makes `EntityAggregate`s.
     """
 
     def __init__(self) -> None:

@@ -14,7 +14,7 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .atomic import atomic_write
 from .corpus import IngestStats, TweetRecord, has_lone_surrogate, has_undecodable_byte
@@ -80,11 +80,14 @@ class Gazetteer:
 
 def _tsv_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
     try:
-        handle = open(path, encoding="utf-8")
+        # bytes that are not UTF-8 decode to lone surrogates, so the bad line is named
+        handle = open(path, encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     with handle:
         for lineno, line in enumerate(handle, start=1):
+            if has_undecodable_byte(line):
+                raise DataError(f"{path.name} line {lineno}: invalid UTF-8")
             stripped = line.rstrip("\r\n")
             if not stripped.strip():
                 continue
@@ -346,15 +349,20 @@ def write_preannotated(path: Path | str, annotated: Iterable[AnnotatedTweet]) ->
     count = 0
     with atomic_write(path) as handle:
         for item in annotated:
-            handle.write(json.dumps(annotation_payload(item), ensure_ascii=False))
+            payload = annotation_payload(item)
+            line = json.dumps(payload, ensure_ascii=False)
+            if has_lone_surrogate(line):  # no UTF-8 for it; \u escapes carry it
+                line = json.dumps(payload)
+            handle.write(line)
             handle.write("\n")
             count += 1
     return count
 
 
 def _parse_annotated_line(
-    line: str, policy: EntityTypePolicy, seen: set[str]
-) -> tuple[AnnotatedTweet | None, str | None]:
+    line: str, policy: EntityTypePolicy, seen: set[str], share: Callable
+) -> tuple[str | None, tuple[str, tuple[Mention, ...]] | str]:
+    """(tweet_id, (user_id, mentions)), each part kept once by `share`, or (None, problem)."""
     text = line.strip()
     if not text:
         return None, "blank line"
@@ -380,7 +388,7 @@ def _parse_annotated_line(
     raw_sentences = payload.get("sentences")
     if not isinstance(raw_sentences, list):
         return None, "sentences must be a list"
-    sentences: list[SentenceAnnotation] = []
+    mentions: list[Mention] = []
     for index, block in enumerate(raw_sentences):
         if not isinstance(block, dict):
             return None, f"sentence {index} is not an object"
@@ -394,7 +402,6 @@ def _parse_annotated_line(
         if not isinstance(raw_entities, list):
             return None, f"sentence {index} entities must be a list"
         lowered = sentence_text.lower()
-        kept: list[tuple[str, str]] = []
         for entity in raw_entities:
             if not isinstance(entity, dict):
                 return None, f"sentence {index} has a non-object entity"
@@ -410,9 +417,10 @@ def _parse_annotated_line(
                 if not (surface.isascii() and entity_type.isascii()) and (
                         has_lone_surrogate(surface) or has_lone_surrogate(entity_type)):
                     return None, f"sentence {index} entity {surface!r} holds a lone surrogate"
-                kept.append((surface, entity_type))
-        sentences.append(SentenceAnnotation(sentence_text, sentiment, tuple(kept)))
-    return AnnotatedTweet(tweet_id, user_id, tuple(sentences)), None
+                mention = (share(surface, surface), share(entity_type, entity_type), sentiment)
+                mentions.append(share(mention, mention))
+    annotation = (share(user_id, user_id), tuple(mentions))
+    return tweet_id, share(annotation, annotation)
 
 
 def ingest_preannotated(
@@ -421,9 +429,12 @@ def ingest_preannotated(
     *,
     strict: bool = False,
     stats: IngestStats | None = None,
-) -> Iterator[AnnotatedTweet]:
-    """Yield annotated tweets from an external annotator's JSON-lines file.
+) -> Iterator[tuple[str, tuple[str, tuple[Mention, ...]]]]:
+    """Yield (tweet_id, (user_id, mentions)) from an external annotator's JSON-lines file.
 
+    The mentions are (surface, type, sentence sentiment) in sentence order,
+    as `annotate_mentions` gives them. json.loads makes new strings for every
+    line, so each equal string, mention and annotation is kept once.
     Validation mirrors the reference annotator's contract: sentiments must
     sit in 0..4 and every entity surface must occur in its sentence text
     (case-insensitive). Entities whose type the policy rejects are dropped
@@ -434,6 +445,7 @@ def ingest_preannotated(
     if stats is None:
         stats = IngestStats()
     seen: set[str] = set()
+    share = {}.setdefault
     try:
         # as for tweets, a line with bytes that are not UTF-8 is one bad line
         handle = open(path, encoding="utf-8", errors="surrogateescape")
@@ -441,13 +453,13 @@ def ingest_preannotated(
         raise DataError(f"cannot read annotations file {path}: {exc}") from exc
     with handle:
         for lineno, line in enumerate(handle, start=1):
-            annotated, problem = _parse_annotated_line(line, policy, seen)
-            if annotated is None:
-                message = f"{path.name} line {lineno}: {problem}"
+            tweet_id, annotation = _parse_annotated_line(line, policy, seen, share)
+            if tweet_id is None:
+                message = f"{path.name} line {lineno}: {annotation}"
                 if strict:
                     raise DataError(message)
                 stats.reject(message)
                 continue
-            seen.add(annotated.tweet_id)
+            seen.add(tweet_id)
             stats.kept += 1
-            yield annotated
+            yield tweet_id, annotation

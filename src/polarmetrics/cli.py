@@ -55,7 +55,7 @@ class RunConfig:
     preannotated: Path | None = None
     entity_types: tuple[str, ...] | None = None
     strict: bool = False
-    shards: int = 1
+    shards: int = 1  # checked only: the tweet pass keeps one cell dict per window
 
 
 def _policy(entity_types: tuple[str, ...] | None) -> annotator.EntityTypePolicy:
@@ -83,20 +83,8 @@ def _annotation_source(
         )
     policy = _policy(entity_types)
     if preannotated is not None:
-        items = annotator.ingest_preannotated(preannotated, policy, strict=strict, stats=stats)
-        # json.loads makes new strings for every line: keep one copy of each
-        # equal string, mention tuple and (user_id, mentions) pair
-        share = {}.setdefault
-        table = {}
-        for item in items:
-            mentions = []
-            for sentence in item.sentences:
-                for surface, entity_type in sentence.entities:
-                    mention = (share(surface, surface), share(entity_type, entity_type),
-                               sentence.sentiment)
-                    mentions.append(share(mention, mention))
-            annotation = (share(item.user_id, item.user_id), tuple(mentions))
-            table[item.tweet_id] = share(annotation, annotation)
+        table = dict(annotator.ingest_preannotated(preannotated, policy, strict=strict,
+                                                   stats=stats))
         return lambda record: table.get(record.tweet_id)
     lexicon_table = annotator.load_lexicon(lexicon)
     gazetteer_table = annotator.load_gazetteer(gazetteer)
@@ -137,9 +125,19 @@ def _write_report(
     return report
 
 
-def _out_dir(path: Path) -> Path:
+def _out_dir(path: Path, make: bool = True) -> Path:
+    """The --out directory, made with its parents if `make`.
+
+    A file at `path`, or at a parent it still needs, is a usage error.
+    """
     out_dir = Path(path)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    for place in (out_dir, *out_dir.parents):
+        if place.exists():
+            if not place.is_dir():
+                raise ConfigError(f"--out {out_dir}: {place} is not a directory")
+            break
+    if make:
+        out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir
 
 
@@ -200,21 +198,22 @@ def run_pipeline(config: RunConfig) -> RunResult:
     """
     if config.shards < 1:
         raise ConfigError("--shards must be at least 1")
-    _remove_leftovers(Path(config.out))
+    out_dir = _out_dir(config.out, make=False)
+    _remove_leftovers(out_dir)
     for stale in ("report.csv", "report.json"):
-        (Path(config.out) / stale).unlink(missing_ok=True)
+        (out_dir / stale).unlink(missing_ok=True)
     counters = StreamCounters()
     annotate = _annotation_source(config.lexicon, config.gazetteer, config.preannotated,
                                   config.entity_types, config.strict, counters.annotation)
     roster = corpus.load_affiliation_data(config.roster, config.followers)
     labeler = affiliation.PartyLabeler(roster)
     windows = corpus.load_windows(config.windows)
-    out_dir = _out_dir(config.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     with _inputs_frozen():
         builders, mention_count = stream_mentions(config.tweets, windows, labeler.label,
                                                    annotate, config.strict, counters, out_dir,
-                                                   config.shards, labeler)
+                                                   labeler)
         tables = {window: builder.build() for window, builder in builders.items()}
         for window, table in tables.items():
             aggregate.write_aggregates_csv(out_dir / f"aggregates_{window.value}.csv", table)
@@ -298,7 +297,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 
 
 def cmd_mentions(args: argparse.Namespace) -> int:
-    _remove_leftovers(args.out)
+    _remove_leftovers(_out_dir(args.out, make=False))
     windows = corpus.load_windows(args.windows)
     counters = StreamCounters()
 
@@ -380,7 +379,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     spec = synth.load_planted_spec(args.spec)
     if args.seed is not None:
         spec = synth.with_seed(spec, args.seed)
-    bundle = synth.generate_corpus(spec, args.out)
+    bundle = synth.generate_corpus(spec, _out_dir(args.out))
     print(f"[ok] wrote bundle under {bundle.directory}")
     for path in (
         bundle.tweets_path,
@@ -465,7 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_annotation_flags(run_parser)
     run_parser.add_argument("--windows", type=Path, required=True, help="event windows JSON")
     run_parser.add_argument(
-        "--shards", type=int, default=1, help="number of aggregation shards (result-invariant)"
+        "--shards", type=int, default=1,
+        help="accepted for compatibility; at least 1, and no value changes any result",
     )
     _add_out_flag(run_parser)
     _add_format_flag(run_parser)

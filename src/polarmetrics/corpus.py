@@ -194,11 +194,16 @@ class IngestStats:
 
     `rejected` counts every bad line; `errors` keeps the first
     MAX_KEPT_ERRORS messages so memory stays bounded on mostly-bad files.
+    `lines` keeps the first MAX_KEPT_ERRORS bad lines of `reject_line` as
+    (line number, problem, tweet_id or None), so a caller that reads a file
+    in byte ranges can renumber them and re-judge them against the ids kept
+    in earlier ranges.
     """
 
     kept: int = 0
     rejected: int = 0
     errors: list[str] = field(default_factory=list)
+    lines: list[tuple[int, str, str | None]] = field(default_factory=list)
 
     def reject(self, message: str) -> None:
         self.rejected += 1
@@ -208,21 +213,6 @@ class IngestStats:
     def reject_line(self, source: str, lineno: int, problem: str, tweet_id: str | None) -> None:
         """Count one bad line of `source`; `tweet_id` is the line's id if that was valid."""
         self.reject(f"{source} line {lineno}: {problem}")
-
-
-@dataclass
-class LineLog(IngestStats):
-    """IngestStats that keeps its first rejects unformatted.
-
-    `lines` holds (line number, problem, tweet_id or None) for the first
-    MAX_KEPT_ERRORS rejects, so a caller that reads a file in byte ranges can
-    renumber them and re-judge them against the ids kept in earlier ranges.
-    """
-
-    lines: list[tuple[int, str, str | None]] = field(default_factory=list)
-
-    def reject_line(self, source: str, lineno: int, problem: str, tweet_id: str | None) -> None:
-        self.rejected += 1
         if len(self.lines) < MAX_KEPT_ERRORS:
             self.lines.append((lineno, problem, tweet_id))
 

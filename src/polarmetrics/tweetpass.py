@@ -117,9 +117,9 @@ def _read_facts(path: Path) -> Iterator[tuple]:
 class _RangeResult:
     """What one byte range of the tweets file gave."""
 
-    log: corpus.LineLog
+    log: corpus.IngestStats
     tally: list[int]  # kept tweets per fate
-    cells: tuple[list[dict[str, list[int]]], ...]  # per window, per shard
+    cells: tuple[dict[str, list[int]], ...]  # per window: name -> cell
     rows: int
     # with --strict: (line, tweet_id) of the retained tweet without annotation it stopped at
     unannotated: tuple[int, str] | None
@@ -131,7 +131,7 @@ class _RangeResult:
 
 def _pulled(
     records: Iterator[corpus.TweetRecord],
-    log: corpus.LineLog,
+    log: corpus.IngestStats,
     labeler: affiliation.PartyLabeler | None,
     stop: Event | None,
 ) -> Iterator[tuple[int, corpus.TweetRecord]]:
@@ -153,13 +153,12 @@ def _pulled(
 
 def _pass_range(
     records: Iterator[corpus.TweetRecord],
-    log: corpus.LineLog,
+    log: corpus.IngestStats,
     windows: corpus.EventWindows,
     label_for: Callable[[str], affiliation.PartyLabel],
     annotate: Annotate,
     strict: bool,
     writer: aggregate.MentionCsvWriter,
-    shards: int,
     facts: _KeptFacts | None,
     labeler: affiliation.PartyLabeler | None,
     stop: Event | None = None,
@@ -167,12 +166,12 @@ def _pass_range(
     """Gate, label, annotate, write and reduce the tweets of one byte range.
 
     A tweet stops at the first gate it fails: deleted, unaligned author,
-    outside both windows, no annotation. Retained tweets are dealt
-    round-robin to `shards` builders per window. Each mention goes straight
-    from its (surface, type, sentiment) tuple to a mentions.csv row and a
-    builder cell; a mention whose name normalizes to nothing is dropped and
-    noted in the result. `labeler`, the labeler behind `label_for` if there
-    is one, labels each chunk's authors ahead of it. With `strict`, the pass stops at
+    outside both windows, no annotation. Each mention of a retained tweet
+    goes straight from its (surface, type, sentiment) tuple to a mentions.csv
+    row and an integer cell of its window's one cell dict; a mention whose
+    name normalizes to nothing is dropped and noted in the result.
+    `labeler`, the labeler behind `label_for` if there is one, labels each
+    chunk's authors ahead of it. With `strict`, the pass stops at
     the first rejected line or retained tweet without annotation; the merge
     reports whichever comes first. Records are read a chunk ahead, so the log
     may already hold rejects of later lines. The pass also stops once the
@@ -181,12 +180,10 @@ def _pass_range(
     democrat, unaligned = affiliation.PartyLabel.DEMOCRAT, affiliation.PartyLabel.UNALIGNED
     baseline, crisis = corpus.WindowLabel.BASELINE, corpus.WindowLabel.CRISIS
     window_values = (baseline.value, crisis.value)
-    builders = tuple([aggregate.AggregateBuilder() for _ in range(shards)]
-                     for _ in window_values)
+    window_cells = ({}, {})  # per window: entity name -> [dem_sum, dem_n, rep_sum, rep_n]
     tally = [0] * (RETAINED + len(window_values))
     names: dict[str, str] = {}  # surface -> normalized entity name
     empty_names: list[tuple[int, str]] = []
-    dealt = 0
     unannotated = None
     if facts is not None:
         note_id, note_line, note_fate = facts.ids.append, facts.lines.append, facts.fates.append
@@ -225,8 +222,6 @@ def _pass_range(
                 break
             continue
         slot = fate - RETAINED
-        cells = builders[slot][dealt % shards].cells
-        dealt += 1
         user_id, mentions = annotation
         if not mentions:
             continue
@@ -234,7 +229,7 @@ def _pass_range(
             offset, code = 0, "D"
         else:
             offset, code = 2, "R"
-        window_value = window_values[slot]
+        window_value, cells = window_values[slot], window_cells[slot]
         rows = []
         for surface, entity_type, sentiment in mentions:
             name = names.get(surface)
@@ -250,8 +245,7 @@ def _pass_range(
             cell[offset] += sentiment
             cell[offset + 1] += 1
         writer.write_rendered(rows)
-    cells_per_window = tuple([builder.cells for builder in parts] for parts in builders)
-    return _RangeResult(log, tally, cells_per_window, writer.count, unannotated,
+    return _RangeResult(log, tally, window_cells, writer.count, unannotated,
                         empty_names=empty_names)
 
 
@@ -264,7 +258,6 @@ class _Job:
     label_for: Callable[[str], affiliation.PartyLabel]
     annotate: Annotate
     strict: bool
-    shards: int
     labeler: affiliation.PartyLabeler | None
     scratch: Path
     stop: Event  # set once the parent needs no more results
@@ -281,13 +274,13 @@ def _inherit(job: _Job) -> None:
 def _work_range(index: int, span: tuple[int, int]) -> _RangeResult:
     """Run one byte range in a worker process; rows and facts go to files in scratch."""
     job = _job
-    log = corpus.LineLog()
+    log = corpus.IngestStats()
     facts = _KeptFacts()
     records = corpus.parse_tweets(job.tweets, stats=log, span=span)
     with closing(records), aggregate.MentionCsvWriter(_scratch_file(job.scratch, "part", index),
                                                       header=False) as writer:
         result = _pass_range(records, log, job.windows, job.label_for, job.annotate, job.strict,
-                             writer, job.shards, facts, job.labeler, job.stop)
+                             writer, facts, job.labeler, job.stop)
     facts.dump(_scratch_file(job.scratch, "facts", index), result.rows)
     if job.labeler is not None:
         entries = job.labeler.entries
@@ -393,9 +386,8 @@ class _Merge:
         if empty and self.first_empty is None:
             self.first_empty = empty[0]
         self.empty_names += len(empty)
-        for builder, shard_cells in zip(self.totals, result.cells):
-            for cells in shard_cells:
-                builder.absorb(cells)
+        for builder, cells in zip(self.totals, result.cells):
+            builder.absorb(cells)
         if self.labeler is not None:
             # an author stays only if some tweet that labelled them stays
             undone = Counter(author for *_, author in retracted)
@@ -441,23 +433,24 @@ def stream_mentions(
     strict: bool,
     counters: StreamCounters,
     out_dir: Path,
-    shards: int = 1,
     labeler: affiliation.PartyLabeler | None = None,
 ) -> tuple[dict[corpus.WindowLabel, aggregate.AggregateBuilder], int]:
     """Gate every tweet, write mentions.csv and window_stats.json, reduce per window.
 
     The tweets file is read in byte ranges (see `_tweet_spans`). This process
     runs the first; forked workers run the others, each into a part file.
-    The merge joins them in file order, so every artifact and count equals
-    what one range gives. `labeler` is the labeler behind `label_for`, if
-    there is one: it labels each chunk's authors at once and receives the
-    authors the workers labelled. Returns the merged builder per window and
-    the mention row count.
+    Each range adds its mentions into one cell dict per window. The merge
+    joins the ranges in file order, adding each dict into its window's one
+    builder, so every artifact and count equals what one range gives.
+    `labeler` is the labeler behind `label_for`, if there is one: it labels
+    each chunk's authors at once and receives the authors the workers
+    labelled. Returns the merged builder per window and the mention row
+    count.
     """
     tweets_path = Path(tweets_path)
     spans = _tweet_spans(tweets_path)
     seen: set[str] = set()
-    log = corpus.LineLog()
+    log = corpus.IngestStats()
     # set-up ends at this call; the pool and its forks come after it
     records = corpus.parse_tweets(tweets_path, stats=log, span=spans[0], seen=seen)
     merge = _Merge(tweets_path.name, strict, counters.ingest, labeler)
@@ -477,7 +470,7 @@ def stream_mentions(
             # loading them again. The pool forks all its processes at the
             # first submit, before it starts its own thread.
             fork = multiprocessing.get_context("fork")
-            job = _Job(tweets_path, windows, label_for, annotate, strict, shards, labeler, scratch,
+            job = _Job(tweets_path, windows, label_for, annotate, strict, labeler, scratch,
                        fork.Event())
             pool = ProcessPoolExecutor(len(spans) - 1, mp_context=fork, initializer=_inherit,
                                        initargs=(job,))
@@ -488,7 +481,7 @@ def stream_mentions(
             # opened after the forks, so no worker inherits its unwritten buffer
             with closing(records), aggregate.MentionCsvWriter(mentions_path) as writer:
                 first = _pass_range(records, log, windows, label_for, annotate, strict, writer,
-                                    shards, None, labeler)
+                                    None, labeler)
             merge.add(first)
             with open(mentions_path, "a", encoding="utf-8", newline="") as target:
                 for index, future in enumerate(futures, 1):

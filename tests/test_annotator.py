@@ -437,13 +437,21 @@ def _annotated(tid: str = "t1") -> annotator.AnnotatedTweet:
     )
 
 
+def _entry(annotated: annotator.AnnotatedTweet) -> tuple:
+    # what ingest_preannotated yields for a tweet: its mentions in sentence order
+    mentions = tuple((surface, entity_type, sentence.sentiment)
+                     for sentence in annotated.sentences
+                     for surface, entity_type in sentence.entities)
+    return annotated.tweet_id, (annotated.user_id, mentions)
+
+
 def test_preannotated_round_trip(tmp_path):
     path = tmp_path / "annotated.jsonl"
     written = annotator.write_preannotated(path, [_annotated("t1"), _annotated("t2")])
     assert written == 2
     stats = corpus.IngestStats()
     loaded = list(annotator.ingest_preannotated(path, default_policy(), stats=stats))
-    assert loaded == [_annotated("t1"), _annotated("t2")]
+    assert loaded == [_entry(_annotated("t1")), _entry(_annotated("t2"))]
     assert stats.kept == 2 and stats.rejected == 0
 
 
@@ -457,7 +465,7 @@ def test_ingest_filters_types_silently(tmp_path):
     )
     stats = corpus.IngestStats()
     loaded = list(annotator.ingest_preannotated(path, default_policy(), stats=stats))
-    assert loaded[0].sentences[0].entities == (("report", "MISC"),)
+    assert loaded[0][1][1] == (("report", "MISC", 2),)
     assert stats.rejected == 0
 
 
@@ -522,7 +530,7 @@ def test_surface_check_is_case_insensitive(tmp_path):
         encoding="utf-8",
     )
     loaded = list(annotator.ingest_preannotated(path, default_policy()))
-    assert loaded[0].sentences[0].entities == (("springfield", "LOCATION"),)
+    assert loaded[0][1][1] == (("springfield", "LOCATION", 2),)
 
 
 def test_adapter_round_trips_reference_annotator_output(tmp_path):
@@ -542,4 +550,8 @@ def test_adapter_round_trips_reference_annotator_output(tmp_path):
     annotated = [annotator.annotate_tweet(r, lex, gaz, policy) for r in records]
     path = tmp_path / "annotated.jsonl"
     annotator.write_preannotated(path, annotated)
-    assert list(annotator.ingest_preannotated(path, policy)) == annotated
+    assert list(annotator.ingest_preannotated(path, policy)) == [_entry(a) for a in annotated]
+    # the same mentions, in the same order, as the fused annotator gives
+    assert [mentions for _, (_, mentions) in annotator.ingest_preannotated(path, policy)] == [
+        tuple(annotator.annotate_mentions(r.text, lex, gaz, policy)) for r in records
+    ]

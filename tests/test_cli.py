@@ -18,6 +18,7 @@ from conftest import (
     BASELINE_TS,
     CRISIS_TS,
     EQUIVALENCE_SURFACES,
+    STD_WINDOWS,
     equivalence_texts,
     write_followers,
     write_gazetteer,
@@ -323,8 +324,14 @@ def test_fused_run_matches_annotate_then_emit(tmp_path, shards, preannotated):
     if preannotated:
         config.preannotated = tmp_path / "annotated.jsonl"
         _write_preannotated(bundle, config.preannotated)
-        items = annotator.ingest_preannotated(config.preannotated, policy)
-        annotations = {item.tweet_id: item for item in items}
+        # each (surface, type, sentiment) mention as a one-entity sentence
+        annotations = {
+            tweet_id: annotator.AnnotatedTweet(tweet_id, user_id, tuple(
+                annotator.SentenceAnnotation("", sentiment, ((surface, entity_type),))
+                for surface, entity_type, sentiment in mentions))
+            for tweet_id, (user_id, mentions)
+            in annotator.ingest_preannotated(config.preannotated, policy)
+        }
     else:
         config.lexicon, config.gazetteer = bundle["lexicon"], bundle["gazetteer"]
         lexicon = annotator.load_lexicon(bundle["lexicon"])
@@ -620,24 +627,99 @@ def test_run_removes_what_a_killed_run_left_and_nothing_else(tiny_bundle, tmp_pa
         assert (out / name).read_text(encoding="utf-8") == text
 
 
-@pytest.mark.parametrize("target", ["windows", "roster", "followers", "preannotated"])
+@pytest.mark.parametrize("target", ["windows", "roster", "followers", "preannotated",
+                                    "lexicon", "gazetteer"])
 def test_input_that_is_not_utf8_is_a_data_error(tiny_bundle, tmp_path, capsys, target):
     staged = tmp_path / "staged"
-    assert cli.main(["annotate", "--tweets", str(tiny_bundle["tweets"]),
-                     "--lexicon", str(tiny_bundle["lexicon"]),
-                     "--gazetteer", str(tiny_bundle["gazetteer"]), "--out", str(staged)]) == 0
+    lexicon = ["--lexicon", str(tiny_bundle["lexicon"]),
+               "--gazetteer", str(tiny_bundle["gazetteer"])]
+    assert cli.main(["annotate", "--tweets", str(tiny_bundle["tweets"]), *lexicon,
+                     "--out", str(staged)]) == 0
     table = staged / "annotated.jsonl"
     path = {"windows": tiny_bundle["windows"], "roster": tiny_bundle["roster"],
-            "followers": tiny_bundle["followers"] / "dema.txt", "preannotated": table}[target]
+            "followers": tiny_bundle["followers"] / "dema.txt", "preannotated": table,
+            "lexicon": tiny_bundle["lexicon"], "gazetteer": tiny_bundle["gazetteer"]}[target]
     path.write_bytes(b"\xff" + path.read_bytes())
     capsys.readouterr()
+    source = lexicon if target in ("lexicon", "gazetteer") else ["--preannotated", str(table)]
     args = ["run", "--tweets", str(tiny_bundle["tweets"]), "--roster", str(tiny_bundle["roster"]),
             "--followers", str(tiny_bundle["followers"]),
-            "--windows", str(tiny_bundle["windows"]), "--preannotated", str(table),
+            "--windows", str(tiny_bundle["windows"]), *source,
             "--out", str(tmp_path / "out"), "--strict"]
     assert cli.main(args) == 2
-    expected = "annotated.jsonl line 1" if target == "preannotated" else path.name
+    lined = target in ("preannotated", "lexicon", "gazetteer")
+    expected = f"{path.name} line 1" if lined else path.name
     assert capsys.readouterr().err == f"error: {expected}: invalid UTF-8\n"
+
+
+def _stage_args(command: str, bundle: dict, made: Path, out: Path) -> list[str]:
+    """Arguments of one command that writes to `out`; `made` holds a run's artifacts."""
+    tweets = ["--tweets", str(bundle["tweets"])]
+    roster = ["--roster", str(bundle["roster"]), "--followers", str(bundle["followers"])]
+    annotation = ["--lexicon", str(bundle["lexicon"]), "--gazetteer", str(bundle["gazetteer"])]
+    tables = ["--baseline", str(made / "aggregates_baseline.csv"),
+              "--crisis", str(made / "aggregates_crisis.csv")]
+    windows = ["--windows", str(bundle["windows"])]
+    spec = made / "spec.json"
+    spec.write_text(json.dumps({"seed": 3, "users_per_party": 2, "windows": STD_WINDOWS,
+                                "entities": [{"name": "quorvia", "type": "LOCATION",
+                                              "dem_sentiment_dist": [0, 0, 0, 0, 1],
+                                              "rep_sentiment_dist": [1, 0, 0, 0, 0],
+                                              "mentions_per_party": 2}]}), encoding="utf-8")
+    args = {
+        "run": _run_args(bundle, out)[1:-2],
+        "assign": [*tweets, *roster],
+        "annotate": [*tweets, *annotation],
+        "mentions": [*tweets, *roster, *annotation, *windows],
+        "aggregate": ["--mentions", str(made / "mentions.csv")],
+        "polarize": tables,
+        "report": [*tables, *windows, "--window-stats", str(made / "window_stats.json")],
+        "synth": ["--spec", str(spec)],
+    }[command]
+    return [command, *args, "--out", str(out)]
+
+
+@pytest.mark.parametrize("command", ["run", "assign", "annotate", "mentions", "aggregate",
+                                     "polarize", "report", "synth"])
+def test_out_naming_a_file_is_a_usage_error(tiny_bundle, tmp_path, capsys, command):
+    made = tmp_path / "made"
+    assert cli.main(_run_args(tiny_bundle, made)) == 0
+    afile = tmp_path / "afile"
+    afile.write_text("keep", encoding="utf-8")
+    capsys.readouterr()
+    for out in (afile, afile / "sub"):
+        assert cli.main(_stage_args(command, tiny_bundle, made, out)) == 1
+        assert capsys.readouterr().err == f"error: --out {out}: {afile} is not a directory\n"
+        assert afile.read_text(encoding="utf-8") == "keep"
+
+
+def test_annotate_writes_a_lone_surrogate_as_an_escape(tiny_bundle, tmp_path, capsys):
+    tweets = tiny_bundle["tweets"]
+    extra = [{"tweet_id": "s1", "user_id": "dem1", "text": "Springfield \udc80 is good.",
+              "created_at": BASELINE_TS},
+             {"tweet_id": "s2", "user_id": "rep1", "text": "Springfield — awful.",
+              "created_at": CRISIS_TS}]
+    tweets.write_text(tweets.read_text(encoding="utf-8")
+                      + "".join(json.dumps(tweet) + "\n" for tweet in extra), encoding="utf-8")
+    staged = tmp_path / "staged"
+    assert cli.main(["annotate", "--tweets", str(tweets),
+                     "--lexicon", str(tiny_bundle["lexicon"]),
+                     "--gazetteer", str(tiny_bundle["gazetteer"]), "--out", str(staged)]) == 0
+    lines = (staged / "annotated.jsonl").read_bytes().splitlines()
+    assert b"Springfield \\udc80 is good." in lines[-2]
+    assert "Springfield — awful.".encode() in lines[-1]  # other lines stay raw UTF-8
+    base = ["mentions", "--tweets", str(tweets), "--roster", str(tiny_bundle["roster"]),
+            "--followers", str(tiny_bundle["followers"]), "--windows", str(tiny_bundle["windows"])]
+    assert cli.main([*base, "--preannotated", str(staged / "annotated.jsonl"),
+                     "--out", str(tmp_path / "adapted")]) == 0
+    assert cli.main([*base, "--lexicon", str(tiny_bundle["lexicon"]),
+                     "--gazetteer", str(tiny_bundle["gazetteer"]),
+                     "--out", str(tmp_path / "reference")]) == 0
+    capsys.readouterr()
+    adapted = (tmp_path / "adapted" / "mentions.csv").read_bytes()
+    assert adapted == (tmp_path / "reference" / "mentions.csv").read_bytes()
+    assert adapted.endswith(b"springfield,LOCATION,dem1,3,D,baseline\r\n"
+                            b"springfield,LOCATION,rep1,0,R,crisis\r\n")
 
 
 def test_console_script_is_installed():

@@ -238,6 +238,10 @@ def test_reject_log_keeps_exact_count_but_bounded_messages(tmp_path):
     assert len(stats.errors) == corpus.MAX_KEPT_ERRORS
     assert stats.errors[0].startswith("tweets.jsonl line 1: invalid JSON")
     assert stats.errors[-1].startswith(f"tweets.jsonl line {corpus.MAX_KEPT_ERRORS}:")
+    # the unformatted (line, problem, tweet_id) triples share the same bound
+    assert len(stats.lines) == corpus.MAX_KEPT_ERRORS
+    assert stats.lines[-1][0] == corpus.MAX_KEPT_ERRORS
+    assert stats.lines[0][1].startswith("invalid JSON") and stats.lines[0][2] is None
 
 
 def test_duplicate_tweet_ids_rejected(tmp_path):
@@ -376,7 +380,7 @@ def test_line_spans_read_back_as_the_whole_file(tmp_path):
     lines[7] = '{"tweet_id": "cr",\r"user_id": "u1"}'
     path = tmp_path / "tweets.jsonl"
     path.write_bytes(("\r\n".join(lines[:20]) + "\n" + "\n".join(lines[20:])).encode("utf-8"))
-    whole = corpus.LineLog()
+    whole = corpus.IngestStats()
     expected = list(corpus.parse_tweets(path, stats=whole))
     for count in (2, 3, 7, 40, 100):
         spans = corpus.line_spans(path, count)
@@ -385,7 +389,7 @@ def test_line_spans_read_back_as_the_whole_file(tmp_path):
         assert len(spans) <= count
         records, lines_read, rejects = [], 0, []
         for span in spans:
-            log = corpus.LineLog()
+            log = corpus.IngestStats()
             records += corpus.parse_tweets(path, stats=log, span=span)
             rejects += [(lines_read + line, problem) for line, problem, _ in log.lines]
             lines_read += log.kept + log.rejected
