@@ -17,11 +17,16 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .atomic import atomic_write
-from .corpus import IngestStats, TweetRecord, has_lone_surrogate, has_undecodable_byte
+from .corpus import (
+    IngestStats, TweetRecord, decode_json_line, has_lone_surrogate, has_undecodable_byte,
+)
 from .errors import ConfigError, DataError
 
 TOKEN_RE = re.compile(r"[^\W_]+")
 SENTENCE_BREAK_RE = re.compile(r"(?<=[.!?])\s+")
+# where SENTENCE_BREAK_RE can match: searched in C from left to right, while the
+# split tries its look-behind at every position
+_BREAK_RE = re.compile(r"[.!?]\s")
 
 NEUTRAL_SENTIMENT = 2
 
@@ -202,10 +207,10 @@ def split_sentences(text: str) -> list[str]:
     Text without a terminator is one sentence. Empty or whitespace-only
     segments are dropped.
     """
-    if not text:
-        return []
-    pieces = SENTENCE_BREAK_RE.split(text)
-    return [piece.strip() for piece in pieces if piece.strip()]
+    if _BREAK_RE.search(text) is None:
+        text = text.strip()
+        return [text] if text else []
+    return [piece for piece in map(str.strip, SENTENCE_BREAK_RE.split(text)) if piece]
 
 
 def score_sentence(sentence: str, lexicon: Lexicon) -> int:
@@ -368,10 +373,9 @@ def _parse_annotated_line(
         return None, "blank line"
     if not text.isascii() and has_undecodable_byte(text):
         return None, "invalid UTF-8"
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        return None, f"invalid JSON ({exc.msg})"
+    payload, problem = decode_json_line(text)
+    if problem is not None:
+        return None, problem
     if not isinstance(payload, dict):
         return None, "expected a JSON object"
     tweet_id = payload.get("tweet_id")
@@ -433,7 +437,7 @@ def ingest_preannotated(
     """Yield (tweet_id, (user_id, mentions)) from an external annotator's JSON-lines file.
 
     The mentions are (surface, type, sentence sentiment) in sentence order,
-    as `annotate_mentions` gives them. json.loads makes new strings for every
+    as `annotate_mentions` gives them. Decoding makes new strings for every
     line, so each equal string, mention and annotation is kept once.
     Validation mirrors the reference annotator's contract: sentiments must
     sit in 0..4 and every entity surface must occur in its sentence text

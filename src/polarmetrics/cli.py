@@ -101,6 +101,8 @@ def _read_window_stats(path: Path) -> dict[corpus.WindowLabel, int]:
         raise DataError(f"cannot read window stats file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{path.name}: invalid JSON ({exc.msg})") from exc
+    except RecursionError as exc:
+        raise DataError(f"{path.name}: {corpus.NESTING_PROBLEM}") from exc
     volumes: dict[corpus.WindowLabel, int] = {}
     for window, key in WINDOW_STATS_KEYS.items():
         value = payload.get(key) if isinstance(payload, dict) else None
@@ -261,11 +263,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_assign(args: argparse.Namespace) -> int:
+    out_dir = _out_dir(args.out, make=False)
     labeler = affiliation.PartyLabeler(corpus.load_affiliation_data(args.roster, args.followers))
     stats = corpus.IngestStats()
     records = corpus.parse_tweets(args.tweets, strict=args.strict, stats=stats)
     labeler.label_all({record.user_id for record in records if not record.deleted})
-    audit_path = _out_dir(args.out) / "affiliations.csv"
+    out_dir.mkdir(parents=True, exist_ok=True)
+    audit_path = out_dir / "affiliations.csv"
     affiliation.write_affiliation_audit(audit_path, labeler)
     print(f"[ok] tweets kept: {stats.kept}, rejected: {stats.rejected}")
     for label, users in labeler.tallies().items():
@@ -275,11 +279,13 @@ def cmd_assign(args: argparse.Namespace) -> int:
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
+    out_dir = _out_dir(args.out, make=False)
     policy = _policy(args.entity_types)
     lexicon = annotator.load_lexicon(args.lexicon)
     gazetteer = annotator.load_gazetteer(args.gazetteer)
     stats = corpus.IngestStats()
-    annotated_path = _out_dir(args.out) / "annotated.jsonl"
+    out_dir.mkdir(parents=True, exist_ok=True)
+    annotated_path = out_dir / "annotated.jsonl"
     deleted = 0
 
     def live_annotations() -> Iterator[annotator.AnnotatedTweet]:
@@ -328,10 +334,11 @@ def cmd_mentions(args: argparse.Namespace) -> int:
 
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
+    out_dir = _out_dir(args.out, make=False)
     builders = {window: aggregate.AggregateBuilder() for window in WINDOW_STATS_KEYS}
     for row in aggregate.read_mentions_csv(args.mentions):
         builders[row.window].add(row)
-    out_dir = _out_dir(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for window, builder in builders.items():
         path = out_dir / f"aggregates_{window.value}.csv"
         rows = aggregate.write_aggregates_csv(path, builder.build())
@@ -340,12 +347,14 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
 
 
 def cmd_polarize(args: argparse.Namespace) -> int:
+    out_dir = _out_dir(args.out, make=False)
     tables = [
         (corpus.WindowLabel.BASELINE, aggregate.read_aggregates_csv(args.baseline)),
         (corpus.WindowLabel.CRISIS, aggregate.read_aggregates_csv(args.crisis)),
     ]
     per_window = [(label, polarimetry.entity_polarities(table)) for label, table in tables]
-    entities_path = _out_dir(args.out) / "entities.csv"
+    out_dir.mkdir(parents=True, exist_ok=True)
+    entities_path = out_dir / "entities.csv"
     rows = polarimetry.write_entities_csv(entities_path, per_window)
     print(f"[ok] wrote {rows} entity rows to {entities_path}")
     for label, polarities in per_window:
@@ -362,13 +371,14 @@ def cmd_polarize(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    out_dir = _out_dir(args.out, make=False)
     tables = {
         corpus.WindowLabel.BASELINE: aggregate.read_aggregates_csv(args.baseline),
         corpus.WindowLabel.CRISIS: aggregate.read_aggregates_csv(args.crisis),
     }
     windows = corpus.load_windows(args.windows)
     volumes = _read_window_stats(args.window_stats)
-    out_dir = _out_dir(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     report = _write_report(out_dir, tables, windows, volumes)
     print(f"[ok] wrote {out_dir / 'report.csv'} and {out_dir / 'report.json'}")
     _print_report(report, args.format)

@@ -28,6 +28,17 @@ _TIMESTAMP_RE = re.compile(
     re.ASCII,
 )
 
+# the UTC form Twitter's API v2 writes, such as 2020-03-01T12:00:00.000Z: a strict
+# subset of _TIMESTAMP_RE that needs no strip, no groups and no offset
+_UTC_TIMESTAMP_RE = re.compile(
+    r"\d{4}-\d{2}-\d{2}T(?:[01]\d|2[0-3]):[0-5]\d:[0-5]\d(?:\.\d+)?[Zz]", re.ASCII
+)
+
+# the C scanner under json.loads, called on a line with no Python layer around it
+_scan_json = json.JSONDecoder().scan_once
+
+NESTING_PROBLEM = "invalid JSON (nesting too deep)"
+
 # rejected lines beyond this many are counted but their messages are not kept
 MAX_KEPT_ERRORS = 100
 
@@ -62,7 +73,10 @@ def parse_timestamp(value: str) -> datetime:
     truncated since the pipeline works at second resolution. The grammar is
     checked here rather than left to datetime.fromisoformat, whose accepted
     forms differ between Python versions. Raises ValueError on anything else.
+    The ...Z form most corpora use is matched first, by a stricter pattern.
     """
+    if _UTC_TIMESTAMP_RE.fullmatch(value):
+        return datetime.fromisoformat(value[:19] + "+00:00")
     match = _TIMESTAMP_RE.fullmatch(value.strip())
     if match is None:
         raise ValueError(f"unparseable timestamp {value!r}")
@@ -172,6 +186,8 @@ def load_windows(path: Path | str) -> EventWindows:
         payload = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise DataError(f"{path.name}: invalid JSON ({exc.msg})") from exc
+    except RecursionError as exc:
+        raise DataError(f"{path.name}: {NESTING_PROBLEM}") from exc
     return parse_event_windows(payload, source=path.name)
 
 
@@ -221,6 +237,29 @@ def duplicate_problem(tweet_id: str) -> str:
     return f"duplicate tweet_id {tweet_id!r}"
 
 
+def decode_json_line(text: str) -> tuple[object, str | None]:
+    """(the JSON value of a stripped line, None), or (None, the problem with it).
+
+    Gives json.loads's value and message: str.strip removes every JSON
+    whitespace character, so json.loads on a stripped line is one scan from
+    offset 0 that must end at the line's end. The scan is called directly;
+    when it does not take the whole line, json.loads runs once to name the
+    problem. Nesting too deep for the scanner is a problem too, not an error.
+    """
+    try:
+        payload, end = _scan_json(text, 0)
+        if end == len(text):
+            return payload, None
+    except (StopIteration, json.JSONDecodeError, RecursionError):
+        pass
+    try:
+        return json.loads(text), None
+    except json.JSONDecodeError as exc:
+        return None, f"invalid JSON ({exc.msg})"
+    except RecursionError:
+        return None, NESTING_PROBLEM
+
+
 def _parse_tweet_line(
     line: str, seen: set[str]
 ) -> tuple[TweetRecord | None, str | None, str | None]:
@@ -231,10 +270,9 @@ def _parse_tweet_line(
     # has_undecodable_byte and has_lone_surrogate, inlined: this runs once per line
     if not text.isascii() and _ESCAPED_BYTE_RE.search(text):
         return None, "invalid UTF-8", None
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        return None, f"invalid JSON ({exc.msg})", None
+    payload, problem = decode_json_line(text)
+    if problem is not None:
+        return None, problem, None
     if not isinstance(payload, dict):
         return None, "expected a JSON object", None
     tweet_id = payload.get("tweet_id")

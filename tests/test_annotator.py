@@ -6,6 +6,8 @@ import random
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from polarmetrics import annotator, corpus
 from polarmetrics.annotator import (
@@ -49,6 +51,21 @@ def test_split_handles_empty_and_whitespace():
     assert annotator.split_sentences("") == []
     assert annotator.split_sentences("   ") == []
     assert annotator.split_sentences("One.   \n  Two.") == ["One.", "Two."]
+
+
+def _split_by_regex(text: str) -> list[str]:
+    """split_sentences without its one-sentence fast path."""
+    pieces = annotator.SENTENCE_BREAK_RE.split(text)
+    return [piece.strip() for piece in pieces if piece.strip()]
+
+
+@given(st.text(alphabet="ab.!? \t\n\u00a0\u2028\x1c", max_size=30))
+@example("One. Two")
+@example("v1.2 shipped")
+@example("end.\u00a0")
+@example("  one?\u2028two!\x1cthree  ")
+def test_split_fast_path_matches_the_regex(text):
+    assert annotator.split_sentences(text) == _split_by_regex(text)
 
 
 # ==== scoring ====

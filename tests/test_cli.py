@@ -730,3 +730,62 @@ def test_console_script_is_installed():
     )
     assert result.returncode == 0
     assert "polarmetrics" in result.stdout
+
+
+@pytest.mark.parametrize("target", ["tweets", "preannotated", "windows"])
+def test_deeply_nested_json_is_a_data_error(tiny_bundle, tmp_path, capsys, target):
+    staged = tmp_path / "staged"
+    lexicon = ["--lexicon", str(tiny_bundle["lexicon"]),
+               "--gazetteer", str(tiny_bundle["gazetteer"])]
+    assert cli.main(["annotate", "--tweets", str(tiny_bundle["tweets"]), *lexicon,
+                     "--out", str(staged)]) == 0
+    table = staged / "annotated.jsonl"
+    source = lexicon if target != "preannotated" else ["--preannotated", str(table)]
+    path = {"tweets": tiny_bundle["tweets"], "preannotated": table,
+            "windows": tiny_bundle["windows"]}[target]
+    nested = "[" * 200_000 + "]" * 200_000
+    if target == "windows":
+        path.write_text(nested, encoding="utf-8")
+    else:
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines) + nested + "\n", encoding="utf-8")
+    capsys.readouterr()
+    args = ["run", "--tweets", str(tiny_bundle["tweets"]), "--roster", str(tiny_bundle["roster"]),
+            "--followers", str(tiny_bundle["followers"]),
+            "--windows", str(tiny_bundle["windows"]), *source, "--out", str(tmp_path / "out")]
+    if target == "windows":
+        assert cli.main(args) == 2
+        expected = "error: windows.json: invalid JSON (nesting too deep)\n"
+        assert capsys.readouterr().err == expected
+        return
+    assert cli.main(args) == 0
+    counted = {"tweets": f"[ok] tweets kept: {len(lines)}, rejected: 1\n",
+               "preannotated": "[warn] annotation lines rejected: 1\n"}[target]
+    assert counted in capsys.readouterr().out
+    assert cli.main([*args, "--strict"]) == 2
+    lineno = len(lines) + 1
+    assert capsys.readouterr().err == (
+        f"error: {path.name} line {lineno}: invalid JSON (nesting too deep)\n"
+    )
+
+
+def test_assign_checks_out_before_reading_tweets(tiny_bundle, tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("keep", encoding="utf-8")
+    args = ["assign", "--tweets", str(tmp_path / "missing.jsonl"),
+            "--roster", str(tiny_bundle["roster"]), "--followers", str(tiny_bundle["followers"]),
+            "--out", str(afile)]
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == f"error: --out {afile}: {afile} is not a directory\n"
+
+
+def test_report_with_deeply_nested_window_stats_is_a_data_error(tiny_bundle, tmp_path, capsys):
+    made = tmp_path / "made"
+    assert cli.main(_run_args(tiny_bundle, made)) == 0
+    (made / "window_stats.json").write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    capsys.readouterr()
+    args = _stage_args("report", tiny_bundle, made, tmp_path / "out")
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err == (
+        "error: window_stats.json: invalid JSON (nesting too deep)\n"
+    )

@@ -61,6 +61,66 @@ def test_unparseable_timestamps_raise(bad):
         corpus.parse_timestamp(bad)
 
 
+def _grammar_timestamp(value: str) -> datetime:
+    """parse_timestamp without its UTC fast path: the grammar alone."""
+    match = corpus._TIMESTAMP_RE.fullmatch(value.strip())
+    if match is None:
+        raise ValueError(f"unparseable timestamp {value!r}")
+    day, clock, zone = match.groups()
+    if clock is None:
+        clock = "T00:00:00"
+    if zone in (None, "Z", "z"):
+        return datetime.fromisoformat(day + clock + "+00:00")
+    return datetime.fromisoformat(day + clock + zone).astimezone(timezone.utc)
+
+
+def _outcome(parse, value: str):
+    try:
+        moment = parse(value)
+    except ValueError as exc:
+        return "error", str(exc)
+    return moment, moment.tzinfo
+
+
+_FULLWIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+
+
+def _number(width: int, top: int):
+    """A zero-padded number up to `top`, now and then in fullwidth digits."""
+    return st.builds(
+        lambda n, wide: f"{n:0{width}d}".translate(_FULLWIDTH) if wide else f"{n:0{width}d}",
+        st.integers(0, top), st.integers(0, 7).map(lambda pick: pick == 0),
+    )
+
+
+_timestamps = st.builds(
+    lambda pad, date, clock, fraction, zone, tail: pad + date + clock + fraction + zone + tail,
+    st.sampled_from(["", "", "", "", " ", "\t", "\u3000"]),
+    st.builds("{}-{}-{}".format, _number(4, 9999), _number(2, 13), _number(2, 32)),
+    st.one_of(st.just(""), st.builds("T{}:{}:{}".format,
+                                     _number(2, 25), _number(2, 61), _number(2, 61))),
+    st.one_of(st.just(""), st.builds(".{}".format, _number(1, 9)),
+              st.builds(".{}".format, _number(3, 999)), st.just(".")),
+    st.sampled_from(["Z", "Z", "Z", "z", "", "+00:00", "-05:30", "+0000", "ZZ", "Z "]),
+    st.sampled_from(["", "", "", "", " ", "\n", "\r\n", "\u3000"]),
+)
+
+
+@given(st.one_of(_timestamps, st.text(alphabet="0123456789-T:.Zz+ ", max_size=30)))
+@example("2021-03-05T06:07:08.000Z")
+@example("2021-03-05T06:07:08z")
+@example("2021-03-05T24:00:00Z")
+@example("2021-03-05T23:59:60Z")
+@example("2021-02-30T00:00:00Z")
+@example(" 2021-03-05T06:07:08Z")
+@example("2021-03-05T06:07:08Z\n")
+@example("２021-03-05T06:07:08Z")
+@example("2021-03-05T06:07:08.１Z")
+@example("2021-03-05T06:07:08+02:00")
+def test_timestamp_fast_path_matches_the_grammar(value):
+    assert _outcome(corpus.parse_timestamp, value) == _outcome(_grammar_timestamp, value)
+
+
 # ==== windows ====
 
 
@@ -227,6 +287,29 @@ def test_malformed_lines_are_skipped_and_counted(tmp_path, line, problem):
     assert stats.rejected == 1
     assert problem in stats.errors[0]
     assert "line 1" in stats.errors[0]
+
+
+def _loads_line(text: str) -> tuple[str, str | None]:
+    try:
+        return repr(json.loads(text)), None
+    except json.JSONDecodeError as exc:
+        return "", f"invalid JSON ({exc.msg})"
+
+
+_JSON_PIECES = ["{", "}", "[", "]", '"a"', '"b"', ":", ",", " ", "1", "-", "2.5e3", "null",
+                "true", "tru", '"x', '"\\u00e9"', '"\\ud800"', "\ufeff", "\u00a0", "\t"]
+
+
+@given(st.lists(st.sampled_from(_JSON_PIECES), max_size=12).map("".join).map(str.strip))
+@example("\ufeff{}")  # a BOM
+@example('{"a": 1} {"b": 2}')  # extra data
+@example('{"a": 1,}')  # a trailing comma
+@example('{"a": "unterminated')
+@example("17")  # a bare scalar
+@example('"text"')
+def test_line_decoder_matches_json_loads(text):
+    payload, problem = corpus.decode_json_line(text)
+    assert ("" if problem else repr(payload), problem) == _loads_line(text)
 
 
 def test_reject_log_keeps_exact_count_but_bounded_messages(tmp_path):
