@@ -290,11 +290,12 @@ def extract_entities(
 
 def annotate_mentions(
     text: str, lexicon: Lexicon, gazetteer: Gazetteer, policy: EntityTypePolicy
-) -> list[Mention]:
+) -> tuple[Mention, ...]:
     """Every kept entity of a tweet text as (surface, type, sentence sentiment).
 
     Gives the entities of `annotate_tweet` in the same order without building
-    its objects; a sentence is scored only when it has an entity.
+    its objects; a sentence is scored only when it has an entity. The result
+    is a tuple, so a memo may hand one result to every tweet with this text.
     """
     mentions: list[Mention] = []
     for sentence in split_sentences(text):
@@ -302,7 +303,7 @@ def annotate_mentions(
         if entities:
             sentiment = score_sentence(sentence, lexicon)
             mentions += [(surface, entity_type, sentiment) for surface, entity_type in entities]
-    return mentions
+    return tuple(mentions)
 
 
 def annotate_tweet(

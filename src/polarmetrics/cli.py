@@ -11,6 +11,7 @@ jointly-mentioned entities, 4 a worker process of the tweet pass died.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import os
@@ -22,7 +23,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
-from . import affiliation, aggregate, annotator, corpus, polarimetry, synth
+from . import affiliation, aggregate, annotator, corpus, polarimetry, synth, tweetpass
 from .errors import ConfigError, DataError, NoJointEntitiesError, WorkerError
 from .tweetpass import SCRATCH_PREFIX, WINDOW_STATS_KEYS, Annotate, StreamCounters, stream_mentions
 
@@ -74,6 +75,10 @@ def _annotation_source(
 
     The source gives a tweet's annotated user_id and its mentions in sentence
     order; a --preannotated lookup gives None for tweets its table lacks.
+    The lexicon source memoizes mentions by the whole text, because retweets
+    and bots repeat texts verbatim and `annotate_mentions` is pure for a run.
+    The memo keeps the most recently used texts, no more than one chunk of
+    records holds, so memory stays bounded when texts do not repeat.
     """
     if (lexicon is None) != (gazetteer is None):
         raise ConfigError("--lexicon and --gazetteer must be given together")
@@ -89,9 +94,12 @@ def _annotation_source(
     lexicon_table = annotator.load_lexicon(lexicon)
     gazetteer_table = annotator.load_gazetteer(gazetteer)
     annotate_mentions = annotator.annotate_mentions
-    return lambda record: (
-        record.user_id, annotate_mentions(record.text, lexicon_table, gazetteer_table, policy)
-    )
+
+    @functools.lru_cache(maxsize=tweetpass.CHUNK_RECORDS)
+    def mentions_of(text: str) -> tuple[annotator.Mention, ...]:
+        return annotate_mentions(text, lexicon_table, gazetteer_table, policy)
+
+    return lambda record: (record.user_id, mentions_of(record.text))
 
 
 def _read_window_stats(path: Path) -> dict[corpus.WindowLabel, int]:
@@ -99,6 +107,8 @@ def _read_window_stats(path: Path) -> dict[corpus.WindowLabel, int]:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise DataError(f"cannot read window stats file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path.name}: invalid UTF-8") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{path.name}: invalid JSON ({exc.msg})") from exc
     except RecursionError as exc:

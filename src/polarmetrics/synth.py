@@ -35,7 +35,7 @@ from .annotator import (
     score_sentence,
     split_sentences,
 )
-from .corpus import EventWindows, TimeWindow, WindowLabel, parse_event_windows
+from .corpus import NESTING_PROBLEM, EventWindows, TimeWindow, WindowLabel, parse_event_windows
 from .errors import ConfigError, DataError
 
 SENTIMENT_LEXICON: dict[str, int] = {
@@ -132,8 +132,12 @@ def load_planted_spec(path: Path | str) -> PlantedSpec:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read spec file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path.name}: invalid UTF-8") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path.name}: invalid JSON ({exc.msg})") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{path.name}: {NESTING_PROBLEM}") from exc
     if not isinstance(payload, dict):
         raise ConfigError(f"{path.name}: expected a JSON object")
     try:

@@ -24,7 +24,7 @@ from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Iterator, TextIO
 
 from . import affiliation, aggregate, annotator, corpus
 from .atomic import atomic_write
@@ -73,7 +73,10 @@ class StreamCounters:
     )
 
 
-Annotate = Callable[[corpus.TweetRecord], tuple[str, Sequence[annotator.Mention]] | None]
+# A tweet's annotated user_id and its mentions in sentence order, or None when
+# the source has no annotation for it. The mentions tuple may be shared by
+# other tweets: the lexicon source gives one per distinct text.
+Annotate = Callable[[corpus.TweetRecord], tuple[str, tuple[annotator.Mention, ...]] | None]
 
 
 @dataclass
@@ -166,7 +169,9 @@ def _pass_range(
     """Gate, label, annotate, write and reduce the tweets of one byte range.
 
     A tweet stops at the first gate it fails: deleted, unaligned author,
-    outside both windows, no annotation. Each mention of a retained tweet
+    outside both windows, no annotation. `annotate` is called for retained
+    tweets only, so a memo behind it sees only their texts, and the mentions
+    it gives are only read. Each mention of a retained tweet
     goes straight from its (surface, type, sentiment) tuple to a mentions.csv
     row and an integer cell of its window's one cell dict; a mention whose
     name normalizes to nothing is dropped and noted in the result.

@@ -319,7 +319,7 @@ def test_length_indexed_scan_matches_brute_force():
                 assert found == brute
                 expected += [(surface, entity_type, score_sentence(sentence, lex))
                              for surface, entity_type in found]
-            assert annotator.annotate_mentions(text, lex, gaz, policy) == expected
+            assert annotator.annotate_mentions(text, lex, gaz, policy) == tuple(expected)
 
 
 # Surfaces sharing two-character prefixes of several lengths, one-character
@@ -570,5 +570,5 @@ def test_adapter_round_trips_reference_annotator_output(tmp_path):
     assert list(annotator.ingest_preannotated(path, policy)) == [_entry(a) for a in annotated]
     # the same mentions, in the same order, as the fused annotator gives
     assert [mentions for _, (_, mentions) in annotator.ingest_preannotated(path, policy)] == [
-        tuple(annotator.annotate_mentions(r.text, lex, gaz, policy)) for r in records
+        annotator.annotate_mentions(r.text, lex, gaz, policy) for r in records
     ]

@@ -789,3 +789,14 @@ def test_report_with_deeply_nested_window_stats_is_a_data_error(tiny_bundle, tmp
     assert capsys.readouterr().err == (
         "error: window_stats.json: invalid JSON (nesting too deep)\n"
     )
+
+
+def test_report_with_window_stats_that_are_not_utf8_is_a_data_error(tiny_bundle, tmp_path,
+                                                                      capsys):
+    made = tmp_path / "made"
+    assert cli.main(_run_args(tiny_bundle, made)) == 0
+    (made / "window_stats.json").write_bytes(b"\xff{}")
+    capsys.readouterr()
+    args = _stage_args("report", tiny_bundle, made, tmp_path / "out")
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err == "error: window_stats.json: invalid UTF-8\n"

@@ -16,11 +16,13 @@ import logging
 import multiprocessing
 import os
 import re
+from collections import Counter
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
 
-from polarmetrics import cli, corpus, tweetpass
+from polarmetrics import annotator, cli, corpus, tweetpass
 from polarmetrics.errors import DataError
 
 from conftest import (
@@ -553,3 +555,87 @@ def test_mentions_with_empty_names_give_one_warning_per_run(monkeypatch, tmp_pat
     assert message == (f"dropped {retained} mentions whose names normalize to nothing "
                        "(the first in tweet t0)")
     assert not multiprocessing.active_children()
+
+
+# Retweets and bot posts: each text is posted three times in a row and again
+# further on, so it repeats within a chunk, across chunks and across ranges.
+# The first two share a prefix, the next two a length, and two differ only in
+# case, so a memo keyed on less than the whole text mixes them up.
+REPEATED_TEXTS = ("RT @dema: Acme is good.", "RT @dema: Acme is awful.", "Zürich is bad!",
+                  "Acme is awful.", "Nothing to see here.", "acme, zürich. quorvia good!",
+                  "acme is awful.")
+
+
+def _repeated_lines() -> tuple[list[str], set[str]]:
+    """Tweets of REPEATED_TEXTS, and the texts of the tweets that reach annotation."""
+    users = ["dem1", "rep1", "dem2", "nobody", "rep2"]
+    stamps = [BASELINE_TS, CRISIS_TS, OUTSIDE_TS]
+    lines = [_tweet("t0", "dem1", "Acme is good.")]
+    retained = {"Acme is good."}
+    for index in range(105):
+        text = REPEATED_TEXTS[index // 3 % len(REPEATED_TEXTS)]
+        user, stamp, deleted = users[index % 5], stamps[index % 7 % 3], index % 13 == 4
+        lines.append(_tweet(f"r{index}", user, text, stamp, deleted=deleted))
+        if user != "nobody" and stamp != OUTSIDE_TS and not deleted:
+            retained.add(text)
+    lines.append(_tweet("t0", "dem9", "quorvia is good. Acme is awful.", CRISIS_TS))
+    return lines, retained
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_repeated_texts_give_the_artifacts_of_annotating_every_tweet(monkeypatch, tmp_path,
+                                                                      chunk):
+    # the chunk size bounds the memo too, so here texts also leave it and come back
+    monkeypatch.setattr(tweetpass, "CHUNK_RECORDS", chunk)
+    bundle = _bundle(tmp_path, _repeated_lines()[0])
+    memoized = _assert_range_invariant(monkeypatch, bundle, tmp_path / "memo")
+    # the annotate stage annotates every tweet itself; a run of its table is the reference
+    annotated = tmp_path / "annotated"
+    assert cli.main(["annotate", "--tweets", str(bundle["tweets"]),
+                     "--lexicon", str(bundle["lexicon"]), "--gazetteer", str(bundle["gazetteer"]),
+                     "--out", str(annotated)]) == 0
+    _force_ranges(monkeypatch, bundle, 1)
+    config = cli.RunConfig(bundle["tweets"], bundle["roster"], bundle["followers"],
+                           bundle["windows"], tmp_path / "reference",
+                           preannotated=annotated / "annotated.jsonl")
+    assert _outcome(cli.run_pipeline(config)) == memoized
+    assert memoized["mentions"] > 0
+
+
+def _counted_annotations(monkeypatch) -> Counter[str]:
+    """Texts passed to annotator.annotate_mentions from now on, with their call counts."""
+    calls: Counter[str] = Counter()
+    annotate_mentions = annotator.annotate_mentions
+
+    def counted(text: str, *resources) -> tuple:
+        calls[text] += 1
+        return annotate_mentions(text, *resources)
+
+    monkeypatch.setattr(annotator, "annotate_mentions", counted)
+    return calls
+
+
+@pytest.mark.parametrize("stage", ["run", "mentions"])
+def test_each_distinct_retained_text_is_annotated_once(monkeypatch, tmp_path, stage):
+    calls = _counted_annotations(monkeypatch)
+    lines, retained = _repeated_lines()
+    bundle = _bundle(tmp_path, lines)
+    _force_ranges(monkeypatch, bundle, 1)  # a worker's calls would not count here
+    args = _args(bundle, tmp_path / "out")
+    if stage == "mentions":
+        args[0] = "mentions"
+    assert cli.main(args) == 0
+    assert calls == Counter(dict.fromkeys(retained, 1))
+
+
+def test_the_memo_holds_no_more_texts_than_a_chunk_holds_records(monkeypatch, tmp_path):
+    calls = _counted_annotations(monkeypatch)
+    monkeypatch.setattr(tweetpass, "CHUNK_RECORDS", 2)
+    bundle = _bundle(tmp_path, [])
+    annotate = cli._annotation_source(bundle["lexicon"], bundle["gazetteer"], None, None, False,
+                                      corpus.IngestStats())
+    stamp = datetime(2021, 1, 2, tzinfo=timezone.utc)
+    for text in ("Acme a", "Acme b", "Acme c", "Acme c", "Acme a"):
+        annotate(corpus.TweetRecord("t0", "dem1", text, stamp))
+    # "Acme a" left the memo when "Acme c" came in
+    assert calls == Counter({"Acme a": 2, "Acme b": 1, "Acme c": 1})

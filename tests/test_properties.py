@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import tempfile
+from datetime import datetime, timezone
 from pathlib import Path
 from unittest import mock
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polarmetrics import aggregate, cli, tweetpass
+from polarmetrics import aggregate, annotator, cli, corpus, tweetpass
 from polarmetrics.errors import DataError, NoJointEntitiesError
 
 from conftest import (
@@ -118,3 +119,54 @@ def test_any_cut_points_give_the_same_artifacts_as_one_range(
         with mock.patch.object(tweetpass, "_tweet_spans", lambda path: spans):
             many = _attempt(config("many"))
         assert many == one
+
+
+STAMP = datetime(2021, 1, 2, tzinfo=timezone.utc)
+
+# words that match entities in several cases, score, end sentences, or
+# lengthen when lowercased ("İ")
+memo_words = st.sampled_from(["Acme", "acme", "good", "awful", "Zürich", "quorvia", "İ", "is",
+                              ".", "!", "x"])
+
+
+def _texts_of(word_lists: list[list[str]]) -> list[str]:
+    """Each text of leading words of each list, also with its case swapped.
+
+    So the stream holds texts that share a prefix, a length or their
+    letters, most of them with other mentions.
+    """
+    texts = []
+    for words in word_lists:
+        for end in range(1, len(words) + 1):
+            text = " ".join(words[:end])
+            texts += [text, text.swapcase()]
+    return list(dict.fromkeys(texts))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    distinct=st.lists(st.lists(memo_words, min_size=1, max_size=8), min_size=1,
+                      max_size=3).map(_texts_of),
+    picks=st.lists(st.integers(min_value=0, max_value=47), max_size=80),
+    bound=st.integers(min_value=1, max_value=6),
+)
+def test_memoized_lexicon_source_gives_what_annotate_mentions_gives(distinct, picks, bound):
+    # the memo holds at most `bound` texts, here often fewer than the stream has
+    with tempfile.TemporaryDirectory() as temporary:
+        directory = Path(temporary)
+        lexicon_path = write_lexicon(directory, {"good": 1, "awful": -2, "is": -1})
+        gazetteer_path = write_gazetteer(directory, {"acme": "MISC", "zürich": "LOCATION",
+                                                     "quorvia": "PERSON", "i̇ x": "MISC"})
+        with mock.patch.object(tweetpass, "CHUNK_RECORDS", bound):
+            annotate = cli._annotation_source(lexicon_path, gazetteer_path, None, None, False,
+                                              corpus.IngestStats())
+        lexicon = annotator.load_lexicon(lexicon_path)
+        gazetteer = annotator.load_gazetteer(gazetteer_path)
+    policy = annotator.default_policy()
+    for index, pick in enumerate(picks):
+        text = distinct[pick % len(distinct)]
+        record = corpus.TweetRecord(f"t{index}", f"u{pick}", text, STAMP)
+        user_id, mentions = annotate(record)
+        assert user_id == record.user_id
+        assert type(mentions) is tuple
+        assert mentions == annotator.annotate_mentions(text, lexicon, gazetteer, policy)

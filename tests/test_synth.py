@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from polarmetrics import annotator, corpus, synth
+from polarmetrics import annotator, cli, corpus, synth
 from polarmetrics.corpus import parse_event_windows
 from polarmetrics.errors import ConfigError
 from polarmetrics.synth import PlantedEntity, PlantedSpec
@@ -136,6 +136,24 @@ def test_spec_file_errors(tmp_path):
     bad.write_text("{oops", encoding="utf-8")
     with pytest.raises(ConfigError, match="invalid JSON"):
         synth.load_planted_spec(bad)
+
+
+def test_spec_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff{}")
+    with pytest.raises(ConfigError, match=r"^bad\.json: invalid UTF-8$"):
+        synth.load_planted_spec(bad)
+    assert cli.main(["synth", "--spec", str(bad), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: bad.json: invalid UTF-8\n"
+
+
+def test_spec_file_nested_too_deep_is_a_config_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"^deep\.json: invalid JSON \(nesting too deep\)$"):
+        synth.load_planted_spec(deep)
+    assert cli.main(["synth", "--spec", str(deep), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: deep.json: invalid JSON (nesting too deep)\n"
 
 
 # ==== oracle ====
