@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
 from .atomic import atomic_write
+from .errors import DataError
 
 if TYPE_CHECKING:
     from .corpus import FigureheadRoster
@@ -147,31 +148,25 @@ def write_affiliation_audit(path: Path | str, labeler: PartyLabeler) -> int:
 
 def read_affiliation_audit(path: Path | str) -> dict[str, PartyLabel]:
     """Read an audit CSV back into a user_id -> PartyLabel map."""
-    from .errors import DataError
+    from .corpus import read_csv  # corpus imports PartyLabel from this module
 
+    name = Path(path).name
     labels: dict[str, PartyLabel] = {}
-    try:
-        handle = open(path, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read affiliations file {path}: {exc}") from exc
-    with handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [cell.strip() for cell in header] != list(AUDIT_HEADER):
-            raise DataError(f"{Path(path).name}: expected header {','.join(AUDIT_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 4:
-                raise DataError(f"{Path(path).name} line {lineno}: expected 4 fields")
-            user_id = row[0].strip()
-            if not user_id:
-                raise DataError(f"{Path(path).name} line {lineno}: empty user_id")
-            try:
-                label = PartyLabel(row[3].strip())
-            except ValueError as exc:
-                raise DataError(
-                    f"{Path(path).name} line {lineno}: unknown label {row[3]!r}"
-                ) from exc
-            if user_id in labels:
-                raise DataError(f"{Path(path).name} line {lineno}: duplicate user_id {user_id!r}")
-            labels[user_id] = label
+    rows = read_csv(path, "affiliations")
+    header = next(rows, None)
+    if header is None or [cell.strip() for cell in header] != list(AUDIT_HEADER):
+        raise DataError(f"{name}: expected header {','.join(AUDIT_HEADER)}")
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != 4:
+            raise DataError(f"{name} line {lineno}: expected 4 fields")
+        user_id = row[0].strip()
+        if not user_id:
+            raise DataError(f"{name} line {lineno}: empty user_id")
+        try:
+            label = PartyLabel(row[3].strip())
+        except ValueError as exc:
+            raise DataError(f"{name} line {lineno}: unknown label {row[3]!r}") from exc
+        if user_id in labels:
+            raise DataError(f"{name} line {lineno}: duplicate user_id {user_id!r}")
+        labels[user_id] = label
     return labels

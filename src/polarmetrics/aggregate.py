@@ -15,12 +15,12 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .affiliation import PartyLabel
 from .annotator import AnnotatedTweet
 from .atomic import atomic_write
-from .corpus import WindowLabel
+from .corpus import WindowLabel, read_csv
 from .errors import DataError
 
 logger = logging.getLogger(__name__)
@@ -162,14 +162,6 @@ class AggregateBuilder:
         )
 
 
-def reduce_to_instances(rows: Iterable[EntityMentionRow]) -> AggregateTable:
-    """Reduce mention rows to per-entity, per-party sums and counts."""
-    builder = AggregateBuilder()
-    for row in rows:
-        builder.add(row)
-    return builder.build()
-
-
 def merge_aggregates(left: AggregateTable, right: AggregateTable) -> AggregateTable:
     """Merge two shard tables by adding their integer cells."""
     builder = AggregateBuilder()
@@ -243,47 +235,35 @@ class MentionCsvWriter:
         self.close()
 
 
-def write_mentions_csv(path: Path | str, rows: Iterable[EntityMentionRow]) -> int:
-    with MentionCsvWriter(path) as writer:
-        for row in rows:
-            writer.write(row)
-        return writer.count
-
-
 def read_mentions_csv(path: Path | str) -> Iterator[EntityMentionRow]:
     path = Path(path)
-    try:
-        handle = open(path, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read mentions file {path}: {exc}") from exc
-    with handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or tuple(header) != MENTIONS_HEADER:
-            raise DataError(f"{path.name}: expected header {','.join(MENTIONS_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 6:
-                raise DataError(f"{path.name} line {lineno}: expected 6 fields")
-            entity, entity_type, user_id, raw_sentiment, party_code, window_value = row
-            try:
-                sentiment = int(raw_sentiment)
-            except ValueError as exc:
-                raise DataError(f"{path.name} line {lineno}: bad sentiment {raw_sentiment!r}") from exc
-            if not 0 <= sentiment <= 4:
-                raise DataError(f"{path.name} line {lineno}: sentiment {sentiment} outside 0..4")
-            try:
-                party = PartyLabel.from_code(party_code)
-            except ValueError as exc:
-                raise DataError(f"{path.name} line {lineno}: {exc}") from exc
-            if party is PartyLabel.UNALIGNED:
-                raise DataError(f"{path.name} line {lineno}: mention rows never carry U")
-            try:
-                window = WindowLabel(window_value)
-            except ValueError as exc:
-                raise DataError(f"{path.name} line {lineno}: unknown window {window_value!r}") from exc
-            if window is WindowLabel.OUTSIDE:
-                raise DataError(f"{path.name} line {lineno}: mention rows never carry outside")
-            yield EntityMentionRow(entity, entity_type, user_id, sentiment, party, window)
+    rows = read_csv(path, "mentions")
+    header = next(rows, None)
+    if header is None or tuple(header) != MENTIONS_HEADER:
+        raise DataError(f"{path.name}: expected header {','.join(MENTIONS_HEADER)}")
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != 6:
+            raise DataError(f"{path.name} line {lineno}: expected 6 fields")
+        entity, entity_type, user_id, raw_sentiment, party_code, window_value = row
+        try:
+            sentiment = int(raw_sentiment)
+        except ValueError as exc:
+            raise DataError(f"{path.name} line {lineno}: bad sentiment {raw_sentiment!r}") from exc
+        if not 0 <= sentiment <= 4:
+            raise DataError(f"{path.name} line {lineno}: sentiment {sentiment} outside 0..4")
+        try:
+            party = PartyLabel.from_code(party_code)
+        except ValueError as exc:
+            raise DataError(f"{path.name} line {lineno}: {exc}") from exc
+        if party is PartyLabel.UNALIGNED:
+            raise DataError(f"{path.name} line {lineno}: mention rows never carry U")
+        try:
+            window = WindowLabel(window_value)
+        except ValueError as exc:
+            raise DataError(f"{path.name} line {lineno}: unknown window {window_value!r}") from exc
+        if window is WindowLabel.OUTSIDE:
+            raise DataError(f"{path.name} line {lineno}: mention rows never carry outside")
+        yield EntityMentionRow(entity, entity_type, user_id, sentiment, party, window)
 
 
 def write_aggregates_csv(path: Path | str, table: AggregateTable) -> int:
@@ -311,38 +291,33 @@ def read_aggregates_csv(path: Path | str) -> AggregateTable:
     path = Path(path)
     builder = AggregateBuilder()
     seen: set[tuple[str, str]] = set()
-    try:
-        handle = open(path, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read aggregates file {path}: {exc}") from exc
-    with handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or tuple(header) != AGGREGATES_HEADER:
-            raise DataError(f"{path.name}: expected header {','.join(AGGREGATES_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 5:
-                raise DataError(f"{path.name} line {lineno}: expected 5 fields")
-            entity, party_code, raw_sum, raw_count, _mean = row
-            if not entity:
-                raise DataError(f"{path.name} line {lineno}: empty entity")
-            if (entity, party_code) in seen:
-                raise DataError(f"{path.name} line {lineno}: duplicate row for {entity!r}/{party_code}")
-            seen.add((entity, party_code))
-            try:
-                total = int(raw_sum)
-                count = int(raw_count)
-            except ValueError as exc:
-                raise DataError(f"{path.name} line {lineno}: bad integers") from exc
-            if count < 1 or total < 0 or total > 4 * count:
-                raise DataError(
-                    f"{path.name} line {lineno}: sum {total} impossible for {count} mentions"
-                )
-            cell = builder.cells.setdefault(entity, [0, 0, 0, 0])
-            if party_code == "D":
-                cell[0], cell[1] = total, count
-            elif party_code == "R":
-                cell[2], cell[3] = total, count
-            else:
-                raise DataError(f"{path.name} line {lineno}: unknown party code {party_code!r}")
+    rows = read_csv(path, "aggregates")
+    header = next(rows, None)
+    if header is None or tuple(header) != AGGREGATES_HEADER:
+        raise DataError(f"{path.name}: expected header {','.join(AGGREGATES_HEADER)}")
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != 5:
+            raise DataError(f"{path.name} line {lineno}: expected 5 fields")
+        entity, party_code, raw_sum, raw_count, _mean = row
+        if not entity:
+            raise DataError(f"{path.name} line {lineno}: empty entity")
+        if (entity, party_code) in seen:
+            raise DataError(f"{path.name} line {lineno}: duplicate row for {entity!r}/{party_code}")
+        seen.add((entity, party_code))
+        try:
+            total = int(raw_sum)
+            count = int(raw_count)
+        except ValueError as exc:
+            raise DataError(f"{path.name} line {lineno}: bad integers") from exc
+        if count < 1 or total < 0 or total > 4 * count:
+            raise DataError(
+                f"{path.name} line {lineno}: sum {total} impossible for {count} mentions"
+            )
+        cell = builder.cells.setdefault(entity, [0, 0, 0, 0])
+        if party_code == "D":
+            cell[0], cell[1] = total, count
+        elif party_code == "R":
+            cell[2], cell[3] = total, count
+        else:
+            raise DataError(f"{path.name} line {lineno}: unknown party code {party_code!r}")
     return builder.build()

@@ -14,11 +14,11 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .atomic import atomic_write
 from .corpus import (
-    IngestStats, TweetRecord, decode_json_line, has_lone_surrogate, has_undecodable_byte,
+    IngestStats, TweetRecord, has_lone_surrogate, has_undecodable_byte, read_json_lines,
 )
 from .errors import ConfigError, DataError
 
@@ -365,69 +365,6 @@ def write_preannotated(path: Path | str, annotated: Iterable[AnnotatedTweet]) ->
     return count
 
 
-def _parse_annotated_line(
-    line: str, policy: EntityTypePolicy, seen: set[str], share: Callable
-) -> tuple[str | None, tuple[str, tuple[Mention, ...]] | str]:
-    """(tweet_id, (user_id, mentions)), each part kept once by `share`, or (None, problem)."""
-    text = line.strip()
-    if not text:
-        return None, "blank line"
-    if not text.isascii() and has_undecodable_byte(text):
-        return None, "invalid UTF-8"
-    payload, problem = decode_json_line(text)
-    if problem is not None:
-        return None, problem
-    if not isinstance(payload, dict):
-        return None, "expected a JSON object"
-    tweet_id = payload.get("tweet_id")
-    if not isinstance(tweet_id, str) or not tweet_id:
-        return None, "missing or empty tweet_id"
-    if tweet_id in seen:
-        return None, f"duplicate tweet_id {tweet_id!r}"
-    user_id = payload.get("user_id")
-    if not isinstance(user_id, str) or not user_id:
-        return None, "missing or empty user_id"
-    # str.isascii() reads a flag of the string: the checks cost ASCII fields no call
-    if not user_id.isascii() and has_lone_surrogate(user_id):
-        return None, "user_id holds a lone surrogate"
-    raw_sentences = payload.get("sentences")
-    if not isinstance(raw_sentences, list):
-        return None, "sentences must be a list"
-    mentions: list[Mention] = []
-    for index, block in enumerate(raw_sentences):
-        if not isinstance(block, dict):
-            return None, f"sentence {index} is not an object"
-        sentence_text = block.get("text")
-        if not isinstance(sentence_text, str):
-            return None, f"sentence {index} is missing text"
-        sentiment = block.get("sentiment")
-        if isinstance(sentiment, bool) or not isinstance(sentiment, int) or not 0 <= sentiment <= 4:
-            return None, f"sentence {index} sentiment {sentiment!r} outside 0..4"
-        raw_entities = block.get("entities", [])
-        if not isinstance(raw_entities, list):
-            return None, f"sentence {index} entities must be a list"
-        lowered = sentence_text.lower()
-        for entity in raw_entities:
-            if not isinstance(entity, dict):
-                return None, f"sentence {index} has a non-object entity"
-            surface = entity.get("surface")
-            entity_type = entity.get("type")
-            if not isinstance(surface, str) or not surface:
-                return None, f"sentence {index} has an entity without a surface"
-            if not isinstance(entity_type, str) or not entity_type:
-                return None, f"sentence {index} has an entity without a type"
-            if surface.lower() not in lowered:
-                return None, f"sentence {index} entity {surface!r} does not occur in its text"
-            if policy.allows(entity_type):
-                if not (surface.isascii() and entity_type.isascii()) and (
-                        has_lone_surrogate(surface) or has_lone_surrogate(entity_type)):
-                    return None, f"sentence {index} entity {surface!r} holds a lone surrogate"
-                mention = (share(surface, surface), share(entity_type, entity_type), sentiment)
-                mentions.append(share(mention, mention))
-    annotation = (share(user_id, user_id), tuple(mentions))
-    return tweet_id, share(annotation, annotation)
-
-
 def ingest_preannotated(
     path: Path | str,
     policy: EntityTypePolicy,
@@ -443,28 +380,50 @@ def ingest_preannotated(
     Validation mirrors the reference annotator's contract: sentiments must
     sit in 0..4 and every entity surface must occur in its sentence text
     (case-insensitive). Entities whose type the policy rejects are dropped
-    silently. Malformed lines follow the same strict/skip semantics as
-    tweet ingestion.
+    silently. Lines are read, and malformed lines counted or raised, as
+    tweets are, by `read_json_lines`.
     """
-    path = Path(path)
-    if stats is None:
-        stats = IngestStats()
-    seen: set[str] = set()
     share = {}.setdefault
-    try:
-        # as for tweets, a line with bytes that are not UTF-8 is one bad line
-        handle = open(path, encoding="utf-8", errors="surrogateescape")
-    except OSError as exc:
-        raise DataError(f"cannot read annotations file {path}: {exc}") from exc
-    with handle:
-        for lineno, line in enumerate(handle, start=1):
-            tweet_id, annotation = _parse_annotated_line(line, policy, seen, share)
-            if tweet_id is None:
-                message = f"{path.name} line {lineno}: {annotation}"
-                if strict:
-                    raise DataError(message)
-                stats.reject(message)
-                continue
-            seen.add(tweet_id)
-            stats.kept += 1
-            yield tweet_id, annotation
+
+    def annotation_of(payload: dict, tweet_id: str, user_id: str) -> tuple | str:
+        raw_sentences = payload.get("sentences")
+        if not isinstance(raw_sentences, list):
+            return "sentences must be a list"
+        mentions: list[Mention] = []
+        for index, block in enumerate(raw_sentences):
+            if not isinstance(block, dict):
+                return f"sentence {index} is not an object"
+            sentence_text = block.get("text")
+            if not isinstance(sentence_text, str):
+                return f"sentence {index} is missing text"
+            sentiment = block.get("sentiment")
+            if (isinstance(sentiment, bool) or not isinstance(sentiment, int)
+                    or not 0 <= sentiment <= 4):
+                return f"sentence {index} sentiment {sentiment!r} outside 0..4"
+            raw_entities = block.get("entities", [])
+            if not isinstance(raw_entities, list):
+                return f"sentence {index} entities must be a list"
+            lowered = sentence_text.lower()
+            for entity in raw_entities:
+                if not isinstance(entity, dict):
+                    return f"sentence {index} has a non-object entity"
+                surface = entity.get("surface")
+                entity_type = entity.get("type")
+                if not isinstance(surface, str) or not surface:
+                    return f"sentence {index} has an entity without a surface"
+                if not isinstance(entity_type, str) or not entity_type:
+                    return f"sentence {index} has an entity without a type"
+                if surface.lower() not in lowered:
+                    return f"sentence {index} entity {surface!r} does not occur in its text"
+                if policy.allows(entity_type):
+                    # str.isascii() reads a flag of the string: ASCII fields cost no search
+                    if not (surface.isascii() and entity_type.isascii()) and (
+                            has_lone_surrogate(surface) or has_lone_surrogate(entity_type)):
+                        return f"sentence {index} entity {surface!r} holds a lone surrogate"
+                    mention = (share(surface, surface), share(entity_type, entity_type),
+                               sentiment)
+                    mentions.append(share(mention, mention))
+        annotation = (share(user_id, user_id), tuple(mentions))
+        return tweet_id, share(annotation, annotation)
+
+    return read_json_lines(path, "annotations", annotation_of, strict=strict, stats=stats)

@@ -103,16 +103,7 @@ def _annotation_source(
 
 
 def _read_window_stats(path: Path) -> dict[corpus.WindowLabel, int]:
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DataError(f"cannot read window stats file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path.name}: invalid UTF-8") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path.name}: invalid JSON ({exc.msg})") from exc
-    except RecursionError as exc:
-        raise DataError(f"{path.name}: {corpus.NESTING_PROBLEM}") from exc
+    payload = corpus.read_json_file(path, "window stats")
     volumes: dict[corpus.WindowLabel, int] = {}
     for window, key in WINDOW_STATS_KEYS.items():
         value = payload.get(key) if isinstance(payload, dict) else None

@@ -3,20 +3,22 @@
 Covers the four file-based inputs: tweet corpora (JSON lines), figurehead
 rosters (CSV), follower lists (one text file per handle), and the event
 window configuration (JSON). All timestamps are normalized to aware UTC
-datetimes at second resolution.
+datetimes at second resolution. How any JSON, CSV or JSON-lines input is
+opened, decoded and reported when bad is decided here, by `read_json_file`,
+`read_csv` and `read_json_lines`.
 """
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import re
-from csv import reader as csv_reader
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .affiliation import PartyLabel
 from .errors import DataError
@@ -38,6 +40,8 @@ _UTC_TIMESTAMP_RE = re.compile(
 _scan_json = json.JSONDecoder().scan_once
 
 NESTING_PROBLEM = "invalid JSON (nesting too deep)"
+# an integer with more digits than int() may convert (sys.get_int_max_str_digits)
+INTEGER_PROBLEM = "invalid JSON (integer too long)"
 
 # rejected lines beyond this many are counted but their messages are not kept
 MAX_KEPT_ERRORS = 100
@@ -87,7 +91,53 @@ def parse_timestamp(value: str) -> datetime:
         # a +00:00 suffix makes fromisoformat return timezone.utc directly,
         # far cheaper than .replace(tzinfo=...) on the parsed datetime
         return datetime.fromisoformat(day + clock + "+00:00")
-    return datetime.fromisoformat(day + clock + zone).astimezone(timezone.utc)
+    try:
+        return datetime.fromisoformat(day + clock + zone).astimezone(timezone.utc)
+    except OverflowError:  # the offset moves it before year 1 or after year 9999
+        raise ValueError(f"unparseable timestamp {value!r}") from None
+
+
+# ==== readers, one per input format ====
+
+
+def read_json_file(path: Path | str, what: str) -> object:
+    """The JSON value of a whole file; a DataError names what is wrong with the file."""
+    path = Path(path)
+    try:
+        raw = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot read {what} file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path.name}: invalid UTF-8") from exc
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path.name}: invalid JSON ({exc.msg})") from exc
+    except RecursionError as exc:
+        raise DataError(f"{path.name}: {NESTING_PROBLEM}") from exc
+    except ValueError as exc:
+        raise DataError(f"{path.name}: {INTEGER_PROBLEM}") from exc
+
+
+def read_csv(path: Path | str, what: str) -> Iterator[list[str]]:
+    """Yield the records of a UTF-8 CSV file; a DataError names what is wrong with the file.
+
+    A record the csv module cannot read, such as one with a field over its
+    size limit, is named by the file line the reader had reached.
+    """
+    path = Path(path)
+    try:
+        handle = open(path, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise DataError(f"cannot read {what} file {path}: {exc}") from exc
+    with handle:
+        reader = csv.reader(handle)
+        try:
+            yield from reader
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path.name}: invalid UTF-8") from exc
+        except csv.Error as exc:
+            raise DataError(f"{path.name} line {reader.line_num}: {exc}") from exc
 
 
 # ==== event windows ====
@@ -176,19 +226,7 @@ def parse_event_windows(payload: object, source: str = "windows config") -> Even
 
 def load_windows(path: Path | str) -> EventWindows:
     path = Path(path)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read windows file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path.name}: invalid UTF-8") from exc
-    try:
-        payload = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path.name}: invalid JSON ({exc.msg})") from exc
-    except RecursionError as exc:
-        raise DataError(f"{path.name}: {NESTING_PROBLEM}") from exc
-    return parse_event_windows(payload, source=path.name)
+    return parse_event_windows(read_json_file(path, "windows"), source=path.name)
 
 
 # ==== tweets ====
@@ -210,10 +248,10 @@ class IngestStats:
 
     `rejected` counts every bad line; `errors` keeps the first
     MAX_KEPT_ERRORS messages so memory stays bounded on mostly-bad files.
-    `lines` keeps the first MAX_KEPT_ERRORS bad lines of `reject_line` as
-    (line number, problem, tweet_id or None), so a caller that reads a file
-    in byte ranges can renumber them and re-judge them against the ids kept
-    in earlier ranges.
+    `lines` keeps the first MAX_KEPT_ERRORS bad lines as (line number,
+    problem, tweet_id or None), so a caller that reads a file in byte ranges
+    can renumber them and re-judge them against the ids kept in earlier
+    ranges.
     """
 
     kept: int = 0
@@ -221,14 +259,11 @@ class IngestStats:
     errors: list[str] = field(default_factory=list)
     lines: list[tuple[int, str, str | None]] = field(default_factory=list)
 
-    def reject(self, message: str) -> None:
-        self.rejected += 1
-        if len(self.errors) < MAX_KEPT_ERRORS:
-            self.errors.append(message)
-
     def reject_line(self, source: str, lineno: int, problem: str, tweet_id: str | None) -> None:
         """Count one bad line of `source`; `tweet_id` is the line's id if that was valid."""
-        self.reject(f"{source} line {lineno}: {problem}")
+        self.rejected += 1
+        if len(self.errors) < MAX_KEPT_ERRORS:
+            self.errors.append(f"{source} line {lineno}: {problem}")
         if len(self.lines) < MAX_KEPT_ERRORS:
             self.lines.append((lineno, problem, tweet_id))
 
@@ -244,13 +279,14 @@ def decode_json_line(text: str) -> tuple[object, str | None]:
     whitespace character, so json.loads on a stripped line is one scan from
     offset 0 that must end at the line's end. The scan is called directly;
     when it does not take the whole line, json.loads runs once to name the
-    problem. Nesting too deep for the scanner is a problem too, not an error.
+    problem. Nesting too deep for the scanner, and an integer too long for
+    int(), are problems too, not errors.
     """
     try:
         payload, end = _scan_json(text, 0)
         if end == len(text):
             return payload, None
-    except (StopIteration, json.JSONDecodeError, RecursionError):
+    except (StopIteration, ValueError, RecursionError):
         pass
     try:
         return json.loads(text), None
@@ -258,47 +294,8 @@ def decode_json_line(text: str) -> tuple[object, str | None]:
         return None, f"invalid JSON ({exc.msg})"
     except RecursionError:
         return None, NESTING_PROBLEM
-
-
-def _parse_tweet_line(
-    line: str, seen: set[str]
-) -> tuple[TweetRecord | None, str | None, str | None]:
-    """Return (record, None, None) or (None, problem, tweet_id if it was valid)."""
-    text = line.strip()
-    if not text:
-        return None, "blank line", None
-    # has_undecodable_byte and has_lone_surrogate, inlined: this runs once per line
-    if not text.isascii() and _ESCAPED_BYTE_RE.search(text):
-        return None, "invalid UTF-8", None
-    payload, problem = decode_json_line(text)
-    if problem is not None:
-        return None, problem, None
-    if not isinstance(payload, dict):
-        return None, "expected a JSON object", None
-    tweet_id = payload.get("tweet_id")
-    if not isinstance(tweet_id, str) or not tweet_id:
-        return None, "missing or empty tweet_id", None
-    if tweet_id in seen:
-        return None, duplicate_problem(tweet_id), tweet_id
-    user_id = payload.get("user_id")
-    if not isinstance(user_id, str) or not user_id:
-        return None, "missing or empty user_id", tweet_id
-    if not user_id.isascii() and _SURROGATE_RE.search(user_id):
-        return None, "user_id holds a lone surrogate", tweet_id
-    body = payload.get("text")
-    if not isinstance(body, str):
-        return None, "missing text", tweet_id
-    raw_created = payload.get("created_at")
-    if not isinstance(raw_created, str):
-        return None, "missing created_at", tweet_id
-    try:
-        created_at = parse_timestamp(raw_created)
     except ValueError:
-        return None, f"unparseable created_at {raw_created!r}", tweet_id
-    deleted = payload.get("deleted", False)
-    if not isinstance(deleted, bool):
-        return None, "deleted must be a boolean", tweet_id
-    return TweetRecord(tweet_id, user_id, body, created_at, deleted), None, None
+        return None, INTEGER_PROBLEM
 
 
 class _ByteRange(io.RawIOBase):
@@ -346,30 +343,27 @@ def line_spans(path: Path | str, count: int) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:]))
 
 
-def parse_tweets(
+def read_json_lines(
     path: Path | str,
+    what: str,
+    parse_rest: Callable[[dict, str, str], object],
     *,
     strict: bool = False,
     stats: IngestStats | None = None,
     span: tuple[int, int] | None = None,
     seen: set[str] | None = None,
-) -> Iterator[TweetRecord]:
-    """Yield tweet records from a JSON-lines file in file order.
+) -> Iterator:
+    """Yield one item per good line of a JSON-lines file of tweet objects, in file order.
 
-    Args:
-        path: JSON-lines file, one tweet object per line.
-        strict: when true the first malformed line aborts with DataError;
-            otherwise bad lines are skipped and counted in stats.
-        stats: optional tally that receives kept/rejected counts and the
-            line-numbered error messages.
-        span: read only bytes [start, end) of the file, as cut by
-            `line_spans`; line numbers then count from the range's start.
-        seen: the tweet ids kept so far, for the duplicate check; every id
-            kept here is added to it.
-
-    Deleted tweets are yielded as-is; downstream stages decide what to skip.
-    Duplicate tweet_id values within the file, and lines holding bytes that
-    are not valid UTF-8, count as malformed lines.
+    Every line must hold a JSON object with a nonempty string tweet_id not in
+    `seen` and a nonempty string user_id without a lone surrogate. Then
+    `parse_rest(payload, tweet_id, user_id)` gives the item, or the line's
+    problem as a str. A line with bytes that are not valid UTF-8 is one bad
+    line. With `strict`, the first bad line raises DataError; otherwise it is
+    counted in `stats`. The file opens at the first item; `what` names it if
+    it cannot be read. `span` reads only bytes [start, end) of the file, as
+    cut by `line_spans`; line numbers then count from the range's start.
+    Every id kept is added to `seen`.
     """
     path = Path(path)
     if stats is None:
@@ -385,18 +379,76 @@ def parse_tweets(
             handle = io.TextIOWrapper(io.BufferedReader(_ByteRange(path, *span), 1 << 16),
                                       encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
-        raise DataError(f"cannot read tweets file {path}: {exc}") from exc
+        raise DataError(f"cannot read {what} file {path}: {exc}") from exc
     with handle:
+        # one branch per check, inline: this loop runs once per line
         for lineno, line in enumerate(handle, start=1):
-            record, problem, tweet_id = _parse_tweet_line(line, seen)
-            if record is None:
-                if strict:
-                    raise DataError(f"{path.name} line {lineno}: {problem}")
-                stats.reject_line(path.name, lineno, problem, tweet_id)
-                continue
-            seen.add(record.tweet_id)
-            stats.kept += 1
-            yield record
+            text = line.strip()
+            tweet_id = None
+            if not text:
+                problem = "blank line"
+            elif not text.isascii() and _ESCAPED_BYTE_RE.search(text):
+                problem = "invalid UTF-8"
+            else:
+                payload, problem = decode_json_line(text)
+            if problem is None:
+                if not isinstance(payload, dict):
+                    problem = "expected a JSON object"
+                elif not isinstance(tweet_id := payload.get("tweet_id"), str) or not tweet_id:
+                    problem, tweet_id = "missing or empty tweet_id", None
+                elif tweet_id in seen:
+                    problem = duplicate_problem(tweet_id)
+                elif not isinstance(user_id := payload.get("user_id"), str) or not user_id:
+                    problem = "missing or empty user_id"
+                elif not user_id.isascii() and _SURROGATE_RE.search(user_id):
+                    problem = "user_id holds a lone surrogate"
+                else:
+                    item = parse_rest(payload, tweet_id, user_id)
+                    if not isinstance(item, str):
+                        seen.add(tweet_id)
+                        stats.kept += 1
+                        yield item
+                        continue
+                    problem = item
+            if strict:
+                raise DataError(f"{path.name} line {lineno}: {problem}")
+            stats.reject_line(path.name, lineno, problem, tweet_id)
+
+
+def _tweet_rest(payload: dict, tweet_id: str, user_id: str) -> TweetRecord | str:
+    """The record of a tweet line whose ids are good, or the problem with the rest of it."""
+    body = payload.get("text")
+    if not isinstance(body, str):
+        return "missing text"
+    raw_created = payload.get("created_at")
+    if not isinstance(raw_created, str):
+        return "missing created_at"
+    try:
+        created_at = parse_timestamp(raw_created)
+    except ValueError:
+        return f"unparseable created_at {raw_created!r}"
+    deleted = payload.get("deleted", False)
+    if not isinstance(deleted, bool):
+        return "deleted must be a boolean"
+    return TweetRecord(tweet_id, user_id, body, created_at, deleted)
+
+
+def parse_tweets(
+    path: Path | str,
+    *,
+    strict: bool = False,
+    stats: IngestStats | None = None,
+    span: tuple[int, int] | None = None,
+    seen: set[str] | None = None,
+) -> Iterator[TweetRecord]:
+    """Yield tweet records from a JSON-lines file in file order, read by `read_json_lines`.
+
+    A tweet also needs a string text, a created_at `parse_timestamp` takes
+    and, if present, a boolean deleted. Deleted tweets are yielded as-is;
+    downstream stages decide what to skip.
+    """
+    return read_json_lines(path, "tweets", _tweet_rest, strict=strict, stats=stats, span=span,
+                           seen=seen)
 
 
 # ==== roster and followers ====
@@ -433,7 +485,8 @@ def _follower_ids(text: str) -> set[str]:
 def load_affiliation_data(roster_path: Path | str, followers_dir: Path | str) -> FigureheadRoster:
     """Load the figurehead roster CSV and one follower list per handle.
 
-    The roster is a two-column CSV (handle,party) with party tokens D or R.
+    The roster is a two-column CSV (handle,party) with party tokens D or R;
+    a handle holds no "/" and no NUL, so it names a file in followers_dir.
     Each handle must have <handle>.txt in followers_dir holding one user_id
     per line; blank lines and #-comments are ignored and duplicates are
     dropped. A follower file for a handle missing from the roster is an
@@ -442,13 +495,7 @@ def load_affiliation_data(roster_path: Path | str, followers_dir: Path | str) ->
     roster_path = Path(roster_path)
     followers_dir = Path(followers_dir)
     figureheads: dict[str, PartyLabel] = {}
-    try:
-        with open(roster_path, encoding="utf-8", newline="") as handle_file:
-            rows = list(csv_reader(handle_file))
-    except OSError as exc:
-        raise DataError(f"cannot read roster file {roster_path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{roster_path.name}: invalid UTF-8") from exc
+    rows = list(read_csv(roster_path, "roster"))
     if not rows or [cell.strip() for cell in rows[0]] != ["handle", "party"]:
         raise DataError(f"{roster_path.name}: expected header handle,party")
     for lineno, row in enumerate(rows[1:], start=2):
@@ -457,6 +504,8 @@ def load_affiliation_data(roster_path: Path | str, followers_dir: Path | str) ->
         handle = row[0].strip()
         if not handle:
             raise DataError(f"{roster_path.name} line {lineno}: empty handle")
+        if "/" in handle or "\0" in handle:
+            raise DataError(f"{roster_path.name} line {lineno}: bad handle {handle!r}")
         if handle in figureheads:
             raise DataError(f"{roster_path.name} line {lineno}: duplicate handle {handle!r}")
         party = _PARTY_TOKENS.get(row[1].strip().upper())

@@ -35,7 +35,7 @@ from .annotator import (
     score_sentence,
     split_sentences,
 )
-from .corpus import NESTING_PROBLEM, EventWindows, TimeWindow, WindowLabel, parse_event_windows
+from .corpus import EventWindows, TimeWindow, WindowLabel, parse_event_windows, read_json_file
 from .errors import ConfigError, DataError
 
 SENTIMENT_LEXICON: dict[str, int] = {
@@ -98,7 +98,7 @@ def _check_distribution(dist: Sequence[float], owner: str) -> None:
         raise ConfigError(f"{owner}: distribution must have 5 probabilities")
     if any(p < 0 for p in dist):
         raise ConfigError(f"{owner}: distribution has a negative probability")
-    if abs(sum(dist) - 1.0) > 1e-9:
+    if not abs(sum(dist) - 1.0) <= 1e-9:  # NaN compares false
         raise ConfigError(f"{owner}: distribution must sum to 1")
 
 
@@ -129,20 +129,11 @@ def validate_planted_spec(spec: PlantedSpec) -> None:
 def load_planted_spec(path: Path | str) -> PlantedSpec:
     path = Path(path)
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read spec file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path.name}: invalid UTF-8") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path.name}: invalid JSON ({exc.msg})") from exc
-    except RecursionError as exc:
-        raise ConfigError(f"{path.name}: {NESTING_PROBLEM}") from exc
-    if not isinstance(payload, dict):
-        raise ConfigError(f"{path.name}: expected a JSON object")
-    try:
+        payload = read_json_file(path, "spec")
+        if not isinstance(payload, dict):
+            raise ConfigError(f"{path.name}: expected a JSON object")
         windows = parse_event_windows(payload.get("windows"), source=f"{path.name} windows")
-    except DataError as exc:
+    except DataError as exc:  # a spec is configuration, so its faults exit 1
         raise ConfigError(str(exc)) from exc
     raw_entities = payload.get("entities")
     if not isinstance(raw_entities, list):
@@ -161,14 +152,13 @@ def load_planted_spec(path: Path | str) -> PlantedSpec:
                     mentions_per_party=int(block["mentions_per_party"]),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{path.name}: entity {index} is malformed ({exc})") from exc
-    spec = PlantedSpec(
-        entities=tuple(entities),
-        users_per_party=int(payload.get("users_per_party", 0)),
-        windows=windows,
-        seed=int(payload.get("seed", 0)),
-    )
+    try:
+        users_per_party, seed = int(payload.get("users_per_party", 0)), int(payload.get("seed", 0))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path.name}: users_per_party and seed must be integers ({exc})")
+    spec = PlantedSpec(tuple(entities), users_per_party, windows, seed)
     validate_planted_spec(spec)
     return spec
 

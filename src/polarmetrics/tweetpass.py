@@ -313,13 +313,10 @@ def _tweet_spans(path: Path) -> list[tuple[int, int] | None]:
     one range where processes cannot be forked.
     """
     try:
-        size = path.stat().st_size
-    except OSError:
-        return [None]  # parse_tweets reports the unreadable file
-    count = min(_available_cpus(), size // MIN_RANGE_BYTES)
-    if count < 2 or not hasattr(os, "fork"):
-        return [None]
-    spans = corpus.line_spans(path, count)
+        count = min(_available_cpus(), path.stat().st_size // MIN_RANGE_BYTES)
+        spans = corpus.line_spans(path, count) if count > 1 and hasattr(os, "fork") else []
+    except OSError:  # a missing or unreadable file, or a directory: parse_tweets reports it
+        spans = []
     return spans if len(spans) > 1 else [None]
 
 

@@ -4,9 +4,24 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from pathlib import Path
+from typing import Iterable
 
 import pytest
+from hypothesis import settings
+
+from polarmetrics.aggregate import (
+    AggregateBuilder, AggregateTable, EntityMentionRow, MentionCsvWriter,
+)
+
+# `pytest --hypothesis-profile=ci`: a larger example budget for every property test
+# without one of its own, above all the CLI fuzz test in test_cli.py
+settings.register_profile("ci", max_examples=500)
+
+# for cases of an integer with more digits than int() converts (4,300 by default)
+needs_int_digit_limit = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                           reason="int() has no digit limit on this Python")
 
 STD_WINDOWS = {
     "event_name": "test-event",
@@ -51,6 +66,24 @@ def equivalence_texts(seed: int, count: int) -> list[str]:
             pieces.append(rng.choice([" ", " ", "  ", "\t", ". ", "! ", "? ", ""]))
         texts.append("".join(pieces))
     return texts
+
+
+# ==== the row-object reference path, which the run path no longer takes ====
+
+
+def reduce_to_instances(rows: Iterable[EntityMentionRow]) -> AggregateTable:
+    """Reduce mention rows to per-entity, per-party sums and counts."""
+    builder = AggregateBuilder()
+    for row in rows:
+        builder.add(row)
+    return builder.build()
+
+
+def write_mentions_csv(path: Path | str, rows: Iterable[EntityMentionRow]) -> int:
+    with MentionCsvWriter(path) as writer:
+        for row in rows:
+            writer.write(row)
+        return writer.count
 
 
 def write_windows(directory: Path, payload: dict | None = None) -> Path:
@@ -115,21 +148,20 @@ def roster_files(tmp_path):
     return roster, followers
 
 
-@pytest.fixture
-def tiny_bundle(tmp_path):
+def make_tiny_bundle(directory: Path) -> dict:
     """A complete runnable bundle with hand-computable aggregates.
 
     Entities: "springfield" (LOCATION) and "acme accord" (MISC). Lexicon:
     good +1, awful -2, superb +2. Tweets place author dem1 and rep1 inside
     both windows; expected cells are documented next to each tweet.
     """
-    roster = write_roster(tmp_path, [("dema", "D"), ("repa", "R")])
-    followers = write_followers(tmp_path, {"dema": ["dem1", "dem2"], "repa": ["rep1", "rep2"]})
-    lexicon = write_lexicon(tmp_path, {"good": 1, "awful": -2, "superb": 2})
-    gazetteer = write_gazetteer(tmp_path, {"springfield": "LOCATION", "acme accord": "MISC"})
-    windows = write_windows(tmp_path)
+    roster = write_roster(directory, [("dema", "D"), ("repa", "R")])
+    followers = write_followers(directory, {"dema": ["dem1", "dem2"], "repa": ["rep1", "rep2"]})
+    lexicon = write_lexicon(directory, {"good": 1, "awful": -2, "superb": 2})
+    gazetteer = write_gazetteer(directory, {"springfield": "LOCATION", "acme accord": "MISC"})
+    windows = write_windows(directory)
     tweets = write_tweets(
-        tmp_path,
+        directory,
         [
             # baseline: springfield D cells (3+2, 2 mentions), R cells (0, 1)
             {
@@ -200,7 +232,7 @@ def tiny_bundle(tmp_path):
         ],
     )
     return {
-        "dir": tmp_path,
+        "dir": directory,
         "tweets": tweets,
         "roster": roster,
         "followers": followers,
@@ -208,3 +240,8 @@ def tiny_bundle(tmp_path):
         "gazetteer": gazetteer,
         "windows": windows,
     }
+
+
+@pytest.fixture
+def tiny_bundle(tmp_path):
+    return make_tiny_bundle(tmp_path)

@@ -16,11 +16,12 @@ from polarmetrics.aggregate import (
     format_decimal,
     merge_aggregates,
     normalize_entity_name,
-    reduce_to_instances,
 )
 from polarmetrics.annotator import AnnotatedTweet, SentenceAnnotation
 from polarmetrics.corpus import WindowLabel
 from polarmetrics.errors import DataError
+
+from conftest import reduce_to_instances, write_mentions_csv
 
 D = PartyLabel.DEMOCRAT
 R = PartyLabel.REPUBLICAN
@@ -205,7 +206,7 @@ def test_mentions_csv_round_trip(tmp_path):
         _row(entity="acme accord", sentiment=0, party=R, window=CRISIS, user="u9"),
     ]
     path = tmp_path / "mentions.csv"
-    assert aggregate.write_mentions_csv(path, rows) == 2
+    assert write_mentions_csv(path, rows) == 2
     assert list(aggregate.read_mentions_csv(path)) == rows
     raw = path.read_bytes()
     assert raw.startswith(b"entity,entity_type,user_id,sentiment,party,window\r\n")
@@ -214,7 +215,7 @@ def test_mentions_csv_round_trip(tmp_path):
 def test_mentions_csv_quotes_awkward_fields(tmp_path):
     row = EntityMentionRow('quote "inner"', "MISC", "u,1", 2, D, BASE)
     path = tmp_path / "mentions.csv"
-    aggregate.write_mentions_csv(path, [row])
+    write_mentions_csv(path, [row])
     assert list(aggregate.read_mentions_csv(path)) == [row]
 
 

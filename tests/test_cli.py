@@ -2,16 +2,24 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
+import itertools
 import json
 import random
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from polarmetrics import affiliation, aggregate, annotator, cli, corpus, polarimetry
+from polarmetrics import affiliation, aggregate, annotator, cli, corpus, polarimetry, tweetpass
 from polarmetrics.atomic import atomic_write
 
 from conftest import (
@@ -20,9 +28,13 @@ from conftest import (
     EQUIVALENCE_SURFACES,
     STD_WINDOWS,
     equivalence_texts,
+    make_tiny_bundle,
+    needs_int_digit_limit,
+    reduce_to_instances,
     write_followers,
     write_gazetteer,
     write_lexicon,
+    write_mentions_csv,
     write_roster,
     write_tweets,
     write_windows,
@@ -351,9 +363,9 @@ def test_fused_run_matches_annotate_then_emit(tmp_path, shards, preannotated):
         rows += aggregate.emit_mention_rows(annotations[record.tweet_id], party, window)
     expected = tmp_path / "expected"
     expected.mkdir()
-    assert aggregate.write_mentions_csv(expected / "mentions.csv", rows) > 100
+    assert write_mentions_csv(expected / "mentions.csv", rows) > 100
     for window in (corpus.WindowLabel.BASELINE, corpus.WindowLabel.CRISIS):
-        table = aggregate.reduce_to_instances(row for row in rows if row.window is window)
+        table = reduce_to_instances(row for row in rows if row.window is window)
         aggregate.write_aggregates_csv(expected / f"aggregates_{window.value}.csv", table)
     for path in sorted(expected.iterdir()):
         assert (config.out / path.name).read_bytes() == path.read_bytes(), path.name
@@ -732,31 +744,32 @@ def test_console_script_is_installed():
     assert "polarmetrics" in result.stdout
 
 
-@pytest.mark.parametrize("target", ["tweets", "preannotated", "windows"])
-def test_deeply_nested_json_is_a_data_error(tiny_bundle, tmp_path, capsys, target):
+def _assert_bad_json_is_handled(bundle: dict, tmp_path: Path, capsys, target: str,
+                                bad: str, problem: str) -> None:
+    """`bad` as the windows file, or as a last line of the tweets or annotations file.
+
+    A bad windows file is exit 2; a bad line is one counted reject, or exit 2
+    under --strict.
+    """
     staged = tmp_path / "staged"
-    lexicon = ["--lexicon", str(tiny_bundle["lexicon"]),
-               "--gazetteer", str(tiny_bundle["gazetteer"])]
-    assert cli.main(["annotate", "--tweets", str(tiny_bundle["tweets"]), *lexicon,
+    lexicon = ["--lexicon", str(bundle["lexicon"]), "--gazetteer", str(bundle["gazetteer"])]
+    assert cli.main(["annotate", "--tweets", str(bundle["tweets"]), *lexicon,
                      "--out", str(staged)]) == 0
     table = staged / "annotated.jsonl"
     source = lexicon if target != "preannotated" else ["--preannotated", str(table)]
-    path = {"tweets": tiny_bundle["tweets"], "preannotated": table,
-            "windows": tiny_bundle["windows"]}[target]
-    nested = "[" * 200_000 + "]" * 200_000
+    path = {"tweets": bundle["tweets"], "preannotated": table, "windows": bundle["windows"]}[target]
     if target == "windows":
-        path.write_text(nested, encoding="utf-8")
+        path.write_text(bad, encoding="utf-8")
     else:
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        path.write_text("".join(lines) + nested + "\n", encoding="utf-8")
+        path.write_text("".join(lines) + bad + "\n", encoding="utf-8")
     capsys.readouterr()
-    args = ["run", "--tweets", str(tiny_bundle["tweets"]), "--roster", str(tiny_bundle["roster"]),
-            "--followers", str(tiny_bundle["followers"]),
-            "--windows", str(tiny_bundle["windows"]), *source, "--out", str(tmp_path / "out")]
+    args = ["run", "--tweets", str(bundle["tweets"]), "--roster", str(bundle["roster"]),
+            "--followers", str(bundle["followers"]),
+            "--windows", str(bundle["windows"]), *source, "--out", str(tmp_path / "out")]
     if target == "windows":
         assert cli.main(args) == 2
-        expected = "error: windows.json: invalid JSON (nesting too deep)\n"
-        assert capsys.readouterr().err == expected
+        assert capsys.readouterr().err == f"error: windows.json: {problem}\n"
         return
     assert cli.main(args) == 0
     counted = {"tweets": f"[ok] tweets kept: {len(lines)}, rejected: 1\n",
@@ -764,9 +777,38 @@ def test_deeply_nested_json_is_a_data_error(tiny_bundle, tmp_path, capsys, targe
     assert counted in capsys.readouterr().out
     assert cli.main([*args, "--strict"]) == 2
     lineno = len(lines) + 1
-    assert capsys.readouterr().err == (
-        f"error: {path.name} line {lineno}: invalid JSON (nesting too deep)\n"
-    )
+    assert capsys.readouterr().err == f"error: {path.name} line {lineno}: {problem}\n"
+
+
+@pytest.mark.parametrize("target", ["tweets", "preannotated", "windows"])
+def test_deeply_nested_json_is_a_data_error(tiny_bundle, tmp_path, capsys, target):
+    _assert_bad_json_is_handled(tiny_bundle, tmp_path, capsys, target,
+                                "[" * 200_000 + "]" * 200_000, "invalid JSON (nesting too deep)")
+
+
+LONG_INTEGER = "9" * 5000
+
+
+@needs_int_digit_limit
+@pytest.mark.parametrize("target, ranges", [("tweets", 1), ("tweets", 2), ("preannotated", 1),
+                                            ("windows", 1)])
+def test_integer_too_long_for_int_is_invalid_json(tiny_bundle, tmp_path, capsys, monkeypatch,
+                                                  target, ranges):
+    if ranges > 1:
+        monkeypatch.setattr(tweetpass, "MIN_RANGE_BYTES", 1)
+        monkeypatch.setattr(tweetpass, "_available_cpus", lambda: ranges)
+        # tweets of an unaligned author, so the bad last line falls in a worker's range
+        padding = [{"tweet_id": f"pad{index}", "user_id": "nobody", "text": "Springfield.",
+                    "created_at": BASELINE_TS} for index in range(100)]
+        with tiny_bundle["tweets"].open("a", encoding="utf-8") as handle:
+            handle.writelines(json.dumps(tweet) + "\n" for tweet in padding)
+    bad = json.dumps({"tweet_id": "big", "user_id": "dem1", "text": "Springfield.",
+                      "created_at": BASELINE_TS, "sentences": [], "event_name": "x"})
+    bad = bad[:-1] + f', "n": {LONG_INTEGER}}}'
+    _assert_bad_json_is_handled(tiny_bundle, tmp_path, capsys, target, bad,
+                                "invalid JSON (integer too long)")
+    if ranges > 1:
+        assert len(corpus.line_spans(tiny_bundle["tweets"], ranges)) == ranges
 
 
 def test_assign_checks_out_before_reading_tweets(tiny_bundle, tmp_path, capsys):
@@ -800,3 +842,138 @@ def test_report_with_window_stats_that_are_not_utf8_is_a_data_error(tiny_bundle,
     args = _stage_args("report", tiny_bundle, made, tmp_path / "out")
     assert cli.main(args) == 2
     assert capsys.readouterr().err == "error: window_stats.json: invalid UTF-8\n"
+
+
+@needs_int_digit_limit
+def test_report_with_an_integer_too_long_in_window_stats_is_a_data_error(tiny_bundle, tmp_path,
+                                                                         capsys):
+    made = tmp_path / "made"
+    assert cli.main(_run_args(tiny_bundle, made)) == 0
+    (made / "window_stats.json").write_text(f'{{"baseline_tweets": {LONG_INTEGER}}}',
+                                            encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(_stage_args("report", tiny_bundle, made, tmp_path / "out")) == 2
+    assert capsys.readouterr().err == "error: window_stats.json: invalid JSON (integer too long)\n"
+
+
+# the roster's "not UTF-8" case is test_input_that_is_not_utf8_is_a_data_error[roster]
+@pytest.mark.parametrize("command, fault", [
+    ("run", "huge field"), *itertools.product(["mentions", "aggregate", "polarize"],
+                                              ["not UTF-8", "huge field"]),
+])
+def test_bad_csv_input_is_a_data_error(tiny_bundle, tmp_path, capsys, command, fault):
+    made = tmp_path / "made"
+    assert cli.main(_run_args(tiny_bundle, made)) == 0
+    if command == "mentions":
+        args = ["mentions", "--tweets", str(tiny_bundle["tweets"]),
+                "--affiliations", str(made / "affiliations.csv"),
+                "--lexicon", str(tiny_bundle["lexicon"]),
+                "--gazetteer", str(tiny_bundle["gazetteer"]),
+                "--windows", str(tiny_bundle["windows"]), "--out", str(tmp_path / "out")]
+    else:
+        args = _stage_args(command, tiny_bundle, made, tmp_path / "out")
+    path = {"run": tiny_bundle["roster"], "mentions": made / "affiliations.csv",
+            "aggregate": made / "mentions.csv",
+            "polarize": made / "aggregates_baseline.csv"}[command]
+    if fault == "not UTF-8":
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        expected = f"{path.name}: invalid UTF-8"
+    else:  # a first field of line 2 over the csv module's 131,072-character limit
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\n" + b"x" * 200_000, 1))
+        expected = f"{path.name} line 2: field larger than field limit (131072)"
+    capsys.readouterr()
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err == f"error: {expected}\n"
+
+
+# ==== fuzzing: one damaged input file of one command ====
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory) -> Path:
+    """A tiny bundle, a run's artifacts under made/, and made/annotated.jsonl."""
+    base = tmp_path_factory.mktemp("fuzz")
+    bundle = make_tiny_bundle(base)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(_run_args(bundle, base / "made")) == 0
+        assert cli.main(["annotate", "--tweets", str(bundle["tweets"]),
+                         "--lexicon", str(bundle["lexicon"]),
+                         "--gazetteer", str(bundle["gazetteer"]), "--out", str(base / "made")]) == 0
+    return base
+
+
+# command -> the inputs it reads, as paths in the fuzz bundle
+_FUZZ_INPUTS = {
+    "run": ["tweets.jsonl", "roster.csv", "followers/dema.txt", "windows.json", "lexicon.tsv",
+            "gazetteer.tsv"],
+    "assign": ["tweets.jsonl", "roster.csv", "followers/repa.txt"],
+    "annotate": ["tweets.jsonl", "lexicon.tsv", "gazetteer.tsv"],
+    "mentions": ["tweets.jsonl", "made/affiliations.csv", "made/annotated.jsonl", "windows.json"],
+    "aggregate": ["made/mentions.csv"],
+    "polarize": ["made/aggregates_baseline.csv", "made/aggregates_crisis.csv"],
+    "report": ["made/aggregates_baseline.csv", "made/aggregates_crisis.csv", "windows.json",
+               "made/window_stats.json"],
+    "synth": ["made/spec.json"],
+}
+_FUZZ_CASES = [(command, ranges, name) for command, names in _FUZZ_INPUTS.items()
+               for ranges in ((1, 2) if command == "run" else (1,)) for name in names]
+_MUTATIONS = ["flip", "cut", "field", "number", "nul", "empty", "directory"]
+
+
+def _mutate(path: Path, kind: str, where: int, bit: int) -> None:
+    """Damage one file: `where` picks the byte (or digit) it happens at."""
+    if kind == "directory":
+        path.unlink()
+        path.mkdir()
+        return
+    data = path.read_bytes()
+    at = where % (len(data) + 1)
+    if kind == "flip" and data:
+        at = where % len(data)
+        data = data[:at] + bytes([data[at] ^ 1 << bit]) + data[at + 1:]
+    elif kind == "cut":  # the file ends inside a UTF-8 sequence
+        data = data[:at] + "€".encode()[:1 + bit % 2]
+    elif kind == "field":  # a field over the csv module's limit, or a 200 KB JSON string
+        data = data[:at] + b"x" * 200_000 + data[at:]
+    elif kind == "number":  # more digits than int() converts, grown from a digit
+        digits = [index for index, byte in enumerate(data) if 0x30 <= byte <= 0x39]
+        at = digits[where % len(digits)] if digits else at
+        data = data[:at] + b"9" * 5000 + data[at:]
+    elif kind == "nul":
+        data = data[:at] + b"\0" + data[at:]
+    elif kind == "empty":
+        data = b""
+    path.write_bytes(data)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=st.sampled_from(_FUZZ_CASES), kind=st.sampled_from(_MUTATIONS),
+       where=st.integers(0, 1 << 20), bit=st.integers(0, 7))
+def test_a_damaged_input_is_an_exit_code_never_an_exception(fuzz_base, case, kind, where, bit):
+    command, ranges, name = case
+    with tempfile.TemporaryDirectory() as scratch:
+        base = Path(scratch) / "bundle"
+        shutil.copytree(fuzz_base, base)
+        bundle = {"tweets": base / "tweets.jsonl", "roster": base / "roster.csv",
+                  "followers": base / "followers", "windows": base / "windows.json",
+                  "lexicon": base / "lexicon.tsv", "gazetteer": base / "gazetteer.tsv"}
+        made, out = base / "made", base / "out"
+        if command == "mentions":  # the stage's other sources: an audit and an annotation table
+            args = ["mentions", "--tweets", str(bundle["tweets"]),
+                    "--affiliations", str(made / "affiliations.csv"),
+                    "--preannotated", str(made / "annotated.jsonl"),
+                    "--windows", str(bundle["windows"]), "--out", str(out)]
+        else:
+            args = _stage_args(command, bundle, made, out)  # writes made/spec.json
+        _mutate(base / name, kind, where, bit)
+        with contextlib.ExitStack() as stack:
+            if ranges > 1:
+                stack.enter_context(mock.patch.object(tweetpass, "MIN_RANGE_BYTES", 1))
+                stack.enter_context(mock.patch.object(tweetpass, "_available_cpus",
+                                                      lambda: ranges))
+            stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
+            stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
+            code = cli.main(args)
+        assert code in ((0, 1) if command == "synth" else (0, 2, 3))
+        if command == "run" and code:
+            assert not (out / "report.csv").exists() and not (out / "report.json").exists()

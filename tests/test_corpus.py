@@ -16,7 +16,9 @@ from polarmetrics import corpus
 from polarmetrics.affiliation import PartyLabel
 from polarmetrics.errors import DataError
 
-from conftest import STD_WINDOWS, write_followers, write_roster, write_tweets, write_windows
+from conftest import (
+    STD_WINDOWS, needs_int_digit_limit, write_followers, write_roster, write_tweets, write_windows,
+)
 
 UTC = timezone.utc
 
@@ -54,7 +56,9 @@ def test_subsecond_precision_truncated():
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "yesterday", "2021-13-01", "2021-03-05T99:00:00Z", "2021-W01-1", "20210101T000000Z"],
+    ["", "yesterday", "2021-13-01", "2021-03-05T99:00:00Z", "2021-W01-1", "20210101T000000Z",
+     # an offset that moves the moment before year 1 or after year 9999
+     "0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00"],
 )
 def test_unparseable_timestamps_raise(bad):
     with pytest.raises(ValueError):
@@ -71,7 +75,10 @@ def _grammar_timestamp(value: str) -> datetime:
         clock = "T00:00:00"
     if zone in (None, "Z", "z"):
         return datetime.fromisoformat(day + clock + "+00:00")
-    return datetime.fromisoformat(day + clock + zone).astimezone(timezone.utc)
+    try:
+        return datetime.fromisoformat(day + clock + zone).astimezone(timezone.utc)
+    except OverflowError:
+        raise ValueError(f"unparseable timestamp {value!r}") from None
 
 
 def _outcome(parse, value: str):
@@ -117,6 +124,7 @@ _timestamps = st.builds(
 @example("２021-03-05T06:07:08Z")
 @example("2021-03-05T06:07:08.１Z")
 @example("2021-03-05T06:07:08+02:00")
+@example("9999-12-31T23:59:59-05:30")
 def test_timestamp_fast_path_matches_the_grammar(value):
     assert _outcome(corpus.parse_timestamp, value) == _outcome(_grammar_timestamp, value)
 
@@ -215,6 +223,7 @@ def test_gap_between_windows_is_allowed():
         lambda p: p["crisis"].pop("end"),
         lambda p: p["baseline"].update(start=123),
         lambda p: p["baseline"].update(start="not-a-date"),
+        lambda p: p["baseline"].update(start="0001-01-01T00:00:00+01:00"),
     ],
 )
 def test_bad_window_payloads_raise(mutate):
@@ -275,6 +284,7 @@ def test_deleted_tweets_are_yielded_with_flag(tmp_path):
         (json.dumps(_tweet("a", text=5)), "text"),
         (json.dumps(_tweet("a", created_at="tuesday")), "created_at"),
         (json.dumps(_tweet("a", created_at=17)), "created_at"),
+        (json.dumps(_tweet("a", created_at="0001-01-01T00:00:00+01:00")), "unparseable created_at"),
         (json.dumps(_tweet("a", deleted="yes")), "deleted"),
     ],
 )
@@ -310,6 +320,13 @@ _JSON_PIECES = ["{", "}", "[", "]", '"a"', '"b"', ":", ",", " ", "1", "-", "2.5e
 def test_line_decoder_matches_json_loads(text):
     payload, problem = corpus.decode_json_line(text)
     assert ("" if problem else repr(payload), problem) == _loads_line(text)
+
+
+@needs_int_digit_limit
+@pytest.mark.parametrize("text", ["9" * 5000, '{"n": -' + "1" * 5000 + "}"],
+                         ids=["bare", "in an object"])
+def test_line_decoder_names_an_integer_too_long_for_int(text):
+    assert corpus.decode_json_line(text) == (None, "invalid JSON (integer too long)")
 
 
 def test_reject_log_keeps_exact_count_but_bounded_messages(tmp_path):
@@ -425,6 +442,18 @@ def test_bad_roster_header(tmp_path):
     write_followers(tmp_path, {"a": []})
     with pytest.raises(DataError, match="header"):
         corpus.load_affiliation_data(tmp_path / "roster.csv", tmp_path / "followers")
+
+
+@pytest.mark.parametrize("handle", ["../outside", "sub/inner", "nul\0byte"])
+def test_roster_handle_must_name_a_file_in_the_followers_directory(tmp_path, handle):
+    write_roster(tmp_path, [("a", "D"), (handle, "R")])
+    write_followers(tmp_path, {"a": []})
+    (tmp_path / "outside.txt").write_text("u1\n", encoding="utf-8")
+    (tmp_path / "followers" / "sub").mkdir()
+    (tmp_path / "followers" / "sub" / "inner.txt").write_text("u1\n", encoding="utf-8")
+    with pytest.raises(DataError) as caught:
+        corpus.load_affiliation_data(tmp_path / "roster.csv", tmp_path / "followers")
+    assert str(caught.value) == f"roster.csv line 3: bad handle {handle!r}"
 
 
 def test_duplicate_roster_handle(tmp_path):

@@ -13,7 +13,7 @@ from polarmetrics.corpus import parse_event_windows
 from polarmetrics.errors import ConfigError
 from polarmetrics.synth import PlantedEntity, PlantedSpec
 
-from conftest import STD_WINDOWS
+from conftest import STD_WINDOWS, needs_int_digit_limit
 
 POINT_MASS_2 = (0.0, 0.0, 1.0, 0.0, 0.0)
 
@@ -105,6 +105,11 @@ def test_load_planted_spec(tmp_path):
         lambda p: p["entities"][0].pop("name"),
         lambda p: p["entities"][0].update(dem_sentiment_dist="high"),
         lambda p: p.update(users_per_party=0),
+        # values JSON decodes that int() or the sampler cannot take
+        lambda p: p.update(users_per_party=float("inf")),
+        lambda p: p.update(seed="x"),
+        lambda p: p["entities"][0].update(mentions_per_party=float("inf")),
+        lambda p: p["entities"][0].update(dem_sentiment_dist=[float("nan"), 0, 1, 0, 0]),
     ],
 )
 def test_load_planted_spec_rejects(tmp_path, mutate):
@@ -154,6 +159,16 @@ def test_spec_file_nested_too_deep_is_a_config_error(tmp_path, capsys):
         synth.load_planted_spec(deep)
     assert cli.main(["synth", "--spec", str(deep), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == "error: deep.json: invalid JSON (nesting too deep)\n"
+
+
+@needs_int_digit_limit
+def test_spec_file_with_an_integer_too_long_is_a_config_error(tmp_path, capsys):
+    long = tmp_path / "long.json"
+    long.write_text('{"seed": ' + "9" * 5000 + "}", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"^long\.json: invalid JSON \(integer too long\)$"):
+        synth.load_planted_spec(long)
+    assert cli.main(["synth", "--spec", str(long), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: long.json: invalid JSON (integer too long)\n"
 
 
 # ==== oracle ====
