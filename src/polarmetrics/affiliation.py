@@ -100,23 +100,13 @@ class PartyLabeler:
         self.entries: dict[str, tuple[int, int, PartyLabel]] = {}
         self._shared: dict[tuple[int, int, PartyLabel], tuple[int, int, PartyLabel]] = {}
 
-    def label(self, user_id: str) -> PartyLabel:
-        entry = self.entries.get(user_id)
-        if entry is None:
-            entry = self._store(count_affiliation(user_id, self.roster))
-        return entry[2]
-
     def label_all(self, user_ids: Iterable[str]) -> None:
         """Label every author of user_ids not labelled yet, one follower table at a time."""
-        entries = self.entries
+        entries, shared = self.entries, self._shared
         pending = [user_id for user_id in user_ids if user_id not in entries]
         for user_id, (dem, rep) in follow_counts(pending, self.roster).items():
-            self._store(AffiliationCounts(user_id, dem, rep))
-
-    def _store(self, counts: AffiliationCounts) -> tuple[int, int, PartyLabel]:
-        entry = (counts.dem_follows, counts.rep_follows, assign_party(counts))
-        entry = self.entries[counts.user_id] = self._shared.setdefault(entry, entry)
-        return entry
+            entry = (dem, rep, assign_party(AffiliationCounts(user_id, dem, rep)))
+            entries[user_id] = shared.setdefault(entry, entry)
 
     def adopt(self, entries: Iterable[tuple[str, tuple[int, int, PartyLabel]]]) -> None:
         """Add (user_id, entry) pairs labelled by another copy of this labeler."""

@@ -33,7 +33,6 @@ NEUTRAL_SENTIMENT = 2
 Mention = tuple[str, str, int]  # (surface, entity type, sentence sentiment)
 
 DEFAULT_ALLOWED_TYPES = frozenset({"LOCATION", "MISC", "PERSON"})
-DEFAULT_DENIED_TYPES = frozenset({"EMAIL", "DATE", "NUMBER", "PERCENT", "TIME", "MONEY", "URL"})
 
 
 # ==== resources ====
@@ -148,19 +147,9 @@ def load_gazetteer(path: Path | str) -> Gazetteer:
 
 @dataclass(frozen=True)
 class EntityTypePolicy:
-    """Which entity types survive extraction.
-
-    The allowlist and denylist must be disjoint; a match is kept only when
-    its type is allowed (denied or unknown types are dropped silently).
-    """
+    """Which entity types survive extraction: a match is kept only when its type is allowed."""
 
     allowed: frozenset[str]
-    denied: frozenset[str] = DEFAULT_DENIED_TYPES
-
-    def __post_init__(self) -> None:
-        overlap = self.allowed & self.denied
-        if overlap:
-            raise ConfigError(f"entity types both allowed and denied: {sorted(overlap)}")
 
     def allows(self, entity_type: str) -> bool:
         return entity_type in self.allowed
@@ -171,15 +160,11 @@ def default_policy() -> EntityTypePolicy:
 
 
 def policy_for(types: Iterable[str]) -> EntityTypePolicy:
-    """Build a policy from an explicit allowlist.
-
-    Types named here are honored even if the default denylist mentions them;
-    the denylist shrinks to keep the two sets disjoint.
-    """
+    """Build a policy from an explicit allowlist; every other type is dropped."""
     allowed = frozenset(t.strip().upper() for t in types if t.strip())
     if not allowed:
         raise ConfigError("entity type allowlist is empty")
-    return EntityTypePolicy(allowed, DEFAULT_DENIED_TYPES - allowed)
+    return EntityTypePolicy(allowed)
 
 
 # ==== annotation ====

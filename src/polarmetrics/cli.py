@@ -214,9 +214,8 @@ def run_pipeline(config: RunConfig) -> RunResult:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     with _inputs_frozen():
-        builders, mention_count = stream_mentions(config.tweets, windows, labeler.label,
-                                                   annotate, config.strict, counters, out_dir,
-                                                   labeler)
+        builders, mention_count = stream_mentions(config.tweets, windows, labeler, annotate,
+                                                   config.strict, counters, out_dir)
         tables = {window: builder.build() for window, builder in builders.items()}
         for window, table in tables.items():
             aggregate.write_aggregates_csv(out_dir / f"aggregates_{window.value}.csv", table)
@@ -307,19 +306,16 @@ def cmd_mentions(args: argparse.Namespace) -> int:
     _remove_leftovers(_out_dir(args.out, make=False))
     windows = corpus.load_windows(args.windows)
     counters = StreamCounters()
-
-    labeler = None
     if args.affiliations is not None:
         if args.roster is not None or args.followers is not None:
             raise ConfigError("--affiliations replaces --roster/--followers")
-        table = affiliation.read_affiliation_audit(args.affiliations)
-
-        def label_for(user_id: str) -> affiliation.PartyLabel:
-            return table.get(user_id, affiliation.PartyLabel.UNALIGNED)
-
+        # with no figureheads, an author missing from the audit is Unaligned; the
+        # stage writes no audit, so an entry's follow counts are never read
+        labeler = affiliation.PartyLabeler(corpus.FigureheadRoster({}, {}))
+        labeler.adopt((user_id, (0, 0, label)) for user_id, label
+                      in affiliation.read_affiliation_audit(args.affiliations).items())
     elif args.roster is not None and args.followers is not None:
         labeler = affiliation.PartyLabeler(corpus.load_affiliation_data(args.roster, args.followers))
-        label_for = labeler.label
     else:
         raise ConfigError("provide --affiliations or both --roster and --followers")
 
@@ -327,8 +323,8 @@ def cmd_mentions(args: argparse.Namespace) -> int:
                                   args.entity_types, args.strict, counters.annotation)
     out_dir = _out_dir(args.out)
     with _inputs_frozen():
-        _, count = stream_mentions(args.tweets, windows, label_for, annotate, args.strict,
-                                   counters, out_dir, labeler=labeler)
+        _, count = stream_mentions(args.tweets, windows, labeler, annotate, args.strict,
+                                   counters, out_dir)
     _print_stream_summary(counters)
     print(f"[ok] wrote {count} mention rows to {out_dir / 'mentions.csv'}")
     return 0

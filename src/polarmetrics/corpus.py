@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import re
+import stat
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
@@ -513,15 +514,23 @@ def load_affiliation_data(roster_path: Path | str, followers_dir: Path | str) ->
             raise DataError(f"{roster_path.name} line {lineno}: unknown party {row[1]!r}")
         figureheads[handle] = party
 
-    if not followers_dir.is_dir():
-        raise DataError(f"followers directory {followers_dir} does not exist")
+    try:
+        is_dir = stat.S_ISDIR(followers_dir.stat().st_mode)
+    except FileNotFoundError:
+        raise DataError(f"followers directory {followers_dir} does not exist") from None
+    except OSError as exc:  # a name too long, a file where a directory should be, ...
+        raise DataError(f"cannot read followers directory {followers_dir}: {exc}") from exc
+    if not is_dir:
+        raise DataError(f"followers path {followers_dir} is not a directory")
     followers: dict[str, set[str]] = {}
     for handle in figureheads:
         follower_path = followers_dir / f"{handle}.txt"
         try:
             text = follower_path.read_text(encoding="utf-8")
-        except OSError as exc:
+        except FileNotFoundError as exc:
             raise DataError(f"missing follower list for handle {handle!r}: {exc}") from exc
+        except OSError as exc:
+            raise DataError(f"cannot read follower list for handle {handle!r}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise DataError(f"{follower_path.name}: invalid UTF-8") from exc
         followers[handle] = _follower_ids(text)

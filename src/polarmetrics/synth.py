@@ -35,7 +35,9 @@ from .annotator import (
     score_sentence,
     split_sentences,
 )
-from .corpus import EventWindows, TimeWindow, WindowLabel, parse_event_windows, read_json_file
+from .corpus import (
+    EventWindows, TimeWindow, WindowLabel, has_lone_surrogate, parse_event_windows, read_json_file,
+)
 from .errors import ConfigError, DataError
 
 SENTIMENT_LEXICON: dict[str, int] = {
@@ -114,6 +116,8 @@ def validate_planted_spec(spec: PlantedSpec) -> None:
         name = normalize_entity_name(entity.name)
         if not name:
             raise ConfigError("entity name must be nonempty")
+        if has_lone_surrogate(entity.name):
+            raise ConfigError(f"entity name {entity.name!r} holds a lone surrogate")
         if name in seen:
             raise ConfigError(f"duplicate entity name {entity.name!r} after normalization")
         seen.add(name)

@@ -135,7 +135,7 @@ class _RangeResult:
 def _pulled(
     records: Iterator[corpus.TweetRecord],
     log: corpus.IngestStats,
-    labeler: affiliation.PartyLabeler | None,
+    labeler: affiliation.PartyLabeler,
     stop: Event | None,
 ) -> Iterator[tuple[int, corpus.TweetRecord]]:
     """(range-local line number, record) pairs, pulled CHUNK_RECORDS at a time.
@@ -149,8 +149,7 @@ def _pulled(
                  for record in itertools.islice(records, CHUNK_RECORDS)]
         if not chunk:
             return
-        if labeler is not None:
-            labeler.label_all(record.user_id for _, record in chunk if not record.deleted)
+        labeler.label_all(record.user_id for _, record in chunk if not record.deleted)
         yield from chunk
 
 
@@ -158,12 +157,11 @@ def _pass_range(
     records: Iterator[corpus.TweetRecord],
     log: corpus.IngestStats,
     windows: corpus.EventWindows,
-    label_for: Callable[[str], affiliation.PartyLabel],
+    labeler: affiliation.PartyLabeler,
     annotate: Annotate,
     strict: bool,
     writer: aggregate.MentionCsvWriter,
     facts: _KeptFacts | None,
-    labeler: affiliation.PartyLabeler | None,
     stop: Event | None = None,
 ) -> _RangeResult:
     """Gate, label, annotate, write and reduce the tweets of one byte range.
@@ -175,8 +173,8 @@ def _pass_range(
     goes straight from its (surface, type, sentiment) tuple to a mentions.csv
     row and an integer cell of its window's one cell dict; a mention whose
     name normalizes to nothing is dropped and noted in the result.
-    `labeler`, the labeler behind `label_for` if there is one, labels each
-    chunk's authors ahead of it. With `strict`, the pass stops at
+    `labeler` labels each chunk's authors ahead of it, so a tweet's party is
+    one lookup in its entries. With `strict`, the pass stops at
     the first rejected line or retained tweet without annotation; the merge
     reports whichever comes first. Records are read a chunk ahead, so the log
     may already hold rejects of later lines. The pass also stops once the
@@ -190,6 +188,7 @@ def _pass_range(
     names: dict[str, str] = {}  # surface -> normalized entity name
     empty_names: list[tuple[int, str]] = []
     unannotated = None
+    entries = labeler.entries  # filled in place, a chunk ahead of the gate
     if facts is not None:
         note_id, note_line, note_fate = facts.ids.append, facts.lines.append, facts.fates.append
         note_rows, note_author, slots = facts.first_rows.append, facts.authors.append, facts.slots
@@ -199,7 +198,7 @@ def _pass_range(
         if record.deleted:
             fate = DELETED
         else:
-            party = label_for(record.user_id)
+            party = entries[record.user_id][2]
             if party is unaligned:
                 fate = UNALIGNED
             else:
@@ -260,10 +259,9 @@ class _Job:
 
     tweets: Path
     windows: corpus.EventWindows
-    label_for: Callable[[str], affiliation.PartyLabel]
+    labeler: affiliation.PartyLabeler
     annotate: Annotate
     strict: bool
-    labeler: affiliation.PartyLabeler | None
     scratch: Path
     stop: Event  # set once the parent needs no more results
 
@@ -284,14 +282,13 @@ def _work_range(index: int, span: tuple[int, int]) -> _RangeResult:
     records = corpus.parse_tweets(job.tweets, stats=log, span=span)
     with closing(records), aggregate.MentionCsvWriter(_scratch_file(job.scratch, "part", index),
                                                       header=False) as writer:
-        result = _pass_range(records, log, job.windows, job.label_for, job.annotate, job.strict,
-                             writer, facts, job.labeler, job.stop)
+        result = _pass_range(records, log, job.windows, job.labeler, job.annotate, job.strict,
+                             writer, facts, job.stop)
     facts.dump(_scratch_file(job.scratch, "facts", index), result.rows)
-    if job.labeler is not None:
-        entries = job.labeler.entries
-        counts = Counter(facts.authors)
-        result.labelled = [(user_id, entries[user_id], counts[author])
-                           for user_id, author in facts.slots.items()]
+    entries = job.labeler.entries
+    counts = Counter(facts.authors)
+    result.labelled = [(user_id, entries[user_id], counts[author])
+                       for user_id, author in facts.slots.items()]
     return result
 
 
@@ -324,7 +321,7 @@ class _Merge:
     """Joins range results, in file order, into what one range over the whole file gives."""
 
     def __init__(self, source: str, strict: bool, stats: corpus.IngestStats,
-                 labeler: affiliation.PartyLabeler | None):
+                 labeler: affiliation.PartyLabeler):
         self.source = source
         self.strict = strict
         self.stats = stats
@@ -390,12 +387,11 @@ class _Merge:
         self.empty_names += len(empty)
         for builder, cells in zip(self.totals, result.cells):
             builder.absorb(cells)
-        if self.labeler is not None:
-            # an author stays only if some tweet that labelled them stays
-            undone = Counter(author for *_, author in retracted)
-            self.labeler.adopt((user_id, entry)
-                               for author, (user_id, entry, count) in enumerate(result.labelled)
-                               if undone[author] < count)
+        # an author stays only if some tweet that labelled them stays
+        undone = Counter(author for *_, author in retracted)
+        self.labeler.adopt((user_id, entry)
+                           for author, (user_id, entry, count) in enumerate(result.labelled)
+                           if undone[author] < count)
         return retracted
 
     def append_part(self, part: Path, target: TextIO, retracted: list[tuple]) -> None:
@@ -430,12 +426,11 @@ class _Merge:
 def stream_mentions(
     tweets_path: Path,
     windows: corpus.EventWindows,
-    label_for: Callable[[str], affiliation.PartyLabel],
+    labeler: affiliation.PartyLabeler,
     annotate: Annotate,
     strict: bool,
     counters: StreamCounters,
     out_dir: Path,
-    labeler: affiliation.PartyLabeler | None = None,
 ) -> tuple[dict[corpus.WindowLabel, aggregate.AggregateBuilder], int]:
     """Gate every tweet, write mentions.csv and window_stats.json, reduce per window.
 
@@ -444,10 +439,9 @@ def stream_mentions(
     Each range adds its mentions into one cell dict per window. The merge
     joins the ranges in file order, adding each dict into its window's one
     builder, so every artifact and count equals what one range gives.
-    `labeler` is the labeler behind `label_for`, if there is one: it labels
-    each chunk's authors at once and receives the authors the workers
-    labelled. Returns the merged builder per window and the mention row
-    count.
+    `labeler` labels each chunk's authors at once and receives the authors
+    the workers labelled. Returns the merged builder per window and the
+    mention row count.
     """
     tweets_path = Path(tweets_path)
     spans = _tweet_spans(tweets_path)
@@ -472,8 +466,7 @@ def stream_mentions(
             # loading them again. The pool forks all its processes at the
             # first submit, before it starts its own thread.
             fork = multiprocessing.get_context("fork")
-            job = _Job(tweets_path, windows, label_for, annotate, strict, labeler, scratch,
-                       fork.Event())
+            job = _Job(tweets_path, windows, labeler, annotate, strict, scratch, fork.Event())
             pool = ProcessPoolExecutor(len(spans) - 1, mp_context=fork, initializer=_inherit,
                                        initargs=(job,))
             broken = (BrokenProcessPool,)
@@ -482,8 +475,7 @@ def stream_mentions(
                        for index, span in enumerate(spans[1:], 1)] if pool else []
             # opened after the forks, so no worker inherits its unwritten buffer
             with closing(records), aggregate.MentionCsvWriter(mentions_path) as writer:
-                first = _pass_range(records, log, windows, label_for, annotate, strict, writer,
-                                    None, labeler)
+                first = _pass_range(records, log, windows, labeler, annotate, strict, writer, None)
             merge.add(first)
             with open(mentions_path, "a", encoding="utf-8", newline="") as target:
                 for index, future in enumerate(futures, 1):

@@ -49,21 +49,27 @@ def test_assign_party_matches_sign_of_difference():
             assert label is PartyLabel.UNALIGNED
 
 
-def test_labeler_labels_each_author_once(roster_files, monkeypatch):
+def test_label_all_labels_each_author_once(roster_files, monkeypatch):
     roster = corpus.load_affiliation_data(*roster_files)
-    counted = []
-    count_affiliation = affiliation.count_affiliation
+    counted, assigned = [], []
+    follow_counts, assign_party = affiliation.follow_counts, affiliation.assign_party
 
-    def counting(user_id, roster):
-        counted.append(user_id)
-        return count_affiliation(user_id, roster)
+    def counting(user_ids, roster):
+        counts = follow_counts(user_ids, roster)
+        counted.extend(counts)
+        return counts
 
-    monkeypatch.setattr(affiliation, "count_affiliation", counting)
+    def assigning(counts):
+        assigned.append(counts.user_id)
+        return assign_party(counts)
+
+    monkeypatch.setattr(affiliation, "follow_counts", counting)
+    monkeypatch.setattr(affiliation, "assign_party", assigning)
     labeler = affiliation.PartyLabeler(roster)
-    for user_id in ("dem1", "dem1", "rep1", "both1", "nobody", "mixed1"):
-        labeler.label(user_id)
-    assert counted == ["dem1", "rep1", "both1", "nobody", "mixed1"]
-    labels = {user_id: labeler.label(user_id) for user_id in labeler.entries}
+    labeler.label_all(["dem1", "dem1", "rep1", "both1"])
+    labeler.label_all(iter(["both1", "nobody", "dem1", "mixed1", "nobody"]))  # overlaps the first
+    assert sorted(counted) == sorted(assigned) == ["both1", "dem1", "mixed1", "nobody", "rep1"]
+    labels = {user_id: entry[2] for user_id, entry in labeler.entries.items()}
     assert labels == {
         "dem1": PartyLabel.DEMOCRAT,
         "rep1": PartyLabel.REPUBLICAN,
@@ -81,8 +87,7 @@ def test_audit_round_trip(tmp_path, roster_files):
     roster = corpus.load_affiliation_data(*roster_files)
     path = tmp_path / "affiliations.csv"
     labeler = affiliation.PartyLabeler(roster)
-    for user_id in ("rep1", "nobody", "dem1", "both1"):
-        labeler.label(user_id)
+    labeler.label_all(("rep1", "nobody", "dem1", "both1"))
     written = affiliation.write_affiliation_audit(path, labeler)
     assert written == 4
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -148,7 +153,7 @@ def test_label_all_matches_per_author_counts(tmp_path, seed):
                              affiliation.assign_party(counts))
     one_by_one, at_once = affiliation.PartyLabeler(roster), affiliation.PartyLabeler(roster)
     for user_id in authors:
-        one_by_one.label(user_id)
+        one_by_one.label_all((user_id,))
     half = len(authors) // 2
     at_once.label_all(authors[:half])
     at_once.label_all(iter(authors[half // 2:]))  # overlaps ids labelled already

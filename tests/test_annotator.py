@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 from polarmetrics import annotator, corpus
 from polarmetrics.annotator import (
     DEFAULT_ALLOWED_TYPES,
-    DEFAULT_DENIED_TYPES,
-    EntityTypePolicy,
     Gazetteer,
     Lexicon,
     default_policy,
@@ -184,14 +182,9 @@ def test_default_policy_allows_the_three_core_types():
     policy = default_policy()
     for entity_type in DEFAULT_ALLOWED_TYPES:
         assert policy.allows(entity_type)
-    for entity_type in DEFAULT_DENIED_TYPES:
+    for entity_type in ("EMAIL", "DATE", "NUMBER", "PERCENT", "TIME", "MONEY", "URL"):
         assert not policy.allows(entity_type)
     assert not policy.allows("SOMETHING_ELSE")
-
-
-def test_policy_rejects_overlapping_sets():
-    with pytest.raises(ConfigError, match="both allowed and denied"):
-        EntityTypePolicy(frozenset({"DATE"}), frozenset({"DATE", "URL"}))
 
 
 def test_policy_for_overrides_default_denylist():

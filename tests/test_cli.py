@@ -354,11 +354,10 @@ def test_fused_run_matches_annotate_then_emit(tmp_path, shards, preannotated):
 
     # the unfused path: whole annotation objects, then one row object per mention
     roster = corpus.load_affiliation_data(config.roster, config.followers)
-    labeler = affiliation.PartyLabeler(roster)
     windows = corpus.load_windows(config.windows)
     rows = []
     for record in live:
-        party = labeler.label(record.user_id)
+        party = affiliation.assign_party(affiliation.count_affiliation(record.user_id, roster))
         window = corpus.classify_window(record.created_at, windows)
         rows += aggregate.emit_mention_rows(annotations[record.tweet_id], party, window)
     expected = tmp_path / "expected"
@@ -915,9 +914,13 @@ _FUZZ_INPUTS = {
                "made/window_stats.json"],
     "synth": ["made/spec.json"],
 }
+# the tweet pass reads its file in one range and in two, the second in a forked worker
 _FUZZ_CASES = [(command, ranges, name) for command, names in _FUZZ_INPUTS.items()
-               for ranges in ((1, 2) if command == "run" else (1,)) for name in names]
-_MUTATIONS = ["flip", "cut", "field", "number", "nul", "empty", "directory"]
+               for ranges in ((1, 2) if command in ("run", "mentions") else (1,))
+               for name in names]
+_MUTATIONS = ["flip", "cut", "field", "number", "nul", "empty", "directory", "surrogate",
+              "line ends", "long line"]
+_SURROGATES = (b"\\ud800", b"\\udfff", b"\\udc00\\ud800", b"x\\udbff")
 
 
 def _mutate(path: Path, kind: str, where: int, bit: int) -> None:
@@ -941,6 +944,20 @@ def _mutate(path: Path, kind: str, where: int, bit: int) -> None:
         data = data[:at] + b"9" * 5000 + data[at:]
     elif kind == "nul":
         data = data[:at] + b"\0" + data[at:]
+    elif kind == "surrogate":  # a lone surrogate \u escape, inside a string where there is one
+        quotes = [index for index, byte in enumerate(data) if byte == 0x22]
+        at = quotes[where % len(quotes)] + 1 if quotes else at
+        data = data[:at] + _SURROGATES[bit % len(_SURROGATES)] + data[at:]
+    elif kind == "line ends":  # LF, CRLF and bare CR mixed, each line's end picked by `where`
+        rng = random.Random(where)
+        lines = data.split(b"\n")
+        data = b"".join(line + rng.choice((b"\n", b"\r\n", b"\r")) for line in lines[:-1])
+        data += lines[-1]
+    elif kind == "long line":  # a 1 MB line at a line start: a tweet, for a tweets file
+        starts = [0] + [index + 1 for index, byte in enumerate(data) if byte == 0x0A]
+        at = starts[where % len(starts)]
+        data = data[:at] + (b'{"tweet_id": "big", "user_id": "dem1", "text": "' + b"good " * 209_716
+                            + b'", "created_at": "2021-01-02T12:00:00Z"}\n') + data[at:]
     elif kind == "empty":
         data = b""
     path.write_bytes(data)

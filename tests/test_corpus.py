@@ -477,6 +477,34 @@ def test_missing_follower_list(tmp_path):
         corpus.load_affiliation_data(tmp_path / "roster.csv", tmp_path / "followers")
 
 
+def test_unreadable_follower_list_is_not_called_missing(tmp_path):
+    long_handle = "h" * 300  # over the file-name limit, so its list cannot even be looked up
+    write_roster(tmp_path, [(long_handle, "D")])
+    write_followers(tmp_path, {})
+    with pytest.raises(DataError) as caught:
+        corpus.load_affiliation_data(tmp_path / "roster.csv", tmp_path / "followers")
+    message = str(caught.value)
+    assert message.startswith(f"cannot read follower list for handle {long_handle!r}: ")
+    assert "missing" not in message
+
+
+@pytest.mark.parametrize("kind", ["missing", "file", "long name", "under a file"])
+def test_followers_path_that_is_no_directory_names_the_fault(tmp_path, kind):
+    write_roster(tmp_path, [("a", "D")])
+    afile = tmp_path / "roster.csv"
+    followers = {"missing": tmp_path / "nowhere", "file": afile,
+                 "long name": tmp_path / ("f" * 300), "under a file": afile / "followers"}[kind]
+    with pytest.raises(DataError) as caught:
+        corpus.load_affiliation_data(afile, followers)
+    message = str(caught.value)
+    if kind == "missing":
+        assert message == f"followers directory {followers} does not exist"
+    elif kind == "file":
+        assert message == f"followers path {followers} is not a directory"
+    else:
+        assert message.startswith(f"cannot read followers directory {followers}: ")
+
+
 def test_stray_follower_list_is_an_error(tmp_path):
     write_roster(tmp_path, [("a", "D")])
     write_followers(tmp_path, {"a": [], "ghost": ["u1"]})

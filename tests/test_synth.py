@@ -110,6 +110,8 @@ def test_load_planted_spec(tmp_path):
         lambda p: p.update(seed="x"),
         lambda p: p["entities"][0].update(mentions_per_party=float("inf")),
         lambda p: p["entities"][0].update(dem_sentiment_dist=[float("nan"), 0, 1, 0, 0]),
+        # a \u escape no artifact can write as UTF-8
+        lambda p: p["entities"][0].update(name="quorvia\ud800"),
     ],
 )
 def test_load_planted_spec_rejects(tmp_path, mutate):
