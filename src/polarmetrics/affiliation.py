@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
@@ -44,15 +43,6 @@ class PartyLabel(Enum):
         raise ValueError(f"unknown party code {code!r}")
 
 
-@dataclass(frozen=True)
-class AffiliationCounts:
-    """How many distinct figureheads of each party one user follows."""
-
-    user_id: str
-    dem_follows: int
-    rep_follows: int
-
-
 def follow_counts(user_ids: Iterable[str], roster: FigureheadRoster) -> dict[str, list[int]]:
     """[f_d, f_r] for each of user_ids: the distinct figureheads of each party they follow.
 
@@ -70,20 +60,20 @@ def follow_counts(user_ids: Iterable[str], roster: FigureheadRoster) -> dict[str
     return counts
 
 
-def count_affiliation(user_id: str, roster: FigureheadRoster) -> AffiliationCounts:
-    """Count the distinct figureheads of each party that user_id follows.
+def count_affiliation(user_id: str, roster: FigureheadRoster) -> tuple[int, int]:
+    """(f_d, f_r): the distinct figureheads of each party that user_id follows.
 
     Users absent from every follower list get (0, 0). Counts never exceed
     the number of figureheads per party in the roster.
     """
     dem, rep = follow_counts((user_id,), roster)[user_id]
-    return AffiliationCounts(user_id, dem, rep)
+    return dem, rep
 
 
-def assign_party(counts: AffiliationCounts) -> PartyLabel:
-    if counts.dem_follows > counts.rep_follows:
+def assign_party(dem_follows: int, rep_follows: int) -> PartyLabel:
+    if dem_follows > rep_follows:
         return PartyLabel.DEMOCRAT
-    if counts.rep_follows > counts.dem_follows:
+    if rep_follows > dem_follows:
         return PartyLabel.REPUBLICAN
     return PartyLabel.UNALIGNED
 
@@ -105,7 +95,7 @@ class PartyLabeler:
         entries, shared = self.entries, self._shared
         pending = [user_id for user_id in user_ids if user_id not in entries]
         for user_id, (dem, rep) in follow_counts(pending, self.roster).items():
-            entry = (dem, rep, assign_party(AffiliationCounts(user_id, dem, rep)))
+            entry = (dem, rep, assign_party(dem, rep))
             entries[user_id] = shared.setdefault(entry, entry)
 
     def adopt(self, entries: Iterable[tuple[str, tuple[int, int, PartyLabel]]]) -> None:

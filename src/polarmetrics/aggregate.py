@@ -1,10 +1,10 @@
 """Fan annotations out to mention rows and reduce them to exact aggregates.
 
 Every (sentence, entity) pair becomes one mention row tagged with the
-author's party and the tweet's window. Rows reduce to integer
-(sentiment_sum, mention_count) cells per entity and party, so means are
-exact rationals and shard merges are plain integer addition: associative,
-commutative, and independent of row order.
+author's party and the tweet's window. Rows reduce to one integer cell
+(dem_sum, dem_mentions, rep_sum, rep_mentions) per entity and window, so
+means are exact rationals and shard merges are plain integer addition:
+associative, commutative, and independent of row order.
 """
 
 from __future__ import annotations
@@ -12,10 +12,9 @@ from __future__ import annotations
 import csv
 import logging
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Mapping, Sequence
 
 from .affiliation import PartyLabel
 from .annotator import AnnotatedTweet
@@ -33,19 +32,19 @@ def normalize_entity_name(raw: str) -> str:
     return _WHITESPACE_RE.sub(" ", raw.strip()).lower()
 
 
-@dataclass(frozen=True)
-class EntityMentionRow:
-    entity: str
-    entity_type: str
-    user_id: str
-    sentiment: int
-    party: PartyLabel
-    window: WindowLabel
+# One mentions.csv row: (entity, entity_type, user_id, sentiment, party code, window value).
+MentionRow = tuple[str, str, str, int, str, str]
+
+# One window's aggregates: entity name -> (dem_sum, dem_mentions, rep_sum, rep_mentions).
+Table = dict[str, tuple[int, int, int, int]]
+
+# Where a party's (sum, count) pair starts in a cell, by party code.
+PARTY_OFFSET = {"D": 0, "R": 2}
 
 
 def emit_mention_rows(
     annotated: AnnotatedTweet, party: PartyLabel, window: WindowLabel
-) -> list[EntityMentionRow]:
+) -> list[MentionRow]:
     """Produce one mention row per entity per sentence of one tweet.
 
     Unaligned authors and tweets outside both windows produce nothing.
@@ -54,7 +53,8 @@ def emit_mention_rows(
     """
     if party is PartyLabel.UNALIGNED or window is WindowLabel.OUTSIDE:
         return []
-    rows: list[EntityMentionRow] = []
+    code, window_value = party.code, window.value
+    rows: list[MentionRow] = []
     for sentence in annotated.sentences:
         for surface, entity_type in sentence.entities:
             name = normalize_entity_name(surface)
@@ -65,60 +65,12 @@ def emit_mention_rows(
                 )
                 continue
             rows.append(
-                EntityMentionRow(name, entity_type, annotated.user_id, sentence.sentiment, party, window)
+                (name, entity_type, annotated.user_id, sentence.sentiment, code, window_value)
             )
     return rows
 
 
 # ==== aggregation ====
-
-
-@dataclass(frozen=True)
-class EntityAggregate:
-    """Exact per-party sentiment totals for one entity."""
-
-    entity: str
-    dem_sum: int = 0
-    dem_mentions: int = 0
-    rep_sum: int = 0
-    rep_mentions: int = 0
-
-    def totals(self, party: PartyLabel) -> tuple[int, int]:
-        if party is PartyLabel.DEMOCRAT:
-            return self.dem_sum, self.dem_mentions
-        if party is PartyLabel.REPUBLICAN:
-            return self.rep_sum, self.rep_mentions
-        raise ValueError("party must be Democrat or Republican")
-
-    def mean(self, party: PartyLabel) -> Fraction | None:
-        total, count = self.totals(party)
-        return Fraction(total, count) if count else None
-
-    @property
-    def weight(self) -> int:
-        return self.dem_mentions + self.rep_mentions
-
-
-@dataclass(frozen=True)
-class AggregateTable:
-    """Entity name -> EntityAggregate for one window."""
-
-    entries: dict[str, EntityAggregate] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def entity_names(self) -> list[str]:
-        return sorted(self.entries)
-
-    def party_totals(self, party: PartyLabel) -> tuple[int, int]:
-        """Sum of sentiment and mention counts for one party across all entities."""
-        total = count = 0
-        for aggregate in self.entries.values():
-            part_sum, part_count = aggregate.totals(party)
-            total += part_sum
-            count += part_count
-        return total, count
 
 
 class AggregateBuilder:
@@ -127,27 +79,25 @@ class AggregateBuilder:
     `cells` maps an entity name to [dem_sum, dem_mentions, rep_sum,
     rep_mentions]. It is the one accumulator behind every table: rows, the
     aggregates CSV reader and the range merges of the fused `run` pass all
-    add into it, and `build` is the one place that makes `EntityAggregate`s.
+    add into it, and `build` freezes it into a `Table`.
     """
 
     def __init__(self) -> None:
         self.cells: dict[str, list[int]] = {}
 
-    def add(self, row: EntityMentionRow) -> None:
-        if row.party is PartyLabel.DEMOCRAT:
-            offset = 0
-        elif row.party is PartyLabel.REPUBLICAN:
-            offset = 2
-        else:
+    def add(self, row: MentionRow) -> None:
+        entity, _, _, sentiment, code, _ = row
+        offset = PARTY_OFFSET.get(code)
+        if offset is None:
             raise ValueError("mention rows never carry the Unaligned label")
-        cell = self.cells.get(row.entity)
+        cell = self.cells.get(entity)
         if cell is None:
-            cell = self.cells[row.entity] = [0, 0, 0, 0]
-        cell[offset] += row.sentiment
+            cell = self.cells[entity] = [0, 0, 0, 0]
+        cell[offset] += sentiment
         cell[offset + 1] += 1
 
-    def absorb(self, cells: dict[str, list[int]]) -> None:
-        """Add another builder's cells into this one's."""
+    def absorb(self, cells: Mapping[str, Sequence[int]]) -> None:
+        """Add another builder's cells, or a table's, into this one's."""
         for name, cell in cells.items():
             mine = self.cells.get(name)
             if mine is None:
@@ -156,22 +106,15 @@ class AggregateBuilder:
                 for index, value in enumerate(cell):
                     mine[index] += value
 
-    def build(self) -> AggregateTable:
-        return AggregateTable(
-            {name: EntityAggregate(name, *cell) for name, cell in self.cells.items()}
-        )
+    def build(self) -> Table:
+        return {name: tuple(cell) for name, cell in self.cells.items()}
 
 
-def merge_aggregates(left: AggregateTable, right: AggregateTable) -> AggregateTable:
+def merge_aggregates(left: Table, right: Table) -> Table:
     """Merge two shard tables by adding their integer cells."""
     builder = AggregateBuilder()
-    for table in (left, right):
-        for name, entry in table.entries.items():
-            cell = builder.cells.setdefault(name, [0, 0, 0, 0])
-            cell[0] += entry.dem_sum
-            cell[1] += entry.dem_mentions
-            cell[2] += entry.rep_sum
-            cell[3] += entry.rep_mentions
+    builder.absorb(left)
+    builder.absorb(right)
     return builder.build()
 
 
@@ -214,14 +157,12 @@ class MentionCsvWriter:
             self._writer.writerow(MENTIONS_HEADER)
         self.count = 0
 
-    def write(self, row: EntityMentionRow) -> None:
-        self._writer.writerow(
-            (row.entity, row.entity_type, row.user_id, row.sentiment, row.party.code, row.window.value)
-        )
+    def write(self, row: MentionRow) -> None:
+        self._writer.writerow(row)
         self.count += 1
 
-    def write_rendered(self, rows: list[tuple[str, str, str, int, str, str]]) -> None:
-        """Write rows already rendered as (entity, type, user_id, sentiment, party code, window)."""
+    def write_rendered(self, rows: list[MentionRow]) -> None:
+        """Write many rows at once."""
         self._writer.writerows(rows)
         self.count += len(rows)
 
@@ -235,7 +176,7 @@ class MentionCsvWriter:
         self.close()
 
 
-def read_mentions_csv(path: Path | str) -> Iterator[EntityMentionRow]:
+def read_mentions_csv(path: Path | str) -> Iterator[MentionRow]:
     path = Path(path)
     rows = read_csv(path, "mentions")
     header = next(rows, None)
@@ -245,6 +186,8 @@ def read_mentions_csv(path: Path | str) -> Iterator[EntityMentionRow]:
         if len(row) != 6:
             raise DataError(f"{path.name} line {lineno}: expected 6 fields")
         entity, entity_type, user_id, raw_sentiment, party_code, window_value = row
+        if not entity:
+            raise DataError(f"{path.name} line {lineno}: empty entity")
         try:
             sentiment = int(raw_sentiment)
         except ValueError as exc:
@@ -263,16 +206,15 @@ def read_mentions_csv(path: Path | str) -> Iterator[EntityMentionRow]:
             raise DataError(f"{path.name} line {lineno}: unknown window {window_value!r}") from exc
         if window is WindowLabel.OUTSIDE:
             raise DataError(f"{path.name} line {lineno}: mention rows never carry outside")
-        yield EntityMentionRow(entity, entity_type, user_id, sentiment, party, window)
+        yield entity, entity_type, user_id, sentiment, party_code, window_value
 
 
-def write_aggregates_csv(path: Path | str, table: AggregateTable) -> int:
+def write_aggregates_csv(path: Path | str, table: Table) -> int:
     """Write one row per entity per party with mentions, sorted for determinism."""
     rows = []
-    for name in table.entity_names():
-        aggregate = table.entries[name]
-        for code, total, count in (("D", aggregate.dem_sum, aggregate.dem_mentions),
-                                   ("R", aggregate.rep_sum, aggregate.rep_mentions)):
+    for name in sorted(table):
+        dem_sum, dem_count, rep_sum, rep_count = table[name]
+        for code, total, count in (("D", dem_sum, dem_count), ("R", rep_sum, rep_count)):
             if count:
                 rows.append((name, code, total, count, format_ratio(total, count, 6)))
     with atomic_write(path, newline="") as handle:
@@ -282,7 +224,7 @@ def write_aggregates_csv(path: Path | str, table: AggregateTable) -> int:
     return len(rows)
 
 
-def read_aggregates_csv(path: Path | str) -> AggregateTable:
+def read_aggregates_csv(path: Path | str) -> Table:
     """Read an aggregates CSV back into a table.
 
     The mean_sentiment column is derived, so it is ignored on the way in;
@@ -313,11 +255,9 @@ def read_aggregates_csv(path: Path | str) -> AggregateTable:
             raise DataError(
                 f"{path.name} line {lineno}: sum {total} impossible for {count} mentions"
             )
-        cell = builder.cells.setdefault(entity, [0, 0, 0, 0])
-        if party_code == "D":
-            cell[0], cell[1] = total, count
-        elif party_code == "R":
-            cell[2], cell[3] = total, count
-        else:
+        offset = PARTY_OFFSET.get(party_code)
+        if offset is None:
             raise DataError(f"{path.name} line {lineno}: unknown party code {party_code!r}")
+        cell = builder.cells.setdefault(entity, [0, 0, 0, 0])
+        cell[offset], cell[offset + 1] = total, count
     return builder.build()

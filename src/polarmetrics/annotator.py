@@ -75,12 +75,6 @@ class Gazetteer:
         first_chars = "".join(sorted({pair[0] for pair in lengths} | self._singles))
         self._starts = re.compile("[" + re.escape(first_chars) + "]") if first_chars else None
 
-    def __len__(self) -> int:
-        return len(self.surfaces)
-
-    def __contains__(self, surface: str) -> bool:
-        return surface in self.surfaces
-
 
 def _tsv_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
     try:

@@ -107,16 +107,16 @@ def _read_window_stats(path: Path) -> dict[corpus.WindowLabel, int]:
     volumes: dict[corpus.WindowLabel, int] = {}
     for window, key in WINDOW_STATS_KEYS.items():
         value = payload.get(key) if isinstance(payload, dict) else None
-        if not isinstance(value, int) or value < 0:
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
             raise DataError(f"{path.name}: missing or bad {key}")
         volumes[window] = value
     return volumes
 
 
 def _write_report(
-    out_dir: Path, tables: dict[corpus.WindowLabel, aggregate.AggregateTable],
+    out_dir: Path, tables: dict[corpus.WindowLabel, aggregate.Table],
     windows: corpus.EventWindows, volumes: dict[corpus.WindowLabel, int],
-    polarities: Mapping[corpus.WindowLabel, Sequence[polarimetry.EntityPolarity]] | None = None,
+    polarities: Mapping[corpus.WindowLabel, Sequence[polarimetry.EntityPolarity]],
 ) -> polarimetry.PolarizationReport:
     """Build the report and write report.csv and report.json."""
     baseline, crisis = corpus.WindowLabel.BASELINE, corpus.WindowLabel.CRISIS
@@ -332,12 +332,12 @@ def cmd_mentions(args: argparse.Namespace) -> int:
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
     out_dir = _out_dir(args.out, make=False)
-    builders = {window: aggregate.AggregateBuilder() for window in WINDOW_STATS_KEYS}
+    builders = {window.value: aggregate.AggregateBuilder() for window in WINDOW_STATS_KEYS}
     for row in aggregate.read_mentions_csv(args.mentions):
-        builders[row.window].add(row)
+        builders[row[5]].add(row)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for window, builder in builders.items():
-        path = out_dir / f"aggregates_{window.value}.csv"
+    for window_value, builder in builders.items():
+        path = out_dir / f"aggregates_{window_value}.csv"
         rows = aggregate.write_aggregates_csv(path, builder.build())
         print(f"[ok] wrote {rows} aggregate rows to {path}")
     return 0
@@ -375,8 +375,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     }
     windows = corpus.load_windows(args.windows)
     volumes = _read_window_stats(args.window_stats)
+    polarities = {window: polarimetry.entity_polarities(table) for window, table in tables.items()}
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = _write_report(out_dir, tables, windows, volumes)
+    report = _write_report(out_dir, tables, windows, volumes, polarities)
     print(f"[ok] wrote {out_dir / 'report.csv'} and {out_dir / 'report.json'}")
     _print_report(report, args.format)
     return 0

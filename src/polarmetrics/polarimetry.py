@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .affiliation import PartyLabel
-from .aggregate import AggregateTable, format_decimal
+from .aggregate import PARTY_OFFSET, Table, format_decimal
 from .atomic import atomic_write
 from .corpus import EventWindows, WindowLabel
 from .errors import DataError, NoJointEntitiesError
@@ -69,16 +69,13 @@ class CorpusPolarization:
     total_weight: int
 
 
-def joint_entities(table: AggregateTable) -> list[str]:
+def joint_entities(table: Table) -> list[str]:
     """Entities with at least one mention from each party, sorted by name."""
-    return sorted(
-        name
-        for name, aggregate in table.entries.items()
-        if aggregate.dem_mentions and aggregate.rep_mentions
-    )
+    return sorted(name for name, (_, dem_count, _, rep_count) in table.items()
+                  if dem_count and rep_count)
 
 
-def entity_polarities(table: AggregateTable) -> list[EntityPolarity]:
+def entity_polarities(table: Table) -> list[EntityPolarity]:
     """Every joint entity's polarization and weight, sorted by name.
 
     With sums D, R over d, r mentions, |D/d - R/r| / 5 is built as one
@@ -86,11 +83,8 @@ def entity_polarities(table: AggregateTable) -> list[EntityPolarity]:
     Raises ValueError if a mean falls outside the sentiment scale.
     """
     out: list[EntityPolarity] = []
-    entries = table.entries
     for name in joint_entities(table):
-        aggregate = entries[name]
-        dem_sum, dem_count = aggregate.dem_sum, aggregate.dem_mentions
-        rep_sum, rep_count = aggregate.rep_sum, aggregate.rep_mentions
+        dem_sum, dem_count, rep_sum, rep_count = table[name]
         for total, count in ((dem_sum, dem_count), (rep_sum, rep_count)):
             if not 0 <= total <= 4 * count:
                 raise ValueError(f"mean sentiment {total / count} outside the 0..4 scale")
@@ -123,11 +117,13 @@ def corpus_polarization(polarities: Sequence[EntityPolarity]) -> CorpusPolarizat
                               total_weight)
 
 
-def party_average_sentiment(table: AggregateTable, party: PartyLabel) -> Fraction:
+def party_average_sentiment(table: Table, party: PartyLabel) -> Fraction:
     """Mean sentiment of every retained mention by one party, joint or not."""
     if party is PartyLabel.UNALIGNED:
         raise ValueError("party must be Democrat or Republican")
-    total, count = table.party_totals(party)
+    offset = PARTY_OFFSET[party.code]
+    total = sum(cell[offset] for cell in table.values())
+    count = sum(cell[offset + 1] for cell in table.values())
     if not count:
         raise DataError(f"no {party.value} mentions to average")
     return Fraction(total, count)
@@ -161,7 +157,7 @@ class PolarizationReport:
 
 
 def summarize_window(
-    table: AggregateTable, tweet_volume: int, label: WindowLabel,
+    table: Table, tweet_volume: int, label: WindowLabel,
     polarities: Sequence[EntityPolarity],
 ) -> WindowSummary:
     """One window's report line; `polarities` is `entity_polarities(table)`."""
@@ -181,22 +177,18 @@ def summarize_window(
 
 
 def build_report(
-    baseline_table: AggregateTable,
-    crisis_table: AggregateTable,
+    baseline_table: Table,
+    crisis_table: Table,
     windows: EventWindows,
     baseline_volume: int,
     crisis_volume: int,
-    polarities: Mapping[WindowLabel, Sequence[EntityPolarity]] | None = None,
+    polarities: Mapping[WindowLabel, Sequence[EntityPolarity]],
 ) -> PolarizationReport:
     """Assemble the per-event report from both window aggregate tables.
 
-    `polarities` holds each window's `entity_polarities`, if the caller has
-    computed them already.
+    `polarities` holds each window's `entity_polarities`.
     """
     baseline, crisis = WindowLabel.BASELINE, WindowLabel.CRISIS
-    if polarities is None:
-        polarities = {baseline: entity_polarities(baseline_table),
-                      crisis: entity_polarities(crisis_table)}
     return PolarizationReport(
         event_name=windows.event_name,
         baseline=summarize_window(baseline_table, baseline_volume, baseline, polarities[baseline]),

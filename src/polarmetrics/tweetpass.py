@@ -416,7 +416,7 @@ class _Merge:
                 entity, _, _, sentiment, code, window_value = row
                 window_cells = cells[window_value]
                 cell = window_cells[entity]
-                offset = 0 if code == "D" else 2
+                offset = aggregate.PARTY_OFFSET[code]
                 cell[offset] -= int(sentiment)
                 cell[offset + 1] -= 1
                 if not cell[1] and not cell[3]:

@@ -11,9 +11,7 @@ from typing import Iterable
 import pytest
 from hypothesis import settings
 
-from polarmetrics.aggregate import (
-    AggregateBuilder, AggregateTable, EntityMentionRow, MentionCsvWriter,
-)
+from polarmetrics.aggregate import AggregateBuilder, MentionCsvWriter, MentionRow, Table
 
 # `pytest --hypothesis-profile=ci`: a larger example budget for every property test
 # without one of its own, above all the CLI fuzz test in test_cli.py
@@ -68,10 +66,10 @@ def equivalence_texts(seed: int, count: int) -> list[str]:
     return texts
 
 
-# ==== the row-object reference path, which the run path no longer takes ====
+# ==== the row-at-a-time reference path, which the run path does not take ====
 
 
-def reduce_to_instances(rows: Iterable[EntityMentionRow]) -> AggregateTable:
+def reduce_to_instances(rows: Iterable[MentionRow]) -> Table:
     """Reduce mention rows to per-entity, per-party sums and counts."""
     builder = AggregateBuilder()
     for row in rows:
@@ -79,7 +77,7 @@ def reduce_to_instances(rows: Iterable[EntityMentionRow]) -> AggregateTable:
     return builder.build()
 
 
-def write_mentions_csv(path: Path | str, rows: Iterable[EntityMentionRow]) -> int:
+def write_mentions_csv(path: Path | str, rows: Iterable[MentionRow]) -> int:
     with MentionCsvWriter(path) as writer:
         for row in rows:
             writer.write(row)

@@ -8,7 +8,7 @@ import pytest
 
 from polarmetrics import affiliation, corpus
 from polarmetrics.corpus import FigureheadRoster
-from polarmetrics.affiliation import AffiliationCounts, PartyLabel
+from polarmetrics.affiliation import PartyLabel
 from polarmetrics.errors import DataError
 
 from conftest import write_roster
@@ -23,24 +23,24 @@ def test_party_codes_round_trip():
 
 def test_count_affiliation(roster_files):
     roster = corpus.load_affiliation_data(*roster_files)
-    assert affiliation.count_affiliation("dem1", roster) == AffiliationCounts("dem1", 2, 0)
-    assert affiliation.count_affiliation("both1", roster) == AffiliationCounts("both1", 1, 1)
-    assert affiliation.count_affiliation("mixed1", roster) == AffiliationCounts("mixed1", 2, 1)
-    assert affiliation.count_affiliation("nobody", roster) == AffiliationCounts("nobody", 0, 0)
+    assert affiliation.count_affiliation("dem1", roster) == (2, 0)
+    assert affiliation.count_affiliation("both1", roster) == (1, 1)
+    assert affiliation.count_affiliation("mixed1", roster) == (2, 1)
+    assert affiliation.count_affiliation("nobody", roster) == (0, 0)
 
 
 def test_assign_party_majority_rule():
-    assert affiliation.assign_party(AffiliationCounts("u", 2, 1)) is PartyLabel.DEMOCRAT
-    assert affiliation.assign_party(AffiliationCounts("u", 0, 3)) is PartyLabel.REPUBLICAN
-    assert affiliation.assign_party(AffiliationCounts("u", 1, 1)) is PartyLabel.UNALIGNED
-    assert affiliation.assign_party(AffiliationCounts("u", 0, 0)) is PartyLabel.UNALIGNED
+    assert affiliation.assign_party(2, 1) is PartyLabel.DEMOCRAT
+    assert affiliation.assign_party(0, 3) is PartyLabel.REPUBLICAN
+    assert affiliation.assign_party(1, 1) is PartyLabel.UNALIGNED
+    assert affiliation.assign_party(0, 0) is PartyLabel.UNALIGNED
 
 
 def test_assign_party_matches_sign_of_difference():
     rng = random.Random(23)
     for _ in range(1000):
         dem, rep = rng.randrange(0, 8), rng.randrange(0, 8)
-        label = affiliation.assign_party(AffiliationCounts("u", dem, rep))
+        label = affiliation.assign_party(dem, rep)
         if dem > rep:
             assert label is PartyLabel.DEMOCRAT
         elif rep > dem:
@@ -59,16 +59,18 @@ def test_label_all_labels_each_author_once(roster_files, monkeypatch):
         counted.extend(counts)
         return counts
 
-    def assigning(counts):
-        assigned.append(counts.user_id)
-        return assign_party(counts)
+    def assigning(dem_follows, rep_follows):
+        assigned.append((dem_follows, rep_follows))
+        return assign_party(dem_follows, rep_follows)
 
     monkeypatch.setattr(affiliation, "follow_counts", counting)
     monkeypatch.setattr(affiliation, "assign_party", assigning)
     labeler = affiliation.PartyLabeler(roster)
     labeler.label_all(["dem1", "dem1", "rep1", "both1"])
     labeler.label_all(iter(["both1", "nobody", "dem1", "mixed1", "nobody"]))  # overlaps the first
-    assert sorted(counted) == sorted(assigned) == ["both1", "dem1", "mixed1", "nobody", "rep1"]
+    assert sorted(counted) == ["both1", "dem1", "mixed1", "nobody", "rep1"]
+    # one call per author: nobody, rep1, both1, dem1, mixed1
+    assert sorted(assigned) == [(0, 0), (0, 2), (1, 1), (2, 0), (2, 1)]
     labels = {user_id: entry[2] for user_id, entry in labeler.entries.items()}
     assert labels == {
         "dem1": PartyLabel.DEMOCRAT,
@@ -130,8 +132,8 @@ def test_counts_are_per_distinct_figurehead_not_per_line(tmp_path):
     (followers / "b.txt").write_text("u1\n", encoding="utf-8")
     roster = corpus.load_affiliation_data(tmp_path / "roster.csv", followers)
     counts = affiliation.count_affiliation("u1", roster)
-    assert (counts.dem_follows, counts.rep_follows) == (1, 1)
-    assert affiliation.assign_party(counts) is PartyLabel.UNALIGNED
+    assert counts == (1, 1)
+    assert affiliation.assign_party(*counts) is PartyLabel.UNALIGNED
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -148,9 +150,8 @@ def test_label_all_matches_per_author_counts(tmp_path, seed):
 
     expected = {}
     for user_id in authors:
-        counts = affiliation.count_affiliation(user_id, roster)
-        expected[user_id] = (counts.dem_follows, counts.rep_follows,
-                             affiliation.assign_party(counts))
+        dem, rep = affiliation.count_affiliation(user_id, roster)
+        expected[user_id] = (dem, rep, affiliation.assign_party(dem, rep))
     one_by_one, at_once = affiliation.PartyLabeler(roster), affiliation.PartyLabeler(roster)
     for user_id in authors:
         one_by_one.label_all((user_id,))

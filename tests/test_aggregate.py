@@ -7,12 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from polarmetrics import aggregate
+from polarmetrics import aggregate, polarimetry
 from polarmetrics.affiliation import PartyLabel
 from polarmetrics.aggregate import (
     AggregateBuilder,
-    EntityAggregate,
-    EntityMentionRow,
     format_decimal,
     merge_aggregates,
     normalize_entity_name,
@@ -30,7 +28,7 @@ CRISIS = WindowLabel.CRISIS
 
 
 def _row(entity="springfield", sentiment=2, party=D, window=BASE, user="u1"):
-    return EntityMentionRow(entity, "LOCATION", user, sentiment, party, window)
+    return (entity, "LOCATION", user, sentiment, party.code, window.value)
 
 
 # ==== normalization ====
@@ -56,12 +54,11 @@ def test_emit_mention_rows():
         SentenceAnnotation("y", 0, (("springfield", "LOCATION"),)),
     )
     rows = aggregate.emit_mention_rows(annotated, D, BASE)
-    assert [(r.entity, r.sentiment) for r in rows] == [
-        ("springfield", 3),
-        ("acme accord", 3),
-        ("springfield", 0),
+    assert rows == [
+        ("springfield", "LOCATION", "u1", 3, "D", "baseline"),
+        ("acme accord", "MISC", "u1", 3, "D", "baseline"),
+        ("springfield", "LOCATION", "u1", 0, "D", "baseline"),
     ]
-    assert all(r.party is D and r.window is BASE and r.user_id == "u1" for r in rows)
 
 
 def test_emit_skips_unaligned_and_outside():
@@ -86,24 +83,21 @@ def test_reduce_to_instances():
         _row(entity="acme accord", sentiment=2),
     ]
     table = reduce_to_instances(rows)
-    springfield = table.entries["springfield"]
-    assert (springfield.dem_sum, springfield.dem_mentions) == (6, 2)
-    assert (springfield.rep_sum, springfield.rep_mentions) == (0, 1)
-    assert springfield.weight == 3
-    assert table.entity_names() == ["acme accord", "springfield"]
+    assert table == {"springfield": (6, 2, 0, 1), "acme accord": (2, 1, 0, 0)}
 
 
 def test_mean_is_exact():
     table = reduce_to_instances([_row(sentiment=3), _row(sentiment=3)])
-    entry = table.entries["springfield"]
-    assert entry.mean(D) == Fraction(3)
-    assert entry.mean(R) is None
+    assert table == {"springfield": (6, 2, 0, 0)}
+    assert polarimetry.party_average_sentiment(table, D) == Fraction(3)
+    with pytest.raises(DataError, match="no Republican mentions"):
+        polarimetry.party_average_sentiment(table, R)
 
 
 def test_spec_mean_example():
     # three mentions scoring 1, 2, 3 average exactly 2
     table = reduce_to_instances([_row(sentiment=s) for s in (1, 2, 3)])
-    assert table.entries["springfield"].mean(D) == Fraction(2)
+    assert polarimetry.party_average_sentiment(table, D) == Fraction(2)
 
 
 def test_builder_rejects_unaligned_rows():
@@ -116,8 +110,9 @@ def test_party_totals():
     table = reduce_to_instances(
         [_row(sentiment=4), _row(entity="acme accord", sentiment=2), _row(party=R, sentiment=1)]
     )
-    assert table.party_totals(D) == (6, 2)
-    assert table.party_totals(R) == (1, 1)
+    assert table == {"springfield": (4, 1, 1, 1), "acme accord": (2, 1, 0, 0)}
+    assert polarimetry.party_average_sentiment(table, D) == Fraction(6, 2)
+    assert polarimetry.party_average_sentiment(table, R) == Fraction(1, 1)
 
 
 def test_merge_is_order_insensitive_and_matches_single_pass():
@@ -149,9 +144,7 @@ def test_merge_with_disjoint_entities():
     left = reduce_to_instances([_row(entity="alpha", sentiment=1)])
     right = reduce_to_instances([_row(entity="beta", sentiment=3, party=R)])
     merged = merge_aggregates(left, right)
-    assert merged.entity_names() == ["alpha", "beta"]
-    assert merged.entries["alpha"] == EntityAggregate("alpha", 1, 1, 0, 0)
-    assert merged.entries["beta"] == EntityAggregate("beta", 0, 0, 3, 1)
+    assert merged == {"alpha": (1, 1, 0, 0), "beta": (0, 0, 3, 1)}
 
 
 # ==== decimal rendering ====
@@ -213,7 +206,7 @@ def test_mentions_csv_round_trip(tmp_path):
 
 
 def test_mentions_csv_quotes_awkward_fields(tmp_path):
-    row = EntityMentionRow('quote "inner"', "MISC", "u,1", 2, D, BASE)
+    row = ('quote "inner"', "MISC", "u,1", 2, "D", "baseline")
     path = tmp_path / "mentions.csv"
     write_mentions_csv(path, [row])
     assert list(aggregate.read_mentions_csv(path)) == [row]
@@ -229,6 +222,7 @@ def test_mentions_csv_quotes_awkward_fields(tmp_path):
         ("a,T,u,2,D,outside", "never carry outside"),
         ("a,T,u,2,D,later", "unknown window"),
         ("a,T,u,2,D", "expected 6 fields"),
+        (",T,u,2,D,baseline", "line 2: empty entity"),
     ],
 )
 def test_read_mentions_rejects(tmp_path, line, problem):
@@ -272,7 +266,8 @@ def test_read_aggregates_ignores_mean_column(tmp_path):
         encoding="utf-8",
     )
     table = aggregate.read_aggregates_csv(path)
-    assert table.entries["a"].mean(D) == Fraction(2)
+    assert table == {"a": (4, 2, 0, 0)}
+    assert polarimetry.party_average_sentiment(table, D) == Fraction(2)
 
 
 @pytest.mark.parametrize(

@@ -352,19 +352,19 @@ def test_fused_run_matches_annotate_then_emit(tmp_path, shards, preannotated):
                        for record in live}
     cli.run_pipeline(config)
 
-    # the unfused path: whole annotation objects, then one row object per mention
+    # the unfused path: whole annotation objects, then one row at a time per mention
     roster = corpus.load_affiliation_data(config.roster, config.followers)
     windows = corpus.load_windows(config.windows)
     rows = []
     for record in live:
-        party = affiliation.assign_party(affiliation.count_affiliation(record.user_id, roster))
+        party = affiliation.assign_party(*affiliation.count_affiliation(record.user_id, roster))
         window = corpus.classify_window(record.created_at, windows)
         rows += aggregate.emit_mention_rows(annotations[record.tweet_id], party, window)
     expected = tmp_path / "expected"
     expected.mkdir()
     assert write_mentions_csv(expected / "mentions.csv", rows) > 100
     for window in (corpus.WindowLabel.BASELINE, corpus.WindowLabel.CRISIS):
-        table = reduce_to_instances(row for row in rows if row.window is window)
+        table = reduce_to_instances(row for row in rows if row[5] == window.value)
         aggregate.write_aggregates_csv(expected / f"aggregates_{window.value}.csv", table)
     for path in sorted(expected.iterdir()):
         assert (config.out / path.name).read_bytes() == path.read_bytes(), path.name
@@ -853,6 +853,22 @@ def test_report_with_an_integer_too_long_in_window_stats_is_a_data_error(tiny_bu
     capsys.readouterr()
     assert cli.main(_stage_args("report", tiny_bundle, made, tmp_path / "out")) == 2
     assert capsys.readouterr().err == "error: window_stats.json: invalid JSON (integer too long)\n"
+
+
+@pytest.mark.parametrize("payload, key", [
+    ({"baseline_tweets": True, "crisis_tweets": 3}, "baseline_tweets"),
+    ({"baseline_tweets": 3, "crisis_tweets": False}, "crisis_tweets"),
+])
+def test_report_with_a_boolean_tweet_volume_is_a_data_error(tiny_bundle, tmp_path, capsys,
+                                                            payload, key):
+    made = tmp_path / "made"
+    assert cli.main(_run_args(tiny_bundle, made)) == 0
+    (made / "window_stats.json").write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert cli.main(_stage_args("report", tiny_bundle, made, out)) == 2
+    assert capsys.readouterr().err == f"error: window_stats.json: missing or bad {key}\n"
+    assert not (out / "report.json").exists()
 
 
 # the roster's "not UTF-8" case is test_input_that_is_not_utf8_is_a_data_error[roster]

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from polarmetrics import polarimetry
 from polarmetrics.affiliation import PartyLabel
-from polarmetrics.aggregate import AggregateTable, EntityAggregate, format_decimal, format_ratio
+from polarmetrics.aggregate import Table, format_decimal, format_ratio
 from polarmetrics.corpus import WindowLabel, parse_event_windows
 from polarmetrics.errors import DataError, NoJointEntitiesError
 from polarmetrics.polarimetry import (
@@ -29,12 +29,17 @@ D = PartyLabel.DEMOCRAT
 R = PartyLabel.REPUBLICAN
 
 
-def _table(*entries: EntityAggregate) -> AggregateTable:
-    return AggregateTable({e.entity: e for e in entries})
+def _table(*entries: tuple[str, tuple[int, int, int, int]]) -> Table:
+    return dict(entries)
 
 
-def _agg(name: str, dem_sum=0, dem_n=0, rep_sum=0, rep_n=0) -> EntityAggregate:
-    return EntityAggregate(name, dem_sum, dem_n, rep_sum, rep_n)
+def _agg(name: str, dem_sum=0, dem_n=0, rep_sum=0, rep_n=0) -> tuple[str, tuple[int, ...]]:
+    return name, (dem_sum, dem_n, rep_sum, rep_n)
+
+
+def _polarities(baseline: Table, crisis: Table) -> dict:
+    return {WindowLabel.BASELINE: polarimetry.entity_polarities(baseline),
+            WindowLabel.CRISIS: polarimetry.entity_polarities(crisis)}
 
 
 # ==== entity polarization ====
@@ -160,7 +165,8 @@ def _report() -> polarimetry.PolarizationReport:
     windows = parse_event_windows(STD_WINDOWS)
     baseline = _table(_agg("both", 5, 2, 0, 1), _agg("calm", 2, 1, 2, 1))
     crisis = _table(_agg("both", 4, 1, 0, 1), _agg("calm", 2, 1, 2, 1))
-    return polarimetry.build_report(baseline, crisis, windows, 4, 4)
+    return polarimetry.build_report(baseline, crisis, windows, 4, 4,
+                                    _polarities(baseline, crisis))
 
 
 def test_build_report_numbers():
@@ -182,7 +188,7 @@ def test_summarize_window_raises_without_joint_entities():
     windows = parse_event_windows(STD_WINDOWS)
     lonely = _table(_agg("dems only", 4, 1))
     with pytest.raises(NoJointEntitiesError, match="baseline"):
-        polarimetry.build_report(lonely, lonely, windows, 1, 1)
+        polarimetry.build_report(lonely, lonely, windows, 1, 1, _polarities(lonely, lonely))
 
 
 def test_delta_is_crisis_minus_baseline_in_points():
@@ -260,15 +266,9 @@ def test_render_report_table():
 # ==== label symmetry ====
 
 
-def _swap(table: AggregateTable) -> AggregateTable:
-    return AggregateTable(
-        {
-            name: EntityAggregate(
-                name, agg.rep_sum, agg.rep_mentions, agg.dem_sum, agg.dem_mentions
-            )
-            for name, agg in table.entries.items()
-        }
-    )
+def _swap(table: Table) -> Table:
+    return {name: (rep_sum, rep_n, dem_sum, dem_n)
+            for name, (dem_sum, dem_n, rep_sum, rep_n) in table.items()}
 
 
 def test_swapping_parties_preserves_polarization():

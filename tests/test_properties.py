@@ -29,9 +29,7 @@ counts = st.integers(min_value=0, max_value=40)
 tables = st.dictionaries(
     st.sampled_from(["acme", "zürich", "quorvia", "springfield", "x y"]),
     st.tuples(counts, counts, counts, counts),
-).map(lambda cells: aggregate.AggregateTable(
-    {name: aggregate.EntityAggregate(name, *cell) for name, cell in cells.items()}
-))
+)
 
 
 @given(tables, tables, tables)

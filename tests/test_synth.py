@@ -271,10 +271,10 @@ def test_generated_authors_have_unambiguous_labels(tmp_path):
     roster = corpus.load_affiliation_data(bundle.roster_path, bundle.followers_dir)
     for index in range(1, spec.users_per_party + 1):
         dem_label = affiliation.assign_party(
-            affiliation.count_affiliation(f"dem{index:04d}", roster)
+            *affiliation.count_affiliation(f"dem{index:04d}", roster)
         )
         rep_label = affiliation.assign_party(
-            affiliation.count_affiliation(f"rep{index:04d}", roster)
+            *affiliation.count_affiliation(f"rep{index:04d}", roster)
         )
         assert dem_label is affiliation.PartyLabel.DEMOCRAT
         assert rep_label is affiliation.PartyLabel.REPUBLICAN
