@@ -143,6 +143,16 @@ def format_decimal(value: Fraction | int, places: int) -> str:
     return format_ratio(value.numerator, value.denominator, places)
 
 
+def csv_field(text: str) -> str:
+    """`text` as one field of a csv.writer row in the default dialect: a field
+    holding a quote, a comma, CR or LF is quoted, its quotes doubled. (NUL has
+    no one rendering across Python versions; every reader rejects it.)
+    """
+    if '"' in text or "," in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 MENTIONS_HEADER = ("entity", "entity_type", "user_id", "sentiment", "party", "window")
 AGGREGATES_HEADER = ("entity", "party", "sentiment_sum", "mention_count", "mean_sentiment")
 
@@ -161,10 +171,10 @@ class MentionCsvWriter:
         self._writer.writerow(row)
         self.count += 1
 
-    def write_rendered(self, rows: list[MentionRow]) -> None:
-        """Write many rows at once."""
-        self._writer.writerows(rows)
-        self.count += len(rows)
+    def write_text(self, text: str, rows: int) -> None:
+        """Write `rows` rows already rendered as CSV text, CRLF after each."""
+        self._handle.write(text)
+        self.count += rows
 
     def close(self) -> None:
         self._handle.close()

@@ -133,6 +133,8 @@ def load_gazetteer(path: Path | str) -> Gazetteer:
             raise DataError(f"{path.name} line {lineno}: entity type must be one token")
         if entity_type != entity_type.upper():
             raise DataError(f"{path.name} line {lineno}: entity type must be uppercase")
+        if "\0" in surface or "\0" in entity_type:
+            raise DataError(f"{path.name} line {lineno}: surface or type holds a NUL")
         if surface in surfaces:
             raise DataError(f"{path.name} line {lineno}: duplicate surface {surface!r}")
         surfaces[surface] = entity_type
@@ -399,6 +401,8 @@ def ingest_preannotated(
                     if not (surface.isascii() and entity_type.isascii()) and (
                             has_lone_surrogate(surface) or has_lone_surrogate(entity_type)):
                         return f"sentence {index} entity {surface!r} holds a lone surrogate"
+                    if "\0" in surface or "\0" in entity_type:
+                        return f"sentence {index} entity {surface!r} holds a NUL"
                     mention = (share(surface, surface), share(entity_type, entity_type),
                                sentiment)
                     mentions.append(share(mention, mention))

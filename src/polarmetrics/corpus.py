@@ -206,6 +206,8 @@ def parse_event_windows(payload: object, source: str = "windows config") -> Even
         raise DataError(f"{source}: missing or empty event_name")
     if has_lone_surrogate(name):
         raise DataError(f"{source}: event_name holds a lone surrogate")
+    if "\0" in name:
+        raise DataError(f"{source}: event_name holds a NUL")
 
     def _window(key: str) -> TimeWindow:
         block = payload.get(key)
@@ -276,19 +278,11 @@ def duplicate_problem(tweet_id: str) -> str:
 def decode_json_line(text: str) -> tuple[object, str | None]:
     """(the JSON value of a stripped line, None), or (None, the problem with it).
 
-    Gives json.loads's value and message: str.strip removes every JSON
-    whitespace character, so json.loads on a stripped line is one scan from
-    offset 0 that must end at the line's end. The scan is called directly;
-    when it does not take the whole line, json.loads runs once to name the
-    problem. Nesting too deep for the scanner, and an integer too long for
-    int(), are problems too, not errors.
+    Gives json.loads's value and message; nesting too deep for the scanner,
+    and an integer too long for int(), are problems too, not errors.
+    `read_json_lines` tries the scanner itself first, so this runs only to
+    name a line's problem.
     """
-    try:
-        payload, end = _scan_json(text, 0)
-        if end == len(text):
-            return payload, None
-    except (StopIteration, ValueError, RecursionError):
-        pass
     try:
         return json.loads(text), None
     except json.JSONDecodeError as exc:
@@ -357,7 +351,7 @@ def read_json_lines(
     """Yield one item per good line of a JSON-lines file of tweet objects, in file order.
 
     Every line must hold a JSON object with a nonempty string tweet_id not in
-    `seen` and a nonempty string user_id without a lone surrogate. Then
+    `seen` and a nonempty string user_id without a lone surrogate or a NUL. Then
     `parse_rest(payload, tweet_id, user_id)` gives the item, or the line's
     problem as a str. A line with bytes that are not valid UTF-8 is one bad
     line. With `strict`, the first bad line raises DataError; otherwise it is
@@ -382,30 +376,38 @@ def read_json_lines(
     except OSError as exc:
         raise DataError(f"cannot read {what} file {path}: {exc}") from exc
     with handle:
-        # one branch per check, inline: this loop runs once per line
+        # one branch per check, inline: this loop runs once per line; JSON gives
+        # no subclasses, so `type(x) is` checks stand for isinstance
         for lineno, line in enumerate(handle, start=1):
             text = line.strip()
-            tweet_id = None
-            if not text:
-                problem = "blank line"
-            elif not text.isascii() and _ESCAPED_BYTE_RE.search(text):
+            tweet_id = problem = None
+            if not text.isascii() and _ESCAPED_BYTE_RE.search(text):
                 problem = "invalid UTF-8"
             else:
-                payload, problem = decode_json_line(text)
+                # str.strip removes every JSON whitespace character, so json.loads
+                # of the line is this one scan from offset 0, to the line's end
+                try:
+                    payload, end = _scan_json(text, 0)
+                except (StopIteration, ValueError, RecursionError):
+                    end = -1
+                if end != len(text):
+                    payload, problem = decode_json_line(text) if text else (None, "blank line")
             if problem is None:
-                if not isinstance(payload, dict):
+                if type(payload) is not dict:
                     problem = "expected a JSON object"
-                elif not isinstance(tweet_id := payload.get("tweet_id"), str) or not tweet_id:
+                elif type(tweet_id := payload.get("tweet_id")) is not str or not tweet_id:
                     problem, tweet_id = "missing or empty tweet_id", None
                 elif tweet_id in seen:
                     problem = duplicate_problem(tweet_id)
-                elif not isinstance(user_id := payload.get("user_id"), str) or not user_id:
+                elif type(user_id := payload.get("user_id")) is not str or not user_id:
                     problem = "missing or empty user_id"
                 elif not user_id.isascii() and _SURROGATE_RE.search(user_id):
                     problem = "user_id holds a lone surrogate"
+                elif "\0" in user_id:
+                    problem = "user_id holds a NUL"
                 else:
                     item = parse_rest(payload, tweet_id, user_id)
-                    if not isinstance(item, str):
+                    if type(item) is not str:
                         seen.add(tweet_id)
                         stats.kept += 1
                         yield item
@@ -416,22 +418,29 @@ def read_json_lines(
             stats.reject_line(path.name, lineno, problem, tweet_id)
 
 
+# bound once: _tweet_rest runs once per tweet line
+_is_utc, _from_iso, _new_tuple = _UTC_TIMESTAMP_RE.fullmatch, datetime.fromisoformat, tuple.__new__
+
+
 def _tweet_rest(payload: dict, tweet_id: str, user_id: str) -> TweetRecord | str:
     """The record of a tweet line whose ids are good, or the problem with the rest of it."""
     body = payload.get("text")
-    if not isinstance(body, str):
+    if type(body) is not str:
         return "missing text"
     raw_created = payload.get("created_at")
-    if not isinstance(raw_created, str):
+    if type(raw_created) is not str:
         return "missing created_at"
-    try:
-        created_at = parse_timestamp(raw_created)
+    try:  # parse_timestamp's fast path first
+        if _is_utc(raw_created):
+            created_at = _from_iso(raw_created[:19] + "+00:00")
+        else:
+            created_at = parse_timestamp(raw_created)
     except ValueError:
         return f"unparseable created_at {raw_created!r}"
     deleted = payload.get("deleted", False)
-    if not isinstance(deleted, bool):
+    if deleted is not False and deleted is not True:
         return "deleted must be a boolean"
-    return TweetRecord(tweet_id, user_id, body, created_at, deleted)
+    return _new_tuple(TweetRecord, (tweet_id, user_id, body, created_at, deleted))
 
 
 def parse_tweets(

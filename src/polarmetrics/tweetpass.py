@@ -137,11 +137,11 @@ def _pulled(
     log: corpus.IngestStats,
     labeler: affiliation.PartyLabeler,
     stop: Event | None,
-) -> Iterator[tuple[int, corpus.TweetRecord]]:
-    """(range-local line number, record) pairs, pulled CHUNK_RECORDS at a time.
+) -> Iterator[list[tuple[int, corpus.TweetRecord]]]:
+    """Chunks of up to CHUNK_RECORDS (range-local line number, record) pairs.
 
     Each chunk's authors of non-deleted records are labelled together before
-    its first pair is yielded. No chunk is pulled once `stop` is set.
+    it is yielded. No chunk is pulled once `stop` is set.
     """
     while stop is None or not stop.is_set():
         # the parser counts a line before yielding its record
@@ -150,7 +150,7 @@ def _pulled(
         if not chunk:
             return
         labeler.label_all(record.user_id for _, record in chunk if not record.deleted)
-        yield from chunk
+        yield chunk
 
 
 def _pass_range(
@@ -167,88 +167,105 @@ def _pass_range(
     """Gate, label, annotate, write and reduce the tweets of one byte range.
 
     A tweet stops at the first gate it fails: deleted, unaligned author,
-    outside both windows, no annotation. `annotate` is called for retained
-    tweets only, so a memo behind it sees only their texts, and the mentions
-    it gives are only read. Each mention of a retained tweet
-    goes straight from its (surface, type, sentiment) tuple to a mentions.csv
-    row and an integer cell of its window's one cell dict; a mention whose
-    name normalizes to nothing is dropped and noted in the result.
-    `labeler` labels each chunk's authors ahead of it, so a tweet's party is
-    one lookup in its entries. With `strict`, the pass stops at
-    the first rejected line or retained tweet without annotation; the merge
-    reports whichever comes first. Records are read a chunk ahead, so the log
-    may already hold rejects of later lines. The pass also stops once the
-    `stop` event is set.
+    outside both windows (bounds compared inline, as `corpus.classify_window`
+    does), no annotation. `annotate` is called for retained tweets only, so
+    a memo behind it sees only their texts, and the mentions it gives are
+    only read. Each mention of a retained tweet becomes one integer cell
+    update in its window's one cell dict and one mentions.csv line: the
+    "name,type," prefix kept per distinct mention, the author's field and
+    the ",sentiment,party,window" end kept per party and window; a mention
+    whose name normalizes to nothing is dropped and noted in the result. A
+    chunk's lines are written in one call when the pass leaves the chunk.
+    `labeler` labels each chunk's authors ahead of it. With `strict`, the
+    pass stops at the first rejected line or retained tweet without
+    annotation; the merge reports whichever comes first. Records are read a
+    chunk ahead, so the log may already hold rejects of later lines. The
+    pass also stops once the `stop` event is set.
     """
     democrat, unaligned = affiliation.PartyLabel.DEMOCRAT, affiliation.PartyLabel.UNALIGNED
-    baseline, crisis = corpus.WindowLabel.BASELINE, corpus.WindowLabel.CRISIS
-    window_values = (baseline.value, crisis.value)
+    baseline_start, baseline_end = windows.baseline.start, windows.baseline.end
+    crisis_start, crisis_end = windows.crisis.start, windows.crisis.end
     window_cells = ({}, {})  # per window: entity name -> [dem_sum, dem_n, rep_sum, rep_n]
-    tally = [0] * (RETAINED + len(window_values))
-    names: dict[str, str] = {}  # surface -> normalized entity name
+    # per party, then per window: the party's cell offset, the window's cells and
+    # a row's line end by sentiment (0..4)
+    democrat_rules, republican_rules = (
+        tuple((aggregate.PARTY_OFFSET[party.code], cells,
+               tuple(f",{sentiment},{party.code},{window.value}\r\n" for sentiment in range(5)))
+              for window, cells in zip(WINDOW_STATS_KEYS, window_cells))
+        for party in (democrat, affiliation.PartyLabel.REPUBLICAN))
+    tally = [0] * (RETAINED + len(window_cells))
+    prefixes: dict[annotator.Mention, tuple[str, str]] = {}  # mention -> (name, "name,type,")
+    csv_field = aggregate.csv_field
     empty_names: list[tuple[int, str]] = []
-    unannotated = None
+    unannotated, stopped = None, False
     entries = labeler.entries  # filled in place, a chunk ahead of the gate
     if facts is not None:
         note_id, note_line, note_fate = facts.ids.append, facts.lines.append, facts.fates.append
         note_rows, note_author, slots = facts.first_rows.append, facts.authors.append, facts.slots
-    for line, record in _pulled(records, log, labeler, stop):
-        if strict and log.rejected and log.lines[0][0] < line:
-            break
-        if record.deleted:
-            fate = DELETED
-        else:
-            party = entries[record.user_id][2]
-            if party is unaligned:
-                fate = UNALIGNED
-            else:
-                window = corpus.classify_window(record.created_at, windows)
-                if window is baseline:
-                    fate = RETAINED
-                elif window is crisis:
-                    fate = RETAINED + 1
-                else:
-                    fate = OUTSIDE
-                if fate >= RETAINED:
-                    annotation = annotate(record)
-                    if annotation is None:
-                        fate = UNANNOTATED
-        tally[fate] += 1
-        if facts is not None:
-            note_id(record.tweet_id)
-            note_line(line)
-            note_fate(fate)
-            note_rows(writer.count)
-            note_author(slots.setdefault(record.user_id, len(slots)) if fate else -1)
-        if fate < RETAINED:
-            if strict and fate == UNANNOTATED:
-                unannotated = (line, record.tweet_id)
+    for chunk in _pulled(records, log, labeler, stop):
+        lines: list[str] = []
+        for line, record in chunk:
+            if strict and log.rejected and log.lines[0][0] < line:
+                stopped = True
                 break
-            continue
-        slot = fate - RETAINED
-        user_id, mentions = annotation
-        if not mentions:
-            continue
-        if party is democrat:
-            offset, code = 0, "D"
-        else:
-            offset, code = 2, "R"
-        window_value, cells = window_values[slot], window_cells[slot]
-        rows = []
-        for surface, entity_type, sentiment in mentions:
-            name = names.get(surface)
-            if name is None:
-                name = names[surface] = aggregate.normalize_entity_name(surface)
-            if not name:
-                empty_names.append((line, record.tweet_id))
+            if record.deleted:
+                fate = DELETED
+            else:
+                party = entries[record.user_id][2]
+                if party is unaligned:
+                    fate = UNALIGNED
+                else:
+                    created_at = record.created_at
+                    if baseline_start <= created_at < baseline_end:
+                        fate = RETAINED
+                    elif crisis_start <= created_at < crisis_end:
+                        fate = RETAINED + 1
+                    else:
+                        fate = OUTSIDE
+                    if fate >= RETAINED:
+                        annotation = annotate(record)
+                        if annotation is None:
+                            fate = UNANNOTATED
+            tally[fate] += 1
+            if facts is not None:
+                note_id(record.tweet_id)
+                note_line(line)
+                note_fate(fate)
+                note_rows(writer.count + len(lines))
+                note_author(slots.setdefault(record.user_id, len(slots)) if fate else -1)
+            if fate < RETAINED:
+                if strict and fate == UNANNOTATED:
+                    unannotated = (line, record.tweet_id)
+                    stopped = True
+                    break
                 continue
-            rows.append((name, entity_type, user_id, sentiment, code, window_value))
-            cell = cells.get(name)
-            if cell is None:
-                cell = cells[name] = [0, 0, 0, 0]
-            cell[offset] += sentiment
-            cell[offset + 1] += 1
-        writer.write_rendered(rows)
+            user_id, mentions = annotation
+            if not mentions:
+                continue
+            rules = democrat_rules if party is democrat else republican_rules
+            offset, cells, ends = rules[fate - RETAINED]
+            author = csv_field(user_id)
+            for mention in mentions:
+                known = prefixes.get(mention)
+                if known is None:
+                    surface, entity_type, _ = mention
+                    name = aggregate.normalize_entity_name(surface)
+                    known = prefixes[mention] = (
+                        name, f"{csv_field(name)},{csv_field(entity_type)},")
+                name, prefix = known
+                if not name:
+                    empty_names.append((line, record.tweet_id))
+                    continue
+                sentiment = mention[2]
+                lines.append(prefix + author + ends[sentiment])
+                cell = cells.get(name)
+                if cell is None:
+                    cell = cells[name] = [0, 0, 0, 0]
+                cell[offset] += sentiment
+                cell[offset + 1] += 1
+        writer.write_text("".join(lines), len(lines))
+        if stopped:
+            break
     return _RangeResult(log, tally, window_cells, writer.count, unannotated,
                         empty_names=empty_names)
 

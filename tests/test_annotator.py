@@ -158,6 +158,8 @@ def test_load_gazetteer(tmp_path):
         ("springfield\tlocation\n", "uppercase"),
         ("springfield\tTWO WORDS\n", "one token"),
         ("springfield\tLOCATION\nSpringfield\tMISC\n", "duplicate"),
+        ("springfield\tLOCATION\nspring\0field\tMISC\n", "line 2: surface or type holds a NUL"),
+        ("springfield\tLOC\0\n", "line 1: surface or type holds a NUL"),
     ],
 )
 def test_load_gazetteer_rejects(tmp_path, content, problem):

@@ -9,10 +9,10 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polarmetrics import corpus
+from polarmetrics import affiliation, aggregate, corpus, tweetpass
 from polarmetrics.affiliation import PartyLabel
 from polarmetrics.errors import DataError
 
@@ -127,6 +127,86 @@ _timestamps = st.builds(
 @example("9999-12-31T23:59:59-05:30")
 def test_timestamp_fast_path_matches_the_grammar(value):
     assert _outcome(corpus.parse_timestamp, value) == _outcome(_grammar_timestamp, value)
+
+
+# a gap between the windows, and bounds that are not midnight UTC
+GAPPED_WINDOWS = {
+    "event_name": "gapped",
+    "baseline": {"start": "2021-01-01T06:30:00Z", "end": "2021-01-04T06:30:00Z"},
+    "crisis": {"start": "2021-01-05T05:00:00+05:00", "end": "2021-01-08T05:00:00+05:00"},
+}
+
+
+def _pass_fates(stamps: list[str], payload: dict) -> list[tuple[int, int]]:
+    """(the tweet pass's fate, the fate classify_window gives) per created_at.
+
+    Each stamp is one tweet of a Democrat author with an empty annotation,
+    read by parse_tweets, so the window gate alone decides its fate.
+    """
+    windows = corpus.parse_event_windows(payload)
+    roster = corpus.FigureheadRoster({"dema": PartyLabel.DEMOCRAT}, {"dema": {"u1"}})
+    fate_of = {corpus.WindowLabel.BASELINE: tweetpass.RETAINED,
+               corpus.WindowLabel.CRISIS: tweetpass.RETAINED + 1,
+               corpus.WindowLabel.OUTSIDE: tweetpass.OUTSIDE}
+    with tempfile.TemporaryDirectory() as scratch:
+        tweets = Path(scratch) / "tweets.jsonl"
+        tweets.write_text("".join(
+            json.dumps({"tweet_id": f"t{index}", "user_id": "u1", "text": "",
+                        "created_at": stamp}) + "\n"
+            for index, stamp in enumerate(stamps)), encoding="utf-8")
+        log, facts = corpus.IngestStats(), tweetpass._KeptFacts()
+        records = corpus.parse_tweets(tweets, stats=log)
+        with aggregate.MentionCsvWriter(Path(scratch) / "mentions.csv") as writer:
+            tweetpass._pass_range(records, log, windows, affiliation.PartyLabeler(roster),
+                                  lambda record: ("u1", ()), False, writer, facts)
+    assert log.rejected == 0
+    expected = [fate_of[corpus.classify_window(corpus.parse_timestamp(stamp), windows)]
+                for stamp in stamps]
+    return list(zip(facts.fates, expected))
+
+
+def _render(moment: datetime, minutes: int, fraction: str) -> str:
+    """`moment` written at a UTC offset of `minutes`, or with Z when it is 0."""
+    local = moment + timedelta(minutes=minutes)
+    sign, size = ("+" if minutes >= 0 else "-"), abs(minutes)
+    zone = "Z" if minutes == 0 else f"{sign}{size // 60:02d}:{size % 60:02d}"
+    return local.strftime("%Y-%m-%dT%H:%M:%S") + fraction + zone
+
+
+@pytest.mark.parametrize("payload", [STD_WINDOWS, GAPPED_WINDOWS])
+def test_inline_window_gate_matches_classify_window_at_every_bound(payload):
+    windows = corpus.parse_event_windows(payload)
+    stamps = []
+    for window in (windows.baseline, windows.crisis):
+        for bound in (window.start, window.end):
+            for step in (-1, 0, 1):  # start - 1 s, start, ..., end - 1 s, end, end + 1 s
+                moment = bound + timedelta(seconds=step)
+                # Z, a fraction just short of the next second, and offsets whose
+                # local clock sits on the other side of the bound
+                stamps += [_render(moment, minutes, fraction)
+                           for minutes in (0, 90, -90, 14 * 60, -(23 * 60 + 59))
+                           for fraction in ("", ".999")]
+    fates = _pass_fates(stamps, payload)
+    assert {fate for fate, _ in fates} == {tweetpass.RETAINED, tweetpass.RETAINED + 1,
+                                         tweetpass.OUTSIDE}
+    assert [fate for fate, _ in fates] == [expected for _, expected in fates]
+
+
+@settings(deadline=None)
+@given(
+    payload=st.sampled_from([STD_WINDOWS, GAPPED_WINDOWS]),
+    moments=st.lists(st.tuples(st.integers(0, 3), st.integers(-2 * 86400, 2 * 86400),
+                               st.integers(-(23 * 60 + 59), 23 * 60 + 59),
+                               st.sampled_from(["", ".5", ".999999"])), min_size=1, max_size=20),
+)
+def test_inline_window_gate_matches_classify_window_near_the_bounds(payload, moments):
+    windows = corpus.parse_event_windows(payload)
+    bounds = (windows.baseline.start, windows.baseline.end, windows.crisis.start,
+              windows.crisis.end)
+    stamps = [_render(bounds[which] + timedelta(seconds=seconds), minutes, fraction)
+              for which, seconds, minutes, fraction in moments]
+    fates = _pass_fates(stamps, payload)
+    assert [fate for fate, _ in fates] == [expected for _, expected in fates]
 
 
 # ==== windows ====

@@ -483,6 +483,74 @@ def test_lone_surrogate_event_name_is_a_data_error(monkeypatch, tmp_path, capsys
     assert not out.exists() or list(out.iterdir()) == []
 
 
+# csv.writer refuses a NUL on Python 3.10 and writes it raw on later versions, so
+# every reader rejects one where it rejects a lone surrogate
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_nul_user_id_is_a_counted_reject(monkeypatch, tmp_path, capsys, count):
+    lines = [_tweet("t0", "dem1", "Acme is good.")] + _filler(40)
+    lines.insert(30, _tweet("s1", "dem\0", "Acme is good."))
+    bundle = _bundle(tmp_path, lines)
+    code, _ = _run_at(monkeypatch, bundle, count, _args(bundle, tmp_path / "out"), capsys)
+    assert code == 0
+    (tmp_path / "clean").mkdir()
+    clean = _bundle(tmp_path / "clean", lines[:30] + lines[31:])
+    _force_ranges(monkeypatch, clean, 1)
+    expected = _outcome(cli.run_pipeline(_config(clean, tmp_path / "clean-out")))
+    written = {path.name: path.read_bytes() for path in sorted((tmp_path / "out").iterdir())}
+    assert written == expected["artifacts"]
+
+    code, err = _run_at(monkeypatch, bundle, count,
+                        _args(bundle, tmp_path / "strict", "--strict"), capsys)
+    assert code == 2
+    assert err == "error: tweets.jsonl line 31: user_id holds a NUL\n"
+
+
+@pytest.mark.parametrize("count", [1, 2])
+@pytest.mark.parametrize("user_id, surface, problem", [
+    ("dem1", "zeta\0", "sentence 0 entity 'zeta\\x00' holds a NUL"),
+    ("dem\0", "zeta", "user_id holds a NUL"),
+], ids=["surface", "user_id"])
+def test_nul_preannotated_user_id_or_surface_is_a_counted_reject(
+        monkeypatch, tmp_path, capsys, count, user_id, surface, problem):
+    lines = [_tweet("t0", "dem1", "Acme is good.")] + _filler(40)
+    lines.insert(30, _tweet("s1", "dem1", "Zeta and acme"))
+    bundle = _bundle(tmp_path, lines)
+    bad = {"tweet_id": "s1", "user_id": user_id, "sentences": [
+        {"text": surface + " and acme", "sentiment": 4,
+         "entities": [{"surface": surface, "type": "MISC"}]}]}
+    table = _write_table(tmp_path / "annotated.jsonl", lines, replace={"s1": bad})
+    args = _args(bundle, tmp_path / "out", "--preannotated", str(table))
+    code, _ = _run_at(monkeypatch, bundle, count, args, capsys)
+    assert code == 0
+    mentions = (tmp_path / "out" / "mentions.csv").read_text(encoding="utf-8")
+    assert "zeta" not in mentions and "\0" not in mentions and "acme" in mentions
+
+    args = _args(bundle, tmp_path / "strict", "--preannotated", str(table), "--strict")
+    code, err = _run_at(monkeypatch, bundle, count, args, capsys)
+    assert code == 2
+    assert err == f"error: annotated.jsonl line 31: {problem}\n"
+
+
+@pytest.mark.parametrize("name, old, new, problem", [
+    ("windows", '"test-event"', '"test\\u0000event"', "windows.json: event_name holds a NUL"),
+    ("gazetteer", "quorvia\t", "quor\0via\t", "gazetteer.tsv line 3: surface or type holds a NUL"),
+    ("gazetteer", "\tPERSON", "\tPER\0SON", "gazetteer.tsv line 3: surface or type holds a NUL"),
+], ids=["event_name", "gazetteer surface", "gazetteer type"])
+def test_nul_event_name_or_gazetteer_entry_is_a_data_error(monkeypatch, tmp_path, capsys,
+                                                            name, old, new, problem):
+    bundle = _bundle(tmp_path, [_tweet("t0", "dem1", "Acme is good.")] + _filler(40))
+    text = bundle[name].read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    bundle[name].write_text(text.replace(old, new), encoding="utf-8")
+    out = tmp_path / "out"
+    code, err = _run_at(monkeypatch, bundle, 1, _args(bundle, out), capsys)
+    assert code == 2
+    assert err == f"error: {problem}\n"
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 def _die(index: int, span: tuple[int, int]) -> None:
     os._exit(1)  # as an out-of-memory kill would end a worker
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import tempfile
 from datetime import datetime, timezone
@@ -9,7 +11,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polarmetrics import aggregate, annotator, cli, corpus, tweetpass
@@ -30,6 +32,19 @@ tables = st.dictionaries(
     st.sampled_from(["acme", "zürich", "quorvia", "springfield", "x y"]),
     st.tuples(counts, counts, counts, counts),
 )
+
+
+@given(st.text(st.one_of(st.sampled_from('",\r\n x'), st.characters()))
+       .filter(lambda text: "\0" not in text))
+@example("")
+@example('say "hi", then\r\nleave')
+def test_csv_field_renders_a_field_as_csv_writer_does(text):
+    # no NUL: csv.writer renders one differently across Python versions, and every
+    # reader rejects it before it can reach a row
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow((text, 3, text))
+    field = aggregate.csv_field(text)
+    assert buffer.getvalue() == f"{field},3,{field}\r\n"
 
 
 @given(tables, tables, tables)
