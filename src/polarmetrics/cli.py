@@ -21,9 +21,9 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
-from . import affiliation, aggregate, annotator, corpus, polarimetry, synth, tweetpass
+from . import affiliation, aggregate, annotator, corpus, polarimetry, tweetpass
 from .errors import ConfigError, DataError, NoJointEntitiesError, WorkerError
 from .tweetpass import SCRATCH_PREFIX, WINDOW_STATS_KEYS, Annotate, StreamCounters, stream_mentions
 
@@ -166,19 +166,29 @@ def _remove_leftovers(out: Path) -> None:
 
 
 @contextmanager
-def _inputs_frozen() -> Iterator[None]:
-    """Keep every object alive at entry, the loaded inputs above all, out of collections.
+def _inputs_frozen() -> Iterator[Callable[[], None]]:
+    """Load the inputs with the collector off, then keep them out of collections.
 
-    The follower sets and the annotation table are most of the heap and live
-    until the run ends. Frozen, no collection walks them again, and no
-    collection in a forked worker writes to the pages it shares with this
-    process.
+    Entered before the first input is loaded; the function it gives is called
+    once the last one is. The loaders make no reference cycles, so a
+    collection during a load frees nothing: it only walks the follower sets
+    and tables built so far (about 25 ms for each young collection of
+    wide-funnel's 0.2 s set-up). Then every object alive, the loaded inputs
+    above all, is frozen and the collector is back on. The follower sets and
+    the annotation table are most of the heap and live until the run ends.
+    Frozen, no collection walks them again, and no collection in a forked
+    worker writes to the pages it shares with this process.
     """
-    gc.freeze()
+    def loaded() -> None:
+        gc.freeze()
+        gc.enable()
+
+    gc.disable()
     try:
-        yield
+        yield loaded
     finally:
         gc.unfreeze()
+        gc.enable()
 
 
 @dataclass
@@ -206,14 +216,14 @@ def run_pipeline(config: RunConfig) -> RunResult:
     for stale in ("report.csv", "report.json"):
         (out_dir / stale).unlink(missing_ok=True)
     counters = StreamCounters()
-    annotate = _annotation_source(config.lexicon, config.gazetteer, config.preannotated,
-                                  config.entity_types, config.strict, counters.annotation)
-    roster = corpus.load_affiliation_data(config.roster, config.followers)
-    labeler = affiliation.PartyLabeler(roster)
-    windows = corpus.load_windows(config.windows)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    with _inputs_frozen():
+    with _inputs_frozen() as loaded:
+        annotate = _annotation_source(config.lexicon, config.gazetteer, config.preannotated,
+                                      config.entity_types, config.strict, counters.annotation)
+        roster = corpus.load_affiliation_data(config.roster, config.followers)
+        labeler = affiliation.PartyLabeler(roster)
+        windows = corpus.load_windows(config.windows)
+        loaded()
+        out_dir.mkdir(parents=True, exist_ok=True)
         builders, mention_count = stream_mentions(config.tweets, windows, labeler, annotate,
                                                    config.strict, counters, out_dir)
         tables = {window: builder.build() for window, builder in builders.items()}
@@ -302,10 +312,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_mentions(args: argparse.Namespace) -> int:
-    _remove_leftovers(_out_dir(args.out, make=False))
-    windows = corpus.load_windows(args.windows)
-    counters = StreamCounters()
+def _mentions_labeler(args: argparse.Namespace) -> affiliation.PartyLabeler:
     if args.affiliations is not None:
         if args.roster is not None or args.followers is not None:
             raise ConfigError("--affiliations replaces --roster/--followers")
@@ -314,15 +321,22 @@ def cmd_mentions(args: argparse.Namespace) -> int:
         labeler = affiliation.PartyLabeler(corpus.FigureheadRoster({}, {}))
         labeler.adopt((user_id, (0, 0, label)) for user_id, label
                       in affiliation.read_affiliation_audit(args.affiliations).items())
-    elif args.roster is not None and args.followers is not None:
-        labeler = affiliation.PartyLabeler(corpus.load_affiliation_data(args.roster, args.followers))
-    else:
-        raise ConfigError("provide --affiliations or both --roster and --followers")
+        return labeler
+    if args.roster is not None and args.followers is not None:
+        return affiliation.PartyLabeler(corpus.load_affiliation_data(args.roster, args.followers))
+    raise ConfigError("provide --affiliations or both --roster and --followers")
 
-    annotate = _annotation_source(args.lexicon, args.gazetteer, args.preannotated,
-                                  args.entity_types, args.strict, counters.annotation)
-    out_dir = _out_dir(args.out)
-    with _inputs_frozen():
+
+def cmd_mentions(args: argparse.Namespace) -> int:
+    _remove_leftovers(_out_dir(args.out, make=False))
+    counters = StreamCounters()
+    with _inputs_frozen() as loaded:
+        windows = corpus.load_windows(args.windows)
+        labeler = _mentions_labeler(args)
+        annotate = _annotation_source(args.lexicon, args.gazetteer, args.preannotated,
+                                      args.entity_types, args.strict, counters.annotation)
+        loaded()
+        out_dir = _out_dir(args.out)
         _, count = stream_mentions(args.tweets, windows, labeler, annotate, args.strict,
                                    counters, out_dir)
     _print_stream_summary(counters)
@@ -384,6 +398,10 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    # imported here, not with the run path's modules: synth alone needs numpy,
+    # which would add about 12 MB to every run and forked worker
+    from . import synth
+
     spec = synth.load_planted_spec(args.spec)
     if args.seed is not None:
         spec = synth.with_seed(spec, args.seed)

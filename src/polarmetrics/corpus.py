@@ -120,11 +120,23 @@ def read_json_file(path: Path | str, what: str) -> object:
         raise DataError(f"{path.name}: {INTEGER_PROBLEM}") from exc
 
 
+class _NulLine(Exception):
+    """A CSV line holds a NUL, which Python 3.11+'s csv.reader passes through."""
+
+
+def _nul_free(lines: Iterator[str]) -> Iterator[str]:
+    for line in lines:
+        if "\0" in line:
+            raise _NulLine
+        yield line
+
+
 def read_csv(path: Path | str, what: str) -> Iterator[list[str]]:
     """Yield the records of a UTF-8 CSV file; a DataError names what is wrong with the file.
 
     A record the csv module cannot read, such as one with a field over its
-    size limit, is named by the file line the reader had reached.
+    size limit, is named by the file line the reader had reached. A line
+    holding a NUL is an error on every Python, as csv.reader makes it on 3.10.
     """
     path = Path(path)
     try:
@@ -132,11 +144,14 @@ def read_csv(path: Path | str, what: str) -> Iterator[list[str]]:
     except OSError as exc:
         raise DataError(f"cannot read {what} file {path}: {exc}") from exc
     with handle:
-        reader = csv.reader(handle)
+        reader = csv.reader(_nul_free(handle))
         try:
             yield from reader
         except UnicodeDecodeError as exc:
             raise DataError(f"{path.name}: invalid UTF-8") from exc
+        except _NulLine:
+            # the reader counts a line once it has it, and it never got this one
+            raise DataError(f"{path.name} line {reader.line_num + 1}: line contains NUL") from None
         except csv.Error as exc:
             raise DataError(f"{path.name} line {reader.line_num}: {exc}") from exc
 
@@ -496,7 +511,8 @@ def load_affiliation_data(roster_path: Path | str, followers_dir: Path | str) ->
     """Load the figurehead roster CSV and one follower list per handle.
 
     The roster is a two-column CSV (handle,party) with party tokens D or R;
-    a handle holds no "/" and no NUL, so it names a file in followers_dir.
+    a handle holds no "/", and `read_csv` rejects a NUL, so it names a file in
+    followers_dir.
     Each handle must have <handle>.txt in followers_dir holding one user_id
     per line; blank lines and #-comments are ignored and duplicates are
     dropped. A follower file for a handle missing from the roster is an
@@ -514,7 +530,7 @@ def load_affiliation_data(roster_path: Path | str, followers_dir: Path | str) ->
         handle = row[0].strip()
         if not handle:
             raise DataError(f"{roster_path.name} line {lineno}: empty handle")
-        if "/" in handle or "\0" in handle:
+        if "/" in handle:
             raise DataError(f"{roster_path.name} line {lineno}: bad handle {handle!r}")
         if handle in figureheads:
             raise DataError(f"{roster_path.name} line {lineno}: duplicate handle {handle!r}")

@@ -23,6 +23,7 @@ from array import array
 from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, TextIO
 
@@ -79,6 +80,10 @@ class StreamCounters:
 Annotate = Callable[[corpus.TweetRecord], tuple[str, tuple[annotator.Mention, ...]] | None]
 
 
+_line_of, _record_of = itemgetter(0), itemgetter(1)
+_tweet_id_of, _user_id_of = attrgetter("tweet_id"), attrgetter("user_id")
+
+
 @dataclass
 class _KeptFacts:
     """Per kept tweet of a worker's range, in file order: what undoing it takes.
@@ -86,15 +91,25 @@ class _KeptFacts:
     A tweet whose id was kept in an earlier range is a duplicate in a
     one-range run, so the merge retracts it. The worker writes these facts to
     a file that the merge reads a chunk at a time, so the parent never holds
-    a worker's tweet ids all at once.
+    a worker's tweet ids all at once. The pass notes a tweet's fate and
+    first row as it decides them, and the rest a chunk at a time.
     """
 
     ids: list[str] = field(default_factory=list)
     lines: array = field(default_factory=lambda: array("q"))
     fates: bytearray = field(default_factory=bytearray)
     first_rows: array = field(default_factory=lambda: array("q"))  # mention rows before it
-    authors: array = field(default_factory=lambda: array("q"))  # index in slots; -1 if deleted
-    slots: dict[str, int] = field(default_factory=dict)  # author -> index
+    authors: list[str] = field(default_factory=list)  # one str object per distinct author
+    shared: dict[str, str] = field(default_factory=dict)  # author -> that object
+
+    def note_chunk(self, chunk: list[tuple[int, corpus.TweetRecord]]) -> None:
+        """Note the line, id and author of each pair of `chunk` the pass gave a fate."""
+        chunk = chunk[:len(self.fates) - len(self.ids)]
+        records = list(map(_record_of, chunk))
+        self.lines.extend(map(_line_of, chunk))
+        self.ids.extend(map(_tweet_id_of, records))
+        user_ids = list(map(_user_id_of, records))
+        self.authors.extend(map(self.shared.setdefault, user_ids, user_ids))
 
     def dump(self, path: Path, rows: int) -> None:
         """Write (ids, lines, fates, first row, end row, author) chunks to `path`."""
@@ -126,7 +141,7 @@ class _RangeResult:
     rows: int
     # with --strict: (line, tweet_id) of the retained tweet without annotation it stopped at
     unannotated: tuple[int, str] | None
-    # a worker's labelled authors: (user_id, labeler entry, tweets labelled), by index
+    # a worker's labelled authors: (user_id, labeler entry, tweets labelled)
     labelled: list[tuple[str, tuple, int]] = field(default_factory=list)
     # (line, tweet_id) of each mention dropped because its name normalizes to nothing
     empty_names: list[tuple[int, str]] = field(default_factory=list)
@@ -200,8 +215,7 @@ def _pass_range(
     unannotated, stopped = None, False
     entries = labeler.entries  # filled in place, a chunk ahead of the gate
     if facts is not None:
-        note_id, note_line, note_fate = facts.ids.append, facts.lines.append, facts.fates.append
-        note_rows, note_author, slots = facts.first_rows.append, facts.authors.append, facts.slots
+        note_fate, note_rows = facts.fates.append, facts.first_rows.append
     for chunk in _pulled(records, log, labeler, stop):
         lines: list[str] = []
         for line, record in chunk:
@@ -228,11 +242,8 @@ def _pass_range(
                             fate = UNANNOTATED
             tally[fate] += 1
             if facts is not None:
-                note_id(record.tweet_id)
-                note_line(line)
                 note_fate(fate)
                 note_rows(writer.count + len(lines))
-                note_author(slots.setdefault(record.user_id, len(slots)) if fate else -1)
             if fate < RETAINED:
                 if strict and fate == UNANNOTATED:
                     unannotated = (line, record.tweet_id)
@@ -264,6 +275,8 @@ def _pass_range(
                 cell[offset] += sentiment
                 cell[offset + 1] += 1
         writer.write_text("".join(lines), len(lines))
+        if facts is not None:
+            facts.note_chunk(chunk)
         if stopped:
             break
     return _RangeResult(log, tally, window_cells, writer.count, unannotated,
@@ -303,9 +316,9 @@ def _work_range(index: int, span: tuple[int, int]) -> _RangeResult:
                              writer, facts, job.stop)
     facts.dump(_scratch_file(job.scratch, "facts", index), result.rows)
     entries = job.labeler.entries
-    counts = Counter(facts.authors)
-    result.labelled = [(user_id, entries[user_id], counts[author])
-                       for user_id, author in facts.slots.items()]
+    # a deleted tweet labels no one: its author may have no entry
+    counts = Counter(itertools.compress(facts.authors, facts.fates))
+    result.labelled = [(user_id, entries[user_id], count) for user_id, count in counts.items()]
     return result
 
 
@@ -405,10 +418,9 @@ class _Merge:
         for builder, cells in zip(self.totals, result.cells):
             builder.absorb(cells)
         # an author stays only if some tweet that labelled them stays
-        undone = Counter(author for *_, author in retracted)
-        self.labeler.adopt((user_id, entry)
-                           for author, (user_id, entry, count) in enumerate(result.labelled)
-                           if undone[author] < count)
+        undone = Counter(author for _, _, fate, *_, author in retracted if fate != DELETED)
+        self.labeler.adopt((user_id, entry) for user_id, entry, count in result.labelled
+                           if undone[user_id] < count)
         return retracted
 
     def append_part(self, part: Path, target: TextIO, retracted: list[tuple]) -> None:

@@ -934,6 +934,8 @@ def test_report_with_a_boolean_tweet_volume_is_a_data_error(tiny_bundle, tmp_pat
 @pytest.mark.parametrize("command, fault", [
     ("run", "huge field"), *itertools.product(["mentions", "aggregate", "polarize"],
                                               ["not UTF-8", "huge field"]),
+    *((command, "NUL") for command in ("run", "assign", "mentions", "aggregate", "polarize",
+                                       "report")),
 ])
 def test_bad_csv_input_is_a_data_error(tiny_bundle, tmp_path, capsys, command, fault):
     made = tmp_path / "made"
@@ -946,12 +948,16 @@ def test_bad_csv_input_is_a_data_error(tiny_bundle, tmp_path, capsys, command, f
                 "--windows", str(tiny_bundle["windows"]), "--out", str(tmp_path / "out")]
     else:
         args = _stage_args(command, tiny_bundle, made, tmp_path / "out")
-    path = {"run": tiny_bundle["roster"], "mentions": made / "affiliations.csv",
-            "aggregate": made / "mentions.csv",
-            "polarize": made / "aggregates_baseline.csv"}[command]
+    path = {"run": tiny_bundle["roster"], "assign": tiny_bundle["roster"],
+            "mentions": made / "affiliations.csv", "aggregate": made / "mentions.csv",
+            "polarize": made / "aggregates_baseline.csv",
+            "report": made / "aggregates_crisis.csv"}[command]
     if fault == "not UTF-8":
         path.write_bytes(path.read_bytes() + b"\xff\n")
         expected = f"{path.name}: invalid UTF-8"
+    elif fault == "NUL":  # which csv.reader passes through on Python 3.11+
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\na\0", 1))
+        expected = f"{path.name} line 2: line contains NUL"
     else:  # a first field of line 2 over the csv module's 131,072-character limit
         path.write_bytes(path.read_bytes().replace(b"\n", b"\n" + b"x" * 200_000, 1))
         expected = f"{path.name} line 2: field larger than field limit (131072)"

@@ -452,6 +452,17 @@ def test_missing_tweets_file_raises(tmp_path):
         list(corpus.parse_tweets(tmp_path / "nope.jsonl"))
 
 
+def test_csv_nul_is_named_by_its_line_after_the_records_before_it(tmp_path):
+    # the quoted field spans lines 2 and 3, so the NUL is on file line 4
+    path = tmp_path / "table.csv"
+    path.write_bytes(b'a,b\r\n"x\r\ny",z\r\nok,\0\r\nnever,read\r\n')
+    records = corpus.read_csv(path, "table")
+    assert [next(records), next(records)] == [["a", "b"], ["x\r\ny", "z"]]
+    with pytest.raises(DataError) as raised:
+        next(records)
+    assert str(raised.value) == "table.csv line 4: line contains NUL"
+
+
 # ==== roster and followers ====
 
 
@@ -533,7 +544,9 @@ def test_roster_handle_must_name_a_file_in_the_followers_directory(tmp_path, han
     (tmp_path / "followers" / "sub" / "inner.txt").write_text("u1\n", encoding="utf-8")
     with pytest.raises(DataError) as caught:
         corpus.load_affiliation_data(tmp_path / "roster.csv", tmp_path / "followers")
-    assert str(caught.value) == f"roster.csv line 3: bad handle {handle!r}"
+    # the CSV reader rejects a line holding a NUL before any handle check
+    problem = "line contains NUL" if "\0" in handle else f"bad handle {handle!r}"
+    assert str(caught.value) == f"roster.csv line 3: {problem}"
 
 
 def test_duplicate_roster_handle(tmp_path):

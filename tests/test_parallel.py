@@ -177,6 +177,18 @@ def test_author_whose_only_tweet_is_a_duplicate_is_not_labelled(monkeypatch, tmp
     assert outcome["ingest"][1] == 2
 
 
+def test_author_keeps_a_label_when_only_a_deleted_duplicate_of_theirs_is_retracted(
+        monkeypatch, tmp_path):
+    # dem9's deleted tweet repeats t1's id, and their live tweet stays
+    lines = [_tweet("t0", "dem1", "Acme is good."), _tweet("t1", "rep1", "Acme is bad.")]
+    lines += _filler(60)
+    lines.append(_tweet("t1", "dem9", "Acme is good.", deleted=True))
+    lines.append(_tweet("t9", "dem9", "quorvia is good.", CRISIS_TS))
+    outcome = _assert_range_invariant(monkeypatch, _bundle(tmp_path, lines), tmp_path)
+    assert b"dem9" in outcome["artifacts"]["affiliations.csv"]
+    assert outcome["ingest"][1] == 1
+
+
 @pytest.mark.parametrize("later_bad_line", ["{broken", _tweet("x", "", "no user")])
 def test_strict_names_the_first_bad_line_in_file_order(monkeypatch, tmp_path, later_bad_line):
     # line 45 repeats t0 with a missing user_id: a one-range run calls it a
@@ -227,6 +239,26 @@ def test_strict_reports_an_unannotated_tweet_after_a_range_cut(monkeypatch, tmp_
         messages.add(str(caught.value))
     # f39, the first tweet the table lacks, has an unaligned author
     assert messages == {"tweet f40 has no annotation"}
+
+
+def test_strict_stop_in_a_worker_leaves_the_rest_of_its_chunk_unmerged(monkeypatch, tmp_path):
+    # a worker's range stops at f40; t0's repeat, later in the same chunk, was
+    # never looked at, so the merge must not take it back
+    lines = [_tweet("t0", "dem1", "Acme is good.")] + _filler(50)
+    lines.append(_tweet("t0", "dem9", "Acme is good."))
+    bundle = _bundle(tmp_path, lines)
+    annotated = _annotated_prefix(bundle, lines, 40)
+    messages = set()
+    for count in RANGE_COUNTS:
+        _force_ranges(monkeypatch, bundle, count)
+        config = cli.RunConfig(bundle["tweets"], bundle["roster"], bundle["followers"],
+                               bundle["windows"], tmp_path / f"pre{count}",
+                               preannotated=annotated, strict=True)
+        with pytest.raises(DataError) as caught:
+            cli.run_pipeline(config)
+        messages.add(str(caught.value))
+    assert messages == {"tweet f40 has no annotation"}
+    assert not multiprocessing.active_children()
 
 
 def _annotated_prefix(bundle: dict, lines: list[str], count: int) -> Path:
@@ -593,6 +625,33 @@ def test_inputs_stay_frozen_while_the_pass_runs(monkeypatch, tmp_path, capsys, c
     assert cli.main(_args(broken, tmp_path / "bad", "--strict")) == 2
     capsys.readouterr()
     assert during and min(during) > before
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("command", ["run", "mentions"])
+def test_inputs_load_with_the_collector_off(monkeypatch, tmp_path, capsys, command):
+    bundle = _bundle(tmp_path, [_tweet("t0", "dem1", "Acme is good.")] + _filler(40))
+    before = gc.get_freeze_count()
+    enabled = []
+    load = corpus.load_affiliation_data
+
+    def watched(*args, **kwargs):
+        enabled.append(gc.isenabled())
+        return load(*args, **kwargs)
+
+    def args(out: Path) -> list[str]:
+        return [command, *_args(bundle, out)[1:]]
+
+    monkeypatch.setattr(corpus, "load_affiliation_data", watched)
+    assert cli.main(args(tmp_path / "ok")) == 0
+    assert enabled == [False] and gc.isenabled()
+    assert gc.get_freeze_count() == before
+
+    # a load that fails leaves the collector on and nothing frozen
+    bundle["roster"].write_text("handle,party\ndema,X\n", encoding="utf-8")
+    assert cli.main(args(tmp_path / "bad")) == 2
+    capsys.readouterr()
+    assert enabled == [False, False] and gc.isenabled()
     assert gc.get_freeze_count() == before
 
 
