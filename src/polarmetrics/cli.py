@@ -5,7 +5,8 @@ pass. Each intermediate stage (assign, annotate, mentions, aggregate,
 polarize, report) is also runnable on its own so partial pipelines can be
 inspected or recomputed; composing the stages by hand produces the same
 report as `run`. Exit codes: 0 success, 1 usage error, 2 data error, 3 no
-jointly-mentioned entities, 4 a worker process of the tweet pass died.
+jointly-mentioned entities, 4 a worker process of the tweet pass died; a
+stdout its reader closed (`| head`) changes no exit code and no file written.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
 from . import affiliation, aggregate, annotator, corpus, polarimetry, tweetpass
-from .errors import ConfigError, DataError, NoJointEntitiesError, WorkerError
+from .errors import ConfigError, DataError, NoJointEntitiesError, PipelineError, WorkerError
 from .tweetpass import SCRATCH_PREFIX, WINDOW_STATS_KEYS, Annotate, StreamCounters, stream_mentions
 
 RUN_ARTIFACTS = (
@@ -37,6 +38,8 @@ RUN_ARTIFACTS = (
     "window_stats.json",
     "affiliations.csv",
 )
+
+_EXIT_CODES = {ConfigError: 1, DataError: 2, NoJointEntitiesError: 3, WorkerError: 4}
 
 # the temporary file atomic_write keeps an artifact in: .<name>.<pid>.tmp
 _TEMP_FILE_RE = re.compile(r"\.(.+)\.\d+\.tmp")
@@ -240,13 +243,23 @@ def run_pipeline(config: RunConfig) -> RunResult:
 # ==== commands ====
 
 
+def _say(*values: object, **options) -> None:
+    """`print` to stdout, then to os.devnull once its reader closed it (`| head`)."""
+    try:
+        print(*values, **options)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _print_stream_summary(counters: StreamCounters) -> None:
     ingest = counters.ingest
-    print(f"[ok] tweets kept: {ingest.kept}, rejected: {ingest.rejected}")
+    _say(f"[ok] tweets kept: {ingest.kept}, rejected: {ingest.rejected}")
     if counters.annotation.rejected:
-        print(f"[warn] annotation lines rejected: {counters.annotation.rejected}")
+        _say(f"[warn] annotation lines rejected: {counters.annotation.rejected}")
     skipped = counters.skipped
-    print(
+    _say(
         "[ok] skipped: "
         f"{skipped['deleted']} deleted, {skipped['unaligned']} unaligned, "
         f"{skipped['outside']} outside windows, {skipped['unannotated']} unannotated"
@@ -255,19 +268,19 @@ def _print_stream_summary(counters: StreamCounters) -> None:
 
 def _print_report(report: polarimetry.PolarizationReport, report_format: str) -> None:
     if report_format == "json":
-        print(json.dumps(polarimetry.report_to_dict(report), indent=2, sort_keys=True))
+        _say(json.dumps(polarimetry.report_to_dict(report), indent=2, sort_keys=True))
     elif report_format == "csv":
-        print(",".join(polarimetry.REPORT_HEADER))
-        print(",".join(polarimetry._report_row(report)))
+        _say(",".join(polarimetry.REPORT_HEADER))
+        _say(",".join(polarimetry._report_row(report)))
     else:
-        print(polarimetry.render_report_table(report))
+        _say(polarimetry.render_report_table(report))
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = RunConfig(**{item.name: getattr(args, item.name) for item in fields(RunConfig)})
     result = run_pipeline(config)
     _print_stream_summary(result.counters)
-    print(f"[ok] wrote {result.mention_count} mention rows under {result.out_dir}")
+    _say(f"[ok] wrote {result.mention_count} mention rows under {result.out_dir}")
     _print_report(result.report, args.format)
     return 0
 
@@ -281,10 +294,10 @@ def cmd_assign(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     audit_path = out_dir / "affiliations.csv"
     affiliation.write_affiliation_audit(audit_path, labeler)
-    print(f"[ok] tweets kept: {stats.kept}, rejected: {stats.rejected}")
+    _say(f"[ok] tweets kept: {stats.kept}, rejected: {stats.rejected}")
     for label, users in labeler.tallies().items():
-        print(f"[ok] {label.value}: {users} users")
-    print(f"[ok] wrote {audit_path}")
+        _say(f"[ok] {label.value}: {users} users")
+    _say(f"[ok] wrote {audit_path}")
     return 0
 
 
@@ -307,8 +320,8 @@ def cmd_annotate(args: argparse.Namespace) -> int:
             yield annotator.annotate_tweet(record, lexicon, gazetteer, policy)
 
     count = annotator.write_preannotated(annotated_path, live_annotations())
-    print(f"[ok] tweets kept: {stats.kept}, rejected: {stats.rejected}, deleted: {deleted}")
-    print(f"[ok] wrote {count} annotated tweets to {annotated_path}")
+    _say(f"[ok] tweets kept: {stats.kept}, rejected: {stats.rejected}, deleted: {deleted}")
+    _say(f"[ok] wrote {count} annotated tweets to {annotated_path}")
     return 0
 
 
@@ -340,7 +353,7 @@ def cmd_mentions(args: argparse.Namespace) -> int:
         _, count = stream_mentions(args.tweets, windows, labeler, annotate, args.strict,
                                    counters, out_dir)
     _print_stream_summary(counters)
-    print(f"[ok] wrote {count} mention rows to {out_dir / 'mentions.csv'}")
+    _say(f"[ok] wrote {count} mention rows to {out_dir / 'mentions.csv'}")
     return 0
 
 
@@ -353,7 +366,7 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     for window_value, builder in builders.items():
         path = out_dir / f"aggregates_{window_value}.csv"
         rows = aggregate.write_aggregates_csv(path, builder.build())
-        print(f"[ok] wrote {rows} aggregate rows to {path}")
+        _say(f"[ok] wrote {rows} aggregate rows to {path}")
     return 0
 
 
@@ -367,14 +380,14 @@ def cmd_polarize(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     entities_path = out_dir / "entities.csv"
     rows = polarimetry.write_entities_csv(entities_path, per_window)
-    print(f"[ok] wrote {rows} entity rows to {entities_path}")
+    _say(f"[ok] wrote {rows} entity rows to {entities_path}")
     for label, polarities in per_window:
         if not polarities:
             raise NoJointEntitiesError(
                 f"no jointly-mentioned entities in the {label.value} window"
             )
         corpus_value = polarimetry.corpus_polarization(polarities)
-        print(
+        _say(
             f"[ok] {label.value} polarization: {polarimetry.format_percent(corpus_value.value)} "
             f"({corpus_value.entity_count} joint entities, weight {corpus_value.total_weight})"
         )
@@ -392,7 +405,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     polarities = {window: polarimetry.entity_polarities(table) for window, table in tables.items()}
     out_dir.mkdir(parents=True, exist_ok=True)
     report = _write_report(out_dir, tables, windows, volumes, polarities)
-    print(f"[ok] wrote {out_dir / 'report.csv'} and {out_dir / 'report.json'}")
+    _say(f"[ok] wrote {out_dir / 'report.csv'} and {out_dir / 'report.json'}")
     _print_report(report, args.format)
     return 0
 
@@ -406,7 +419,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.seed is not None:
         spec = synth.with_seed(spec, args.seed)
     bundle = synth.generate_corpus(spec, _out_dir(args.out))
-    print(f"[ok] wrote bundle under {bundle.directory}")
+    _say(f"[ok] wrote bundle under {bundle.directory}")
     for path in (
         bundle.tweets_path,
         bundle.roster_path,
@@ -415,7 +428,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         bundle.windows_path,
         bundle.truth_path,
     ):
-        print(f"[ok]   {path.name}")
+        _say(f"[ok]   {path.name}")
     return 0
 
 
@@ -562,18 +575,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except ConfigError as exc:
+    except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NoJointEntitiesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except WorkerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return _EXIT_CODES[type(exc)]
+    finally:
+        _say(end="", flush=True)  # what is still buffered, --help's text included
 
 
 if __name__ == "__main__":

@@ -18,21 +18,20 @@ import json
 import os
 import pickle
 import shutil
+import signal
 import tempfile
+import traceback
 from array import array
 from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, TextIO
+from typing import Callable, Iterator, TextIO
 
 from . import affiliation, aggregate, annotator, corpus
 from .atomic import atomic_write
-from .errors import DataError, WorkerError
-
-if TYPE_CHECKING:
-    from multiprocessing.synchronize import Event
+from .errors import DataError, PipelineError, WorkerError
 
 WINDOW_STATS_KEYS = {
     corpus.WindowLabel.BASELINE: "baseline_tweets",
@@ -49,8 +48,7 @@ DELETED, UNALIGNED, OUTSIDE, UNANNOTATED, RETAINED = range(5)
 _SKIP_KEYS = ("deleted", "unaligned", "outside", "unannotated")
 
 # Records pulled from the parser at a time. A chunk's new authors are labelled
-# together, one follower table at a time, before its first tweet is gated; a
-# worker looks at the parent's stop event once per chunk.
+# together, one follower table at a time, before its first tweet is gated.
 CHUNK_RECORDS = 1024
 
 # kept tweets per pickled chunk of a worker's facts file
@@ -151,14 +149,13 @@ def _pulled(
     records: Iterator[corpus.TweetRecord],
     log: corpus.IngestStats,
     labeler: affiliation.PartyLabeler,
-    stop: Event | None,
 ) -> Iterator[list[tuple[int, corpus.TweetRecord]]]:
     """Chunks of up to CHUNK_RECORDS (range-local line number, record) pairs.
 
     Each chunk's authors of non-deleted records are labelled together before
-    it is yielded. No chunk is pulled once `stop` is set.
+    it is yielded.
     """
-    while stop is None or not stop.is_set():
+    while True:
         # the parser counts a line before yielding its record
         chunk = [(log.kept + log.rejected, record)
                  for record in itertools.islice(records, CHUNK_RECORDS)]
@@ -177,7 +174,6 @@ def _pass_range(
     strict: bool,
     writer: aggregate.MentionCsvWriter,
     facts: _KeptFacts | None,
-    stop: Event | None = None,
 ) -> _RangeResult:
     """Gate, label, annotate, write and reduce the tweets of one byte range.
 
@@ -194,8 +190,7 @@ def _pass_range(
     `labeler` labels each chunk's authors ahead of it. With `strict`, the
     pass stops at the first rejected line or retained tweet without
     annotation; the merge reports whichever comes first. Records are read a
-    chunk ahead, so the log may already hold rejects of later lines. The
-    pass also stops once the `stop` event is set.
+    chunk ahead, so the log may already hold rejects of later lines.
     """
     democrat, unaligned = affiliation.PartyLabel.DEMOCRAT, affiliation.PartyLabel.UNALIGNED
     baseline_start, baseline_end = windows.baseline.start, windows.baseline.end
@@ -216,7 +211,7 @@ def _pass_range(
     entries = labeler.entries  # filled in place, a chunk ahead of the gate
     if facts is not None:
         note_fate, note_rows = facts.fates.append, facts.first_rows.append
-    for chunk in _pulled(records, log, labeler, stop):
+    for chunk in _pulled(records, log, labeler):
         lines: list[str] = []
         for line, record in chunk:
             if strict and log.rejected and log.lines[0][0] < line:
@@ -283,43 +278,61 @@ def _pass_range(
                         empty_names=empty_names)
 
 
-@dataclass
-class _Job:
-    """What a worker process inherits through fork instead of unpickling."""
-
-    tweets: Path
-    windows: corpus.EventWindows
-    labeler: affiliation.PartyLabeler
-    annotate: Annotate
-    strict: bool
-    scratch: Path
-    stop: Event  # set once the parent needs no more results
-
-
-_job: _Job | None = None  # set in each worker process
-
-
-def _inherit(job: _Job) -> None:
-    global _job
-    _job = job
-
-
-def _work_range(index: int, span: tuple[int, int]) -> _RangeResult:
+def _work_range(scratch: Path, index: int, span: tuple[int, int], tweets: Path,
+                windows: corpus.EventWindows, labeler: affiliation.PartyLabeler,
+                annotate: Annotate, strict: bool) -> _RangeResult:
     """Run one byte range in a worker process; rows and facts go to files in scratch."""
-    job = _job
     log = corpus.IngestStats()
     facts = _KeptFacts()
-    records = corpus.parse_tweets(job.tweets, stats=log, span=span)
-    with closing(records), aggregate.MentionCsvWriter(_scratch_file(job.scratch, "part", index),
+    records = corpus.parse_tweets(tweets, stats=log, span=span)
+    with closing(records), aggregate.MentionCsvWriter(_scratch_file(scratch, "part", index),
                                                       header=False) as writer:
-        result = _pass_range(records, log, job.windows, job.labeler, job.annotate, job.strict,
-                             writer, facts, job.stop)
-    facts.dump(_scratch_file(job.scratch, "facts", index), result.rows)
-    entries = job.labeler.entries
+        result = _pass_range(records, log, windows, labeler, annotate, strict, writer, facts)
+    facts.dump(_scratch_file(scratch, "facts", index), result.rows)
+    entries = labeler.entries
     # a deleted tweet labels no one: its author may have no entry
     counts = Counter(itertools.compress(facts.authors, facts.fates))
     result.labelled = [(user_id, entries[user_id], count) for user_id, count in counts.items()]
     return result
+
+
+def _fork_worker(scratch: Path, index: int, *args) -> int:
+    """Fork a worker for `_work_range(scratch, index, *args)`; returns its pid.
+
+    The worker pickles the result, or the PipelineError raised, to scratch and
+    leaves by `os._exit`, so no `finally` of the caller runs in it: with 0 once
+    that file is whole, with 1 after printing the traceback of anything else.
+    """
+    pid = os.fork()
+    if pid:
+        return pid
+    try:
+        try:
+            outcome = _work_range(scratch, index, *args)
+        except PipelineError as exc:  # the parent raises it as its own
+            outcome = exc
+        with open(_scratch_file(scratch, "result", index), "wb") as handle:
+            pickle.dump(outcome, handle, pickle.HIGHEST_PROTOCOL)
+        os._exit(0)
+    except Exception:
+        traceback.print_exc()
+    finally:
+        os._exit(1)
+
+
+def _reap(workers: list[int], scratch: Path, index: int, source: str) -> _RangeResult:
+    """Reap `workers[0]`, the worker of range `index`, and drop it; its result, or its error."""
+    code = os.waitstatus_to_exitcode(os.waitpid(workers[0], 0)[1])
+    del workers[0]
+    if code:  # it left no result, whatever ended it
+        how = f"exit code {code}" if code > 0 else f"signal {-code} ({signal.strsignal(-code)})"
+        raise WorkerError(f"a worker process reading {source} ended before finishing "
+                          f"its range: {how}")
+    with open(_scratch_file(scratch, "result", index), "rb") as handle:
+        outcome = pickle.load(handle)
+    if isinstance(outcome, PipelineError):
+        raise outcome
+    return outcome
 
 
 def _scratch_file(scratch: Path, kind: str, index: int) -> Path:
@@ -476,51 +489,31 @@ def stream_mentions(
     spans = _tweet_spans(tweets_path)
     seen: set[str] = set()
     log = corpus.IngestStats()
-    # set-up ends at this call; the pool and its forks come after it
+    # set-up ends at this call; the workers are forked after it
     records = corpus.parse_tweets(tweets_path, stats=log, span=spans[0], seen=seen)
     merge = _Merge(tweets_path.name, strict, counters.ingest, labeler)
     scratch = Path(tempfile.mkdtemp(prefix=SCRATCH_PREFIX, dir=out_dir))
+    workers: list[int] = []  # pids of the workers not yet reaped, in range order
     try:
+        # forked, so the workers inherit the loaded inputs instead of loading them again
+        for index, span in enumerate(spans[1:], 1):
+            workers.append(_fork_worker(scratch, index, span, tweets_path, windows, labeler,
+                                        annotate, strict))
         mentions_path = scratch / "mentions.csv"
-        pool = None
-        broken: tuple[type[Exception], ...] = ()  # what reading a dead worker's result raises
-        if len(spans) > 1:
-            # Imported only here: with these modules imported before set-up,
-            # loading the follower lists took ~15 % longer (wide-funnel).
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-            from concurrent.futures.process import BrokenProcessPool
-
-            # fork, not spawn: workers inherit the loaded inputs instead of
-            # loading them again. The pool forks all its processes at the
-            # first submit, before it starts its own thread.
-            fork = multiprocessing.get_context("fork")
-            job = _Job(tweets_path, windows, labeler, annotate, strict, scratch, fork.Event())
-            pool = ProcessPoolExecutor(len(spans) - 1, mp_context=fork, initializer=_inherit,
-                                       initargs=(job,))
-            broken = (BrokenProcessPool,)
-        try:
-            futures = [pool.submit(_work_range, index, span)
-                       for index, span in enumerate(spans[1:], 1)] if pool else []
-            # opened after the forks, so no worker inherits its unwritten buffer
-            with closing(records), aggregate.MentionCsvWriter(mentions_path) as writer:
-                first = _pass_range(records, log, windows, labeler, annotate, strict, writer, None)
-            merge.add(first)
-            with open(mentions_path, "a", encoding="utf-8", newline="") as target:
-                for index, future in enumerate(futures, 1):
-                    retracted = merge.add(future.result(), seen,
-                                          _scratch_file(scratch, "facts", index),
-                                          grow=index < len(futures))
-                    merge.append_part(_scratch_file(scratch, "part", index), target, retracted)
-        except broken as exc:
-            raise WorkerError(f"a worker process reading {tweets_path.name} ended before "
-                              f"finishing its range: {exc}") from exc
-        finally:
-            if pool is not None:
-                job.stop.set()  # after an error, workers give up their ranges early
-                pool.shutdown(cancel_futures=True)
+        # opened after the forks, so no worker inherits its unwritten buffer
+        with closing(records), aggregate.MentionCsvWriter(mentions_path) as writer:
+            merge.add(_pass_range(records, log, windows, labeler, annotate, strict, writer, None))
+        with open(mentions_path, "a", encoding="utf-8", newline="") as target:
+            for index in range(1, len(spans)):
+                result = _reap(workers, scratch, index, tweets_path.name)
+                retracted = merge.add(result, seen, _scratch_file(scratch, "facts", index),
+                                      grow=index < len(spans) - 1)
+                merge.append_part(_scratch_file(scratch, "part", index), target, retracted)
         os.replace(mentions_path, out_dir / "mentions.csv")
     finally:
+        for pid in workers:  # after an error, no range still running is needed
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
         shutil.rmtree(scratch, ignore_errors=True)
     if merge.empty_names:
         aggregate.logger.warning("dropped %d mentions whose names normalize to nothing "

@@ -9,13 +9,13 @@ the ranges without the cross-range merge fails each test.
 
 from __future__ import annotations
 
-import concurrent.futures
 import gc
 import json
 import logging
-import multiprocessing
 import os
 import re
+import signal
+import time
 from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
@@ -87,6 +87,12 @@ def _config(bundle: dict, out: Path, strict: bool = False) -> cli.RunConfig:
                          gazetteer=bundle["gazetteer"], strict=strict)
 
 
+def _assert_no_children() -> None:
+    """Fail if this process has a child left, running or ended but not reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _force_ranges(monkeypatch, bundle: dict, count: int) -> None:
     monkeypatch.setattr(tweetpass, "MIN_RANGE_BYTES", 1)
     monkeypatch.setattr(tweetpass, "_available_cpus", lambda: count)
@@ -114,7 +120,7 @@ def _assert_range_invariant(monkeypatch, bundle: dict, tmp_path: Path) -> dict:
     for count in RANGE_COUNTS[1:]:
         for key, value in outcomes[1].items():
             assert outcomes[count][key] == value, (count, key)
-    assert not multiprocessing.active_children()
+    _assert_no_children()
     return outcomes[1]
 
 
@@ -127,7 +133,7 @@ def _strict_errors(monkeypatch, bundle: dict, tmp_path: Path) -> str:
             cli.run_pipeline(_config(bundle, out, strict=True))
         messages.add(str(caught.value))
         assert sorted(path.name for path in out.iterdir()) == []
-    assert not multiprocessing.active_children()
+    _assert_no_children()
     assert len(messages) == 1, messages
     return messages.pop()
 
@@ -258,7 +264,7 @@ def test_strict_stop_in_a_worker_leaves_the_rest_of_its_chunk_unmerged(monkeypat
             cli.run_pipeline(config)
         messages.add(str(caught.value))
     assert messages == {"tweet f40 has no annotation"}
-    assert not multiprocessing.active_children()
+    _assert_no_children()
 
 
 def _annotated_prefix(bundle: dict, lines: list[str], count: int) -> Path:
@@ -295,7 +301,7 @@ def test_strict_names_the_earlier_of_an_unannotated_tweet_and_a_bad_line(monkeyp
                 cli.run_pipeline(config)
             messages.add(str(caught.value))
         assert messages == {expected}
-    assert not multiprocessing.active_children()
+    _assert_no_children()
 
 
 @pytest.mark.parametrize("chunk", [1, 3])
@@ -383,7 +389,7 @@ def test_failed_parallel_run_leaves_no_part_files_or_processes(monkeypatch, tmp_
         assert cli.main([*args, "--out", str(out), "--strict"]) == 2
         messages.append(capsys.readouterr().err)
         assert list(out.iterdir()) == []
-        assert not multiprocessing.active_children()
+        _assert_no_children()
     assert messages[0] == messages[1] == "error: tweets.jsonl line 62: invalid JSON " \
         "(Expecting property name enclosed in double quotes)\n"
 
@@ -400,7 +406,7 @@ def test_failed_parallel_run_leaves_no_part_files_or_processes(monkeypatch, tmp_
     assert cli.main([*args, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: cannot read tweets file {bundle['tweets']}: gone\n"
     assert list(out.iterdir()) == []
-    assert not multiprocessing.active_children()
+    _assert_no_children()
 
 
 def test_one_cpu_reads_one_range_in_process(monkeypatch, tmp_path):
@@ -408,7 +414,11 @@ def test_one_cpu_reads_one_range_in_process(monkeypatch, tmp_path):
     monkeypatch.setattr(tweetpass, "MIN_RANGE_BYTES", 1)
     monkeypatch.setattr(tweetpass, "_available_cpus", lambda: 1)
     assert tweetpass._tweet_spans(bundle["tweets"]) == [None]
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)  # a pool would fail
+
+    def no_fork():
+        raise AssertionError("a one-range run forks no worker")
+
+    monkeypatch.setattr(os, "fork", no_fork)
     cli.run_pipeline(_config(bundle, tmp_path / "out"))
 
 
@@ -452,7 +462,7 @@ def _run_at(monkeypatch, bundle: dict, count: int, args: list[str], capsys) -> t
     code = cli.main(args)
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert not multiprocessing.active_children()
+    _assert_no_children()
     return code, err
 
 
@@ -583,7 +593,7 @@ def test_nul_event_name_or_gazetteer_entry_is_a_data_error(monkeypatch, tmp_path
     assert not out.exists() or list(out.iterdir()) == []
 
 
-def _die(index: int, span: tuple[int, int]) -> None:
+def _die(*args) -> None:
     os._exit(1)  # as an out-of-memory kill would end a worker
 
 
@@ -595,11 +605,69 @@ def test_a_worker_that_dies_ends_the_run_with_exit_4(monkeypatch, tmp_path, caps
     monkeypatch.setattr(tweetpass, "_work_range", _die)
     code, err = _run_at(monkeypatch, bundle, 2, _args(bundle, out), capsys)
     assert code == 4
-    assert err.startswith("error: a worker process reading tweets.jsonl ended before finishing")
-    assert err.count("\n") == 1
+    assert err == "error: a worker process reading tweets.jsonl ended before finishing its " \
+        "range: exit code 1\n"
     left = sorted(path.name for path in out.iterdir())
     assert "report.csv" not in left and "report.json" not in left
     assert not [name for name in left if name.startswith(".")]
+
+
+def _fail_unexpectedly(*args) -> None:
+    raise KeyError("a bug")
+
+
+def test_a_worker_that_raises_an_unexpected_error_ends_the_run_with_exit_4(monkeypatch, tmp_path,
+                                                                           capsys):
+    # the worker prints its traceback (to its own stderr) and exits 1
+    bundle = _bundle(tmp_path, [_tweet("t0", "dem1", "Acme is good.")] + _filler(60))
+    monkeypatch.setattr(tweetpass, "_work_range", _fail_unexpectedly)
+    code, err = _run_at(monkeypatch, bundle, 2, _args(bundle, tmp_path / "out"), capsys)
+    assert (code, err) == (4, "error: a worker process reading tweets.jsonl ended before "
+                              "finishing its range: exit code 1\n")
+
+
+def _kill_self(*args) -> None:
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def test_a_worker_killed_by_a_signal_ends_the_run_with_exit_4(monkeypatch, tmp_path, capsys):
+    bundle = _bundle(tmp_path, [_tweet("t0", "dem1", "Acme is good.")] + _filler(60))
+    out = tmp_path / "out"
+    monkeypatch.setattr(tweetpass, "_work_range", _kill_self)
+    code, err = _run_at(monkeypatch, bundle, 2, _args(bundle, out), capsys)
+    assert code == 4
+    assert err == "error: a worker process reading tweets.jsonl ended before finishing its " \
+        f"range: signal {signal.SIGKILL.value} ({signal.strsignal(signal.SIGKILL)})\n"
+    assert not [path for path in out.iterdir() if path.name.startswith(".")]
+
+
+def _sleep(*args) -> None:
+    time.sleep(60)
+
+
+def _fail_or_sleep(scratch, index: int, *args) -> None:
+    if index == 1:
+        raise DataError("range 1 is bad")
+    time.sleep(60)
+
+
+@pytest.mark.parametrize("count, bad_line, work_range, message", [
+    (2, True, _sleep, "tweets.jsonl line 2: invalid JSON "
+                      "(Expecting property name enclosed in double quotes)"),
+    (3, False, _fail_or_sleep, "range 1 is bad"),
+], ids=["first-range", "worker"])
+def test_an_error_in_any_range_ends_the_run_without_waiting_for_the_others(
+        monkeypatch, tmp_path, capsys, count, bad_line, work_range, message):
+    lines = [_tweet("t0", "dem1", "Acme is good.")] + _filler(60)
+    if bad_line:
+        lines.insert(1, "{broken")
+    bundle = _bundle(tmp_path, lines)
+    monkeypatch.setattr(tweetpass, "_work_range", work_range)
+    started = time.monotonic()
+    code, err = _run_at(monkeypatch, bundle, count, _args(bundle, tmp_path / "out", "--strict"),
+                        capsys)
+    assert time.monotonic() - started < 20  # the sleeping workers were not waited for
+    assert (code, err) == (2, f"error: {message}\n")
 
 
 @pytest.mark.parametrize("count", [1, 2])
@@ -681,7 +749,7 @@ def test_mentions_with_empty_names_give_one_warning_per_run(monkeypatch, tmp_pat
     retained = sum(outcomes["clean", 1]["volumes"].values())
     assert message == (f"dropped {retained} mentions whose names normalize to nothing "
                        "(the first in tweet t0)")
-    assert not multiprocessing.active_children()
+    _assert_no_children()
 
 
 # Retweets and bot posts: each text is posted three times in a row and again

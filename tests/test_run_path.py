@@ -1,9 +1,13 @@
-"""The run path never loads numpy: only the synth command needs it.
+"""The run path in fresh interpreters: what it loads, and a stdout closed early.
 
 Each command runs in a fresh interpreter over the golden fixture, and then
-reports which of numpy and polarmetrics.synth it had loaded. A forked worker
-of the tweet pass starts with its parent's modules, so the parent's list
-covers the workers too.
+reports which of numpy and polarmetrics.synth it had loaded: only the synth
+command needs them. A forked worker of the tweet pass starts with its
+parent's modules, so the parent's list covers the workers too. A two-range
+run loads neither multiprocessing nor concurrent.futures. Each command also
+runs with a stdout whose reader is gone, as under `| head -1`: that is the
+reader's choice, so the command writes the same files and exits 0 with
+nothing on stderr.
 """
 
 from __future__ import annotations
@@ -28,6 +32,23 @@ loaded = [name for name in ("numpy", "polarmetrics.synth") if name in sys.module
 print(json.dumps([code, loaded]))
 """
 
+# a run read in two byte ranges, one of them by a forked worker; then the
+# number of ranges, and which of the pool's modules it had loaded
+_TWO_RANGE_PROBE = """\
+import json, sys
+from pathlib import Path
+from polarmetrics import cli, tweetpass
+tweetpass.MIN_RANGE_BYTES = 1
+tweetpass._available_cpus = lambda: 2
+ranges = len(tweetpass._tweet_spans(Path(sys.argv[sys.argv.index("--tweets") + 1])))
+code = cli.main(sys.argv[1:])
+loaded = [name for name in ("multiprocessing", "concurrent.futures") if name in sys.modules]
+print(json.dumps([code, ranges, loaded]))
+"""
+
+# what the installed `polarmetrics` script runs
+_MAIN = "import sys; from polarmetrics import cli; sys.exit(cli.main(sys.argv[1:]))"
+
 # in the order they run: later stages read what earlier ones wrote
 COMMANDS = ("annotate", "assign", "mentions", "aggregate", "polarize", "report",
             "run-lexicon", "run-preannotated")
@@ -35,18 +56,21 @@ COMMANDS = ("annotate", "assign", "mentions", "aggregate", "polarize", "report",
 _SRC = str(Path(polarmetrics.__file__).resolve().parent.parent)
 
 
-def _probe(args: list[str]) -> tuple[int, list[str]]:
-    env = dict(os.environ)
+def _env(**extra: str) -> dict[str, str]:
+    env = dict(os.environ, **extra)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, env.get("PYTHONPATH"))))
-    done = subprocess.run([sys.executable, "-c", _PROBE, *map(str, args)], env=env,
+    return env
+
+
+def _probe(args: list, probe: str = _PROBE) -> list:
+    done = subprocess.run([sys.executable, "-c", probe, *map(str, args)], env=_env(),
                           capture_output=True, text=True, check=True)
-    code, loaded = json.loads(done.stdout.splitlines()[-1])
-    return code, loaded
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 @pytest.fixture(scope="module")
-def probed(tmp_path_factory) -> dict[str, tuple[int, list[str]]]:
-    """Each command's exit code and loaded modules, the stages chained as a user would."""
+def chained(tmp_path_factory) -> dict[str, tuple[list, Path]]:
+    """Each command's arguments and --out, the stages chained as a user would."""
     directory = tmp_path_factory.mktemp("run-path")
     paths = write_fixture(directory)
     out = {name: directory / name for name in COMMANDS}
@@ -65,13 +89,48 @@ def probed(tmp_path_factory) -> dict[str, tuple[int, list[str]]]:
         "polarize": ["polarize", *tables],
         "report": ["report", *tables, "--windows", paths["windows"],
                    "--window-stats", out["mentions"] / "window_stats.json"],
-        "run-lexicon": ["run", *tweets, *people, *lexicon, "--windows", paths["windows"]],
+        "run-lexicon": ["run", *tweets, *people, *lexicon, "--windows", paths["windows"],
+                        "--format", "json"],
         "run-preannotated": ["run", *tweets, *people, "--preannotated", table,
                              "--windows", paths["windows"]],
     }
-    return {name: _probe([*args, "--out", out[name]]) for name, args in commands.items()}
+    return {name: (args, out[name]) for name, args in commands.items()}
+
+
+@pytest.fixture(scope="module")
+def probed(chained) -> dict[str, list]:
+    """Each command's exit code and loaded modules, run in order."""
+    return {name: _probe([*args, "--out", out]) for name, (args, out) in chained.items()}
 
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_command_loads_neither_numpy_nor_synth(probed, command):
-    assert probed[command] == (0, [])
+    assert probed[command] == [0, []]
+
+
+def test_two_range_run_loads_no_process_pool(chained, tmp_path):
+    args, _ = chained["run-lexicon"]
+    assert _probe([*args, "--out", tmp_path], _TWO_RANGE_PROBE) == [0, 2, []]
+
+
+def _files(directory: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_closed_stdout_is_no_error(probed, chained, tmp_path, command, unbuffered):
+    # unbuffered, the first line printed meets the closed pipe, before
+    # aggregate's second table is written; buffered, the flush at exit does,
+    # or, on run --format json, the report that overflows the buffer
+    args, out = chained[command]
+    read, write = os.pipe()
+    os.close(read)
+    env = _env(PYTHONUNBUFFERED="1") if unbuffered else _env()
+    try:
+        done = subprocess.run([sys.executable, "-c", _MAIN, *map(str, args), "--out", tmp_path],
+                              stdout=write, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert _files(tmp_path) == _files(out)
