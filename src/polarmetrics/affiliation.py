@@ -46,17 +46,21 @@ class PartyLabel(Enum):
 def follow_counts(user_ids: Iterable[str], roster: FigureheadRoster) -> dict[str, list[int]]:
     """[f_d, f_r] for each of user_ids: the distinct figureheads of each party they follow.
 
-    Walks the figureheads once and intersects each follower table with the
-    whole id set. CPython iterates the smaller side, so one table is probed
-    by many ids in a row and stays in cache, instead of every id probing
-    every table. Users absent from every follower list get [0, 0].
+    The follower tables hold UTF-8 bytes, so each id is encoded once and the
+    hits are mapped back to it. "surrogatepass" encodes a lone surrogate to
+    bytes that are not UTF-8, which no table holds, so such an id matches
+    nothing. Walks the figureheads once and intersects each follower table
+    with the whole key set. CPython iterates the smaller side, so one table
+    is probed by many ids in a row and stays in cache, instead of every id
+    probing every table. Users absent from every follower list get [0, 0].
     """
-    pending = set(user_ids)
-    counts = {user_id: [0, 0] for user_id in pending}
+    keys = {user_id.encode("utf-8", "surrogatepass"): user_id for user_id in user_ids}
+    pending = set(keys)
+    counts = {user_id: [0, 0] for user_id in keys.values()}
     for handle, party in roster.figureheads.items():
         slot = 0 if party is PartyLabel.DEMOCRAT else 1
-        for user_id in roster.followers[handle].intersection(pending):
-            counts[user_id][slot] += 1
+        for key in roster.followers[handle].intersection(pending):
+            counts[keys[key]][slot] += 1
     return counts
 
 

@@ -481,29 +481,51 @@ def parse_tweets(
 
 @dataclass(frozen=True)
 class FigureheadRoster:
-    """Figurehead handles with party tags plus per-handle follower sets (never mutated)."""
+    """Figurehead handles with party tags plus per-handle follower sets (never mutated).
+
+    A follower set holds each id as its UTF-8 bytes, which take 16 B less than
+    the equal ASCII `str`; `affiliation.follow_counts` encodes the authors it
+    looks up. A set of `str` would match no author, so it is refused.
+    """
 
     figureheads: dict[str, PartyLabel]
-    followers: dict[str, set[str]]
+    followers: dict[str, set[bytes]]
+
+    def __post_init__(self) -> None:
+        for handle, ids in self.followers.items():
+            # a loader builds each table of one type, so one id shows it
+            kind = type(next(iter(ids), b""))
+            if kind is not bytes:
+                raise TypeError(f"follower table of {handle!r} holds {kind.__name__}, "
+                                "not the ids' UTF-8 bytes")
 
 
-def _follower_ids(text: str) -> set[str]:
+# The ASCII bytes at which str.splitlines or str.strip break or strip and the
+# bytes methods do not: \x0b and \x0c end a str line, \x1c-\x1e end one and are
+# str whitespace, \x1f is str whitespace.
+_STR_ONLY_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _follower_ids(text: str | bytes) -> set:
     """The ids of one follower list: its stripped lines, less blanks and #-comments.
 
-    The set is built by C-level calls, without a Python step per line. A line
-    whose entry starts with "#" has only whitespace before its first "#", so
-    visiting the first "#" of each line finds every such entry, as the text
-    from there to the line's end, stripped. No id starts with "#", so
-    discarding that string is safe whatever line it came from.
+    `text` is the list's text, or its bytes when `str` and `bytes` split and
+    strip them alike; the ids are of the same type. The set is built by
+    C-level calls, without a Python step per line. A line whose entry starts
+    with "#" has only whitespace before its first "#", so visiting the first
+    "#" of each line finds every such entry, as the text from there to the
+    line's end, stripped. No id starts with "#", so discarding that string is
+    safe whatever line it came from.
     """
-    ids = set(map(str.strip, text.splitlines()))
-    ids.discard("")
-    mark = text.find("#")
+    hash_mark, newline_mark = ("#", "\n") if type(text) is str else (b"#", b"\n")
+    ids = set(map(type(text).strip, text.splitlines()))
+    ids.discard(text[:0])
+    mark = text.find(hash_mark)
     while mark >= 0:
-        newline = text.find("\n", mark)
+        newline = text.find(newline_mark, mark)
         entry = text[mark:newline if newline >= 0 else len(text)].splitlines()[0]
         ids.discard(entry.strip())
-        mark = text.find("#", mark + len(entry))
+        mark = text.find(hash_mark, mark + len(entry))
     return ids
 
 
@@ -517,6 +539,8 @@ def load_affiliation_data(roster_path: Path | str, followers_dir: Path | str) ->
     per line; blank lines and #-comments are ignored and duplicates are
     dropped. A follower file for a handle missing from the roster is an
     error, as is a roster handle without a follower file.
+    Each id is kept as its UTF-8 bytes. An ASCII file free of _STR_ONLY_BREAKS
+    is split as bytes; any other is decoded strictly and split as text.
     """
     roster_path = Path(roster_path)
     followers_dir = Path(followers_dir)
@@ -547,18 +571,23 @@ def load_affiliation_data(roster_path: Path | str, followers_dir: Path | str) ->
         raise DataError(f"cannot read followers directory {followers_dir}: {exc}") from exc
     if not is_dir:
         raise DataError(f"followers path {followers_dir} is not a directory")
-    followers: dict[str, set[str]] = {}
+    followers: dict[str, set[bytes]] = {}
     for handle in figureheads:
         follower_path = followers_dir / f"{handle}.txt"
         try:
-            text = follower_path.read_text(encoding="utf-8")
+            data = follower_path.read_bytes()
         except FileNotFoundError as exc:
             raise DataError(f"missing follower list for handle {handle!r}: {exc}") from exc
         except OSError as exc:
             raise DataError(f"cannot read follower list for handle {handle!r}: {exc}") from exc
+        if data.isascii() and not any(byte in data for byte in _STR_ONLY_BREAKS):
+            followers[handle] = _follower_ids(data)
+            continue
+        try:
+            text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise DataError(f"{follower_path.name}: invalid UTF-8") from exc
-        followers[handle] = _follower_ids(text)
+        followers[handle] = set(map(str.encode, _follower_ids(text)))
     for stray in sorted(followers_dir.glob("*.txt")):
         if stray.stem not in figureheads:
             raise DataError(f"follower list {stray.name} names a handle missing from the roster")

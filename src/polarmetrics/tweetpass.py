@@ -110,13 +110,20 @@ class _KeptFacts:
         self.authors.extend(map(self.shared.setdefault, user_ids, user_ids))
 
     def dump(self, path: Path, rows: int) -> None:
-        """Write (ids, lines, fates, first row, end row, author) chunks to `path`."""
-        ends = self.first_rows[1:]
-        ends.append(rows)
-        columns = (self.ids, self.lines, self.fates, self.first_rows, ends, self.authors)
+        """Write (ids, lines, fates, first row, end row, author) chunks to `path`.
+
+        A tweet's end row is the next tweet's first row, or `rows` for the
+        last, so each chunk's ends are sliced from `first_rows` one further on.
+        """
+        first_rows = self.first_rows
         with open(path, "wb") as handle:
             for start in range(0, len(self.ids), _FACTS_CHUNK):
-                chunk = tuple(column[start:start + _FACTS_CHUNK] for column in columns)
+                stop = start + _FACTS_CHUNK
+                ends = first_rows[start + 1:stop + 1]
+                if stop >= len(first_rows):
+                    ends.append(rows)
+                chunk = (self.ids[start:stop], self.lines[start:stop], self.fates[start:stop],
+                         first_rows[start:stop], ends, self.authors[start:stop])
                 pickle.dump(chunk, handle, pickle.HIGHEST_PROTOCOL)
 
 

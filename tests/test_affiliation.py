@@ -143,7 +143,8 @@ def test_label_all_matches_per_author_counts(tmp_path, seed):
     figureheads = {f"h{index}": rng.choice([PartyLabel.DEMOCRAT, PartyLabel.REPUBLICAN])
                    for index in range(rng.randrange(1, 40))}
     # follower tables both smaller and larger than the set of authors labelled at once
-    followers = {handle: frozenset(rng.sample(users, rng.randrange(0, len(users) + 1)))
+    followers = {handle: frozenset(user_id.encode("utf-8") for user_id in
+                                   rng.sample(users, rng.randrange(0, len(users) + 1)))
                  for handle in figureheads}
     roster = FigureheadRoster(figureheads, followers)
     authors = rng.choices(users + ["stranger", "u"], k=rng.randrange(0, 400))
@@ -159,6 +160,17 @@ def test_label_all_matches_per_author_counts(tmp_path, seed):
     at_once.label_all(authors[:half])
     at_once.label_all(iter(authors[half // 2:]))  # overlaps ids labelled already
     assert at_once.entries == one_by_one.entries == expected
+    assert any(dem or rep for dem, rep, _ in expected.values())
     affiliation.write_affiliation_audit(tmp_path / "one.csv", one_by_one)
     affiliation.write_affiliation_audit(tmp_path / "all.csv", at_once)
     assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "all.csv").read_bytes()
+
+
+def test_roster_refuses_a_follower_table_of_str():
+    # a table of str would match no author and make everyone Unaligned
+    with pytest.raises(TypeError, match="'h1' holds str"):
+        FigureheadRoster({"h0": PartyLabel.DEMOCRAT, "h1": PartyLabel.REPUBLICAN},
+                         {"h0": {b"u1"}, "h1": {"u1"}})
+    roster = FigureheadRoster({"h0": PartyLabel.DEMOCRAT, "h1": PartyLabel.REPUBLICAN},
+                              {"h0": {b"u1"}, "h1": set()})
+    assert affiliation.count_affiliation("u1", roster) == (1, 0)

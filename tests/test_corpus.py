@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 import tempfile
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -144,7 +145,7 @@ def _pass_fates(stamps: list[str], payload: dict) -> list[tuple[int, int]]:
     read by parse_tweets, so the window gate alone decides its fate.
     """
     windows = corpus.parse_event_windows(payload)
-    roster = corpus.FigureheadRoster({"dema": PartyLabel.DEMOCRAT}, {"dema": {"u1"}})
+    roster = corpus.FigureheadRoster({"dema": PartyLabel.DEMOCRAT}, {"dema": {b"u1"}})
     fate_of = {corpus.WindowLabel.BASELINE: tweetpass.RETAINED,
                corpus.WindowLabel.CRISIS: tweetpass.RETAINED + 1,
                corpus.WindowLabel.OUTSIDE: tweetpass.OUTSIDE}
@@ -155,11 +156,13 @@ def _pass_fates(stamps: list[str], payload: dict) -> list[tuple[int, int]]:
                         "created_at": stamp}) + "\n"
             for index, stamp in enumerate(stamps)), encoding="utf-8")
         log, facts = corpus.IngestStats(), tweetpass._KeptFacts()
+        labeler = affiliation.PartyLabeler(roster)
         records = corpus.parse_tweets(tweets, stats=log)
         with aggregate.MentionCsvWriter(Path(scratch) / "mentions.csv") as writer:
-            tweetpass._pass_range(records, log, windows, affiliation.PartyLabeler(roster),
+            tweetpass._pass_range(records, log, windows, labeler,
                                   lambda record: ("u1", ()), False, writer, facts)
     assert log.rejected == 0
+    assert labeler.entries["u1"] == (1, 0, PartyLabel.DEMOCRAT)
     expected = [fate_of[corpus.classify_window(corpus.parse_timestamp(stamp), windows)]
                 for stamp in stamps]
     return list(zip(facts.fates, expected))
@@ -473,8 +476,8 @@ def test_load_affiliation_data(roster_files):
     assert roster.figureheads["repb"] is PartyLabel.REPUBLICAN
     assert [handle for handle, party in roster.figureheads.items()
             if party is PartyLabel.DEMOCRAT] == ["dema", "demb"]
-    assert "dem1" in roster.followers["dema"]
-    assert "dem1" not in roster.followers["repa"]
+    assert b"dem1" in roster.followers["dema"]
+    assert b"dem1" not in roster.followers["repa"]
 
 
 def test_roster_party_token_is_case_insensitive(tmp_path):
@@ -491,23 +494,26 @@ def test_follower_lists_skip_comments_and_dups(tmp_path):
     followers.mkdir()
     (followers / "a.txt").write_text("# header\nu1\n\nu1\n u2 \n", encoding="utf-8")
     roster = corpus.load_affiliation_data(tmp_path / "roster.csv", followers)
-    assert roster.followers["a"] == frozenset({"u1", "u2"})
+    assert roster.followers["a"] == frozenset({b"u1", b"u2"})
 
 
-def _reference_follower_ids(path: Path) -> frozenset[str]:
-    """The per-line loop the loader replaced: strip, skip blanks and #-comments."""
+def _reference_follower_ids(path: Path) -> frozenset[bytes]:
+    """The per-line loop the loader replaced: strip, skip blanks and #-comments.
+
+    The ids are encoded as UTF-8, the form the follower tables keep them in.
+    """
     ids = set()
     for line in path.read_text(encoding="utf-8").splitlines():
         entry = line.strip()
         if not entry or entry.startswith("#"):
             continue
-        ids.add(entry)
+        ids.add(entry.encode("utf-8"))
     return frozenset(ids)
 
 
 # every character str.splitlines breaks at, whitespace that strip removes but
 # that breaks no line, "#" and a few id characters
-_FOLLOWER_PIECES = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+_FOLLOWER_PIECES = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85",
                     "\u2028", "\u2029", " ", "\t", "\xa0", "\u3000", "#", "# note", "u1",
                     "u2", "é", "a#b"]
 
@@ -517,6 +523,18 @@ _FOLLOWER_PIECES = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", 
 @example("u1")  # no final newline
 @example("# header\n  # indented\nu1\n\n \t \nu1\r\nu2\ra#b\n#\n")
 @example("u1\x85# after a NEL\u2028 #x\u2029u2\x0b#\x0c\x1c#\x1d\x1e\xa0#\u3000u#1")
+# ASCII that bytes split and strip as str does: read without decoding
+@example("# ids\n 1234567890 \n\t42\t\n#x\n  # y\nu1#z\n\n")
+# one ASCII byte each at which str, but not bytes, breaks a line or strips
+@example("u1\x0bu2\n #c\x0bu3\n")
+@example("u1\x0cu2\n #c\x0cu3\n")
+@example("u1\x1cu2\n #c\x1cu3\n")
+@example("u1\x1du2\n #c\x1du3\n")
+@example("u1\x1eu2\n #c\x1eu3\n")
+@example("\x1fu1\x1f\n\x1f#c\nu2\x1f u3\n")
+@example("caf\xe9\n \u65e5\u672c \n#\xe9\nu1\n")  # non-ASCII
+@example("u1\ru2\r #c\ru3\r\r")  # CR line ends
+@example("u1\r\nu2\r\n #c\r\n\r\nu3")  # CRLF line ends
 def test_follower_loader_matches_the_per_line_loop(text):
     with tempfile.TemporaryDirectory() as scratch:
         directory = Path(scratch)
@@ -526,6 +544,42 @@ def test_follower_loader_matches_the_per_line_loop(text):
         path.write_bytes(text.encode("utf-8"))
         roster = corpus.load_affiliation_data(directory / "roster.csv", directory / "followers")
         assert roster.followers["a"] == _reference_follower_ids(path)
+
+
+@pytest.mark.parametrize("data", [b"u1\nu2\xff\n", b"u1\x0b\xe9\n", b"\xc3\n"])
+def test_follower_list_that_is_not_utf8_names_the_file(tmp_path, data):
+    write_roster(tmp_path, [("a", "D")])
+    write_followers(tmp_path, {"a": []})
+    (tmp_path / "followers" / "a.txt").write_bytes(data)
+    with pytest.raises(DataError) as raised:
+        corpus.load_affiliation_data(tmp_path / "roster.csv", tmp_path / "followers")
+    assert str(raised.value) == "a.txt: invalid UTF-8"
+
+
+def test_a_follower_table_costs_less_than_the_same_ids_as_str(tmp_path):
+    count = 20_000
+    write_roster(tmp_path, [("a", "D")])
+    # 19-digit ids, the length of recent Twitter user ids
+    write_followers(tmp_path, {"a": [str(10**18 + 7919 * index) for index in range(count)]})
+
+    def load() -> set[bytes]:
+        return corpus.load_affiliation_data(tmp_path / "roster.csv",
+                                            tmp_path / "followers").followers["a"]
+
+    load()  # any first-call caches are made outside the measurement
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        table = load()
+        as_bytes = tracemalloc.get_traced_memory()[0] - start
+        start = tracemalloc.get_traced_memory()[0]
+        strings = set((tmp_path / "followers" / "a.txt").read_text(encoding="utf-8").split())
+        as_str = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert len(table) == len(strings) == count
+    assert {user_id.decode("ascii") for user_id in table} == strings
+    assert as_str - as_bytes >= 12 * count
 
 
 def test_bad_roster_header(tmp_path):

@@ -138,6 +138,33 @@ def _strict_errors(monkeypatch, bundle: dict, tmp_path: Path) -> str:
     return messages.pop()
 
 
+def _facts_as_copied(facts: tweetpass._KeptFacts, rows: int) -> list[tuple]:
+    """The chunks of a facts file whose end rows come from one copy of all of first_rows."""
+    ends = facts.first_rows[1:]
+    ends.append(rows)
+    columns = (facts.ids, facts.lines, facts.fates, facts.first_rows, ends, facts.authors)
+    return [tuple(column[start:start + tweetpass._FACTS_CHUNK] for column in columns)
+            for start in range(0, len(facts.ids), tweetpass._FACTS_CHUNK)]
+
+
+@pytest.mark.parametrize("kept", [0, 1, tweetpass._FACTS_CHUNK, tweetpass._FACTS_CHUNK + 1])
+def test_facts_file_gives_each_kept_tweet_its_end_row(tmp_path, kept):
+    facts, first_row = tweetpass._KeptFacts(), 0
+    for index in range(kept):
+        facts.ids.append(f"t{index}")
+        facts.lines.append(2 * index + 1)
+        facts.fates.append(index % (tweetpass.RETAINED + 2))
+        facts.first_rows.append(first_row)
+        facts.authors.append(f"u{index % 7}")
+        first_row += index % 3  # retained tweets with 0, 1 or 2 mention rows
+    facts.dump(tmp_path / "facts", first_row + 5)
+    chunks = list(tweetpass._read_facts(tmp_path / "facts"))
+    assert chunks == _facts_as_copied(facts, first_row + 5)
+    assert len(chunks) == -(-kept // tweetpass._FACTS_CHUNK)
+    if kept:
+        assert chunks[-1][4][-1] == first_row + 5
+
+
 def test_duplicate_of_a_tweet_kept_in_an_earlier_range_is_rejected(monkeypatch, tmp_path):
     # dem9's only tweet repeats t0's id; it alone mentions quorvia, so its
     # rows, its cells and its author must all vanish
