@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 import tempfile
+import time
 import tracemalloc
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -579,7 +581,25 @@ def test_a_follower_table_costs_less_than_the_same_ids_as_str(tmp_path):
         tracemalloc.stop()
     assert len(table) == len(strings) == count
     assert {user_id.decode("ascii") for user_id in table} == strings
-    assert as_str - as_bytes >= 12 * count
+    # tracemalloc counts the bytes asked for, before pymalloc rounds them up;
+    # the per-id gap is that of the object headers: 16 B on Python 3.10 and
+    # 3.11, 8 B from 3.12 on
+    header_gap = sys.getsizeof("") - sys.getsizeof(b"")
+    assert as_str - as_bytes >= 0.75 * header_gap * count
+
+
+@pytest.mark.parametrize("extra", ["", "caf\xe9\r"], ids=["ascii", "decoded"])
+def test_a_follower_list_with_cr_line_ends_loads_in_linear_time(tmp_path, extra):
+    # each "#" line must cost the scan one line, not the rest of the file
+    write_roster(tmp_path, [("a", "D")])
+    write_followers(tmp_path, {"a": []})
+    path = tmp_path / "followers" / "a.txt"
+    path.write_bytes(("u1\r" + "#c\r" * 20_000 + extra + "u2\r").encode("utf-8"))
+    started = time.perf_counter()
+    roster = corpus.load_affiliation_data(tmp_path / "roster.csv", tmp_path / "followers")
+    elapsed = time.perf_counter() - started
+    assert roster.followers["a"] == _reference_follower_ids(path)
+    assert elapsed < 1.0
 
 
 def test_bad_roster_header(tmp_path):
