@@ -12,7 +12,7 @@ import csv
 from collections import Counter
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .atomic import atomic_write
 from .errors import DataError
@@ -46,20 +46,20 @@ class PartyLabel(Enum):
 def follow_counts(user_ids: Iterable[str], roster: FigureheadRoster) -> dict[str, list[int]]:
     """[f_d, f_r] for each of user_ids: the distinct figureheads of each party they follow.
 
-    The follower tables hold UTF-8 bytes, so each id is encoded once and the
-    hits are mapped back to it. "surrogatepass" encodes a lone surrogate to
-    bytes that are not UTF-8, which no table holds, so such an id matches
-    nothing. Walks the figureheads once and intersects each follower table
-    with the whole key set. CPython iterates the smaller side, so one table
-    is probed by many ids in a row and stays in cache, instead of every id
-    probing every table. Users absent from every follower list get [0, 0].
+    One pass over the follower lists: each list's lines, stripped, are
+    intersected with the ids' UTF-8 encodings, so a line repeated in a list
+    counts once. A list keeps its blank lines and #-comments, but no follower
+    id is blank or starts with "#", so such an id is not looked up.
+    "surrogatepass" encodes a lone surrogate to bytes that are not UTF-8,
+    which no list holds, so such an id matches nothing. Users absent from
+    every list get [0, 0].
     """
     keys = {user_id.encode("utf-8", "surrogatepass"): user_id for user_id in user_ids}
-    pending = set(keys)
     counts = {user_id: [0, 0] for user_id in keys.values()}
+    probes = {key for key in keys if key and not key.startswith(b"#")}
     for handle, party in roster.figureheads.items():
         slot = 0 if party is PartyLabel.DEMOCRAT else 1
-        for key in roster.followers[handle].intersection(pending):
+        for key in probes.intersection(map(bytes.strip, roster.followers[handle].splitlines())):
             counts[keys[key]][slot] += 1
     return counts
 
@@ -87,20 +87,38 @@ class PartyLabeler:
 
     Entries are (f_d, f_r, label) tuples shared by every author with the same
     counts, so an author costs one dict slot however many tweets they wrote.
+    `count_ahead` counts, in one pass, ids that may turn up later and keeps
+    their entries aside; `label_all` takes an author's entry from there
+    before it makes a pass of its own. So `entries` holds only the authors
+    given to `label_all`.
     """
 
     def __init__(self, roster: FigureheadRoster):
         self.roster = roster
         self.entries: dict[str, tuple[int, int, PartyLabel]] = {}
+        self._aside: dict[str, tuple[int, int, PartyLabel]] = {}
         self._shared: dict[tuple[int, int, PartyLabel], tuple[int, int, PartyLabel]] = {}
 
     def label_all(self, user_ids: Iterable[str]) -> None:
-        """Label every author of user_ids not labelled yet, one follower table at a time."""
-        entries, shared = self.entries, self._shared
-        pending = [user_id for user_id in user_ids if user_id not in entries]
-        for user_id, (dem, rep) in follow_counts(pending, self.roster).items():
+        """Label every author of user_ids not labelled yet, in at most one pass over the lists."""
+        pending = set(user_ids).difference(self.entries)
+        aside = self._aside
+        if aside:
+            known = set(filter(aside.__contains__, pending))
+            self.entries.update(zip(known, map(aside.__getitem__, known)))
+            pending -= known
+        if pending:
+            self.entries.update(self._counted(pending))
+
+    def count_ahead(self, user_ids: Iterable[str]) -> None:
+        """Count the ids of user_ids not labelled yet in one pass and keep their entries aside."""
+        self._aside.update(self._counted(set(user_ids).difference(self.entries)))
+
+    def _counted(self, user_ids: set[str]) -> Iterator[tuple[str, tuple[int, int, PartyLabel]]]:
+        shared = self._shared
+        for user_id, (dem, rep) in follow_counts(user_ids, self.roster).items():
             entry = (dem, rep, assign_party(dem, rep))
-            entries[user_id] = shared.setdefault(entry, entry)
+            yield user_id, shared.setdefault(entry, entry)
 
     def adopt(self, entries: Iterable[tuple[str, tuple[int, int, PartyLabel]]]) -> None:
         """Add (user_id, entry) pairs labelled by another copy of this labeler."""

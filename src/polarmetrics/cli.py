@@ -174,13 +174,12 @@ def _inputs_frozen() -> Iterator[Callable[[], None]]:
 
     Entered before the first input is loaded; the function it gives is called
     once the last one is. The loaders make no reference cycles, so a
-    collection during a load frees nothing: it only walks the follower sets
-    and tables built so far (about 25 ms for each young collection of
-    wide-funnel's 0.2 s set-up). Then every object alive, the loaded inputs
-    above all, is frozen and the collector is back on. The follower sets and
-    the annotation table are most of the heap and live until the run ends.
-    Frozen, no collection walks them again, and no collection in a forked
-    worker writes to the pages it shares with this process.
+    collection during a load frees nothing: it only walks the tables built
+    so far. Then every object alive, the loaded inputs above all, is frozen
+    and the collector is back on. The annotation tables live until the run
+    ends. Frozen, no collection walks them again, and no collection in a
+    forked worker writes to the pages it shares with this process. (The
+    follower lists are `bytes`, which no collection walks.)
     """
     def loaded() -> None:
         gc.freeze()

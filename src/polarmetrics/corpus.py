@@ -353,6 +353,41 @@ def line_spans(path: Path | str, count: int) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:]))
 
 
+# a "user_id" key and its string value, both written without a backslash escape
+_USER_ID_VALUE_RE = re.compile(rb'"user_id"\s*:\s*"([^"\\\n]*)"')
+
+# bytes read at a time by scan_user_ids; under glibc's default mmap threshold
+# (128 KiB), so no block is mmapped and none moves the threshold
+SCAN_BLOCK = 1 << 16
+
+
+def scan_user_ids(path: Path | str, start: int, end: int) -> set[str]:
+    """The string values of "user_id" keys in bytes [start, end) of a JSON-lines file.
+
+    A hint at who wrote those lines, not a parse: a key or value written with
+    a backslash escape is missed, and a value is found in any line, rejected
+    or not, wherever the key stands in it. The bytes are read SCAN_BLOCK at a
+    time, each block cut after its last b"\\n". A file that cannot be read
+    gives what was found before.
+    """
+    found: set[bytes] = set()
+    try:
+        with _ByteRange(Path(path), start, end) as raw:
+            parts: list[bytes] = []  # the line the last block ended in, so far
+            while block := raw.read(SCAN_BLOCK):
+                cut = block.rfind(b"\n") + 1
+                if cut:
+                    parts.append(block[:cut])
+                    found.update(_USER_ID_VALUE_RE.findall(b"".join(parts)))
+                    parts = [block[cut:]]
+                else:
+                    parts.append(block)
+            found.update(_USER_ID_VALUE_RE.findall(b"".join(parts)))
+    except OSError:
+        pass
+    return {value.decode("utf-8", "surrogateescape") for value in found}
+
+
 def read_json_lines(
     path: Path | str,
     what: str,
@@ -481,53 +516,29 @@ def parse_tweets(
 
 @dataclass(frozen=True)
 class FigureheadRoster:
-    """Figurehead handles with party tags plus per-handle follower sets (never mutated).
+    """Figurehead handles with party tags plus per-handle follower lists (never mutated).
 
-    A follower set holds each id as its UTF-8 bytes; `affiliation.follow_counts`
-    encodes the authors it looks up. The object header of a `bytes` is 16 B
-    smaller than that of an ASCII `str` on Python 3.10 and 3.11, and 8 B
-    smaller from 3.12 on. A set of `str` would match no author, so it is refused.
+    Each follower list is one `bytes` object whose lines, stripped, hold the
+    followers' UTF-8 ids, beside blank lines, #-comments and duplicates.
+    `affiliation.follow_counts` compares them with the authors it looks up,
+    so the roster costs the lists' bytes, not one object per follower. A
+    list of any other type, such as a set of ids, is refused.
     """
 
     figureheads: dict[str, PartyLabel]
-    followers: dict[str, set[bytes]]
+    followers: dict[str, bytes]
 
     def __post_init__(self) -> None:
-        for handle, ids in self.followers.items():
-            # a loader builds each table of one type, so one id shows it
-            kind = type(next(iter(ids), b""))
-            if kind is not bytes:
-                raise TypeError(f"follower table of {handle!r} holds {kind.__name__}, "
-                                "not the ids' UTF-8 bytes")
+        for handle, data in self.followers.items():
+            if type(data) is not bytes:
+                raise TypeError(f"follower list of {handle!r} is a {type(data).__name__}, "
+                                "not its UTF-8 bytes")
 
 
 # The ASCII bytes at which str.splitlines or str.strip break or strip and the
 # bytes methods do not: \x0b and \x0c end a str line, \x1c-\x1e end one and are
 # str whitespace, \x1f is str whitespace.
 _STR_ONLY_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-
-
-def _follower_ids(text: str | bytes) -> set:
-    """The ids of one follower list: its stripped lines, less blanks and #-comments.
-
-    `text` is the list's text, or its bytes when `str` and `bytes` split and
-    strip them alike; the ids are of the same type. The set is built by
-    C-level calls, without a Python step per line. A line whose entry starts
-    with "#" has only whitespace before its first "#", so visiting the first
-    "#" of each line finds every such entry, as the text from there to the
-    line's end, stripped. No id starts with "#", so discarding that string is
-    safe whatever line it came from.
-    """
-    hash_mark, newline_mark = ("#", "\n") if type(text) is str else (b"#", b"\n")
-    ids = set(map(type(text).strip, text.splitlines()))
-    ids.discard(text[:0])
-    mark = text.find(hash_mark)
-    while mark >= 0:
-        newline = text.find(newline_mark, mark)
-        entry = text[mark:newline if newline >= 0 else len(text)].splitlines()[0]
-        ids.discard(entry.strip())
-        mark = text.find(hash_mark, mark + len(entry))
-    return ids
 
 
 def load_affiliation_data(roster_path: Path | str, followers_dir: Path | str) -> FigureheadRoster:
@@ -540,9 +551,10 @@ def load_affiliation_data(roster_path: Path | str, followers_dir: Path | str) ->
     per line; blank lines and #-comments are ignored and duplicates are
     dropped. A follower file for a handle missing from the roster is an
     error, as is a roster handle without a follower file.
-    Each id is kept as its UTF-8 bytes. CR and CRLF line ends are read as LF.
-    An ASCII file free of _STR_ONLY_BREAKS is split as bytes; any other is
-    decoded strictly and split as text.
+    A list is kept as its bytes, as read, when bytes split and strip it as
+    str does: it is ASCII and free of _STR_ONLY_BREAKS. Any other list is
+    decoded strictly and kept as its lines, each stripped as str strips it,
+    encoded and joined by "\\n", which bytes then split and strip alike.
     """
     roster_path = Path(roster_path)
     followers_dir = Path(followers_dir)
@@ -573,7 +585,7 @@ def load_affiliation_data(roster_path: Path | str, followers_dir: Path | str) ->
         raise DataError(f"cannot read followers directory {followers_dir}: {exc}") from exc
     if not is_dir:
         raise DataError(f"followers path {followers_dir} is not a directory")
-    followers: dict[str, set[bytes]] = {}
+    followers: dict[str, bytes] = {}
     for handle in figureheads:
         follower_path = followers_dir / f"{handle}.txt"
         try:
@@ -582,20 +594,13 @@ def load_affiliation_data(roster_path: Path | str, followers_dir: Path | str) ->
             raise DataError(f"missing follower list for handle {handle!r}: {exc}") from exc
         except OSError as exc:
             raise DataError(f"cannot read follower list for handle {handle!r}: {exc}") from exc
-        if b"\r" in data:
-            # the universal newlines of a text read: with CR-only line ends the
-            # "#" scan of _follower_ids would find no "\n" and split the whole
-            # rest of the file at each comment. A CR byte is never part of a
-            # multi-byte UTF-8 sequence, so this keeps the file's validity.
-            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        if data.isascii() and not any(byte in data for byte in _STR_ONLY_BREAKS):
-            followers[handle] = _follower_ids(data)
-            continue
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{follower_path.name}: invalid UTF-8") from exc
-        followers[handle] = set(map(str.encode, _follower_ids(text)))
+        if not data.isascii() or any(byte in data for byte in _STR_ONLY_BREAKS):
+            try:
+                text = data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{follower_path.name}: invalid UTF-8") from exc
+            data = "\n".join(map(str.strip, text.splitlines())).encode()
+        followers[handle] = data
     for stray in sorted(followers_dir.glob("*.txt")):
         if stray.stem not in figureheads:
             raise DataError(f"follower list {stray.name} names a handle missing from the roster")

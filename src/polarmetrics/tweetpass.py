@@ -15,6 +15,8 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
+import operator
 import os
 import pickle
 import shutil
@@ -80,6 +82,7 @@ Annotate = Callable[[corpus.TweetRecord], tuple[str, tuple[annotator.Mention, ..
 
 _line_of, _record_of = itemgetter(0), itemgetter(1)
 _tweet_id_of, _user_id_of = attrgetter("tweet_id"), attrgetter("user_id")
+_deleted_of = attrgetter("deleted")
 
 
 @dataclass
@@ -156,24 +159,50 @@ def _pulled(
     records: Iterator[corpus.TweetRecord],
     log: corpus.IngestStats,
     labeler: affiliation.PartyLabeler,
+    tweets: Path,
+    span: tuple[int, int] | None,
 ) -> Iterator[list[tuple[int, corpus.TweetRecord]]]:
     """Chunks of up to CHUNK_RECORDS (range-local line number, record) pairs.
 
     Each chunk's authors of non-deleted records are labelled together before
-    it is yielded.
+    it is yielded, in one pass over the follower lists if any is new. Before
+    a pass would bring the range's passes, times the lists' bytes, past the
+    range's own byte size, the range's "user_id" values are scanned
+    (`corpus.scan_user_ids`) and counted with the chunk's new authors in one
+    pass, ahead of need. From then on a chunk costs a pass only if it holds
+    an author the scan missed, so the lists are read about as often as the
+    range's bytes allow, and at most twice when they outweigh it.
     """
+    lists = sum(map(len, labeler.roster.followers.values()))
+    if span is None:
+        try:
+            # a pipe's size reads 0: it is never scanned, as its lines can be read only once
+            span = (0, tweets.stat().st_size or math.inf)
+        except OSError:  # parse_tweets reports a file it cannot read
+            span = (0, math.inf)
+    passes, scanned = 0, False
     while True:
         # the parser counts a line before yielding its record
         chunk = [(log.kept + log.rejected, record)
                  for record in itertools.islice(records, CHUNK_RECORDS)]
         if not chunk:
             return
-        labeler.label_all(record.user_id for _, record in chunk if not record.deleted)
+        chunk_records = list(map(_record_of, chunk))
+        authors = set(itertools.compress(map(_user_id_of, chunk_records),
+                                         map(operator.not_, map(_deleted_of, chunk_records))))
+        if not scanned and authors.difference(labeler.entries):
+            passes += 1
+            if passes * lists > span[1] - span[0]:
+                labeler.count_ahead(authors.union(corpus.scan_user_ids(tweets, *span)))
+                scanned = True
+        labeler.label_all(authors)
         yield chunk
 
 
 def _pass_range(
     records: Iterator[corpus.TweetRecord],
+    tweets: Path,
+    span: tuple[int, int] | None,
     log: corpus.IngestStats,
     windows: corpus.EventWindows,
     labeler: affiliation.PartyLabeler,
@@ -184,6 +213,7 @@ def _pass_range(
 ) -> _RangeResult:
     """Gate, label, annotate, write and reduce the tweets of one byte range.
 
+    `records` are those of `span` of the tweets file (None: all of it).
     A tweet stops at the first gate it fails: deleted, unaligned author,
     outside both windows (bounds compared inline, as `corpus.classify_window`
     does), no annotation. `annotate` is called for retained tweets only, so
@@ -218,7 +248,7 @@ def _pass_range(
     entries = labeler.entries  # filled in place, a chunk ahead of the gate
     if facts is not None:
         note_fate, note_rows = facts.fates.append, facts.first_rows.append
-    for chunk in _pulled(records, log, labeler):
+    for chunk in _pulled(records, log, labeler, tweets, span):
         lines: list[str] = []
         for line, record in chunk:
             if strict and log.rejected and log.lines[0][0] < line:
@@ -294,7 +324,8 @@ def _work_range(scratch: Path, index: int, span: tuple[int, int], tweets: Path,
     records = corpus.parse_tweets(tweets, stats=log, span=span)
     with closing(records), aggregate.MentionCsvWriter(_scratch_file(scratch, "part", index),
                                                       header=False) as writer:
-        result = _pass_range(records, log, windows, labeler, annotate, strict, writer, facts)
+        result = _pass_range(records, tweets, span, log, windows, labeler, annotate, strict,
+                             writer, facts)
     facts.dump(_scratch_file(scratch, "facts", index), result.rows)
     entries = labeler.entries
     # a deleted tweet labels no one: its author may have no entry
@@ -509,7 +540,8 @@ def stream_mentions(
         mentions_path = scratch / "mentions.csv"
         # opened after the forks, so no worker inherits its unwritten buffer
         with closing(records), aggregate.MentionCsvWriter(mentions_path) as writer:
-            merge.add(_pass_range(records, log, windows, labeler, annotate, strict, writer, None))
+            merge.add(_pass_range(records, tweets_path, spans[0], log, windows, labeler, annotate,
+                                  strict, writer, None))
         with open(mentions_path, "a", encoding="utf-8", newline="") as target:
             for index in range(1, len(spans)):
                 result = _reap(workers, scratch, index, tweets_path.name)

@@ -142,9 +142,9 @@ def test_label_all_matches_per_author_counts(tmp_path, seed):
     users = [f"u{index}" for index in range(rng.randrange(1, 300))]
     figureheads = {f"h{index}": rng.choice([PartyLabel.DEMOCRAT, PartyLabel.REPUBLICAN])
                    for index in range(rng.randrange(1, 40))}
-    # follower tables both smaller and larger than the set of authors labelled at once
-    followers = {handle: frozenset(user_id.encode("utf-8") for user_id in
-                                   rng.sample(users, rng.randrange(0, len(users) + 1)))
+    # follower lists both smaller and larger than the set of authors labelled at once
+    followers = {handle: "".join(f"{user_id}\n" for user_id in
+                                 rng.sample(users, rng.randrange(0, len(users) + 1))).encode()
                  for handle in figureheads}
     roster = FigureheadRoster(figureheads, followers)
     authors = rng.choices(users + ["stranger", "u"], k=rng.randrange(0, 400))
@@ -167,10 +167,11 @@ def test_label_all_matches_per_author_counts(tmp_path, seed):
 
 
 def test_roster_refuses_a_follower_table_of_str():
-    # a table of str would match no author and make everyone Unaligned
-    with pytest.raises(TypeError, match="'h1' holds str"):
-        FigureheadRoster({"h0": PartyLabel.DEMOCRAT, "h1": PartyLabel.REPUBLICAN},
-                         {"h0": {b"u1"}, "h1": {"u1"}})
+    # a list of str, or a set of ids, would match no author and make everyone Unaligned
+    for table, kind in (("u1\n", "str"), ({b"u1"}, "set")):
+        with pytest.raises(TypeError, match=f"'h1' is a {kind}"):
+            FigureheadRoster({"h0": PartyLabel.DEMOCRAT, "h1": PartyLabel.REPUBLICAN},
+                             {"h0": b"u1\n", "h1": table})
     roster = FigureheadRoster({"h0": PartyLabel.DEMOCRAT, "h1": PartyLabel.REPUBLICAN},
-                              {"h0": {b"u1"}, "h1": set()})
+                              {"h0": b"u1\n", "h1": b""})
     assert affiliation.count_affiliation("u1", roster) == (1, 0)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import random
-import sys
 import tempfile
 import time
 import tracemalloc
@@ -147,7 +146,7 @@ def _pass_fates(stamps: list[str], payload: dict) -> list[tuple[int, int]]:
     read by parse_tweets, so the window gate alone decides its fate.
     """
     windows = corpus.parse_event_windows(payload)
-    roster = corpus.FigureheadRoster({"dema": PartyLabel.DEMOCRAT}, {"dema": {b"u1"}})
+    roster = corpus.FigureheadRoster({"dema": PartyLabel.DEMOCRAT}, {"dema": b"u1\n"})
     fate_of = {corpus.WindowLabel.BASELINE: tweetpass.RETAINED,
                corpus.WindowLabel.CRISIS: tweetpass.RETAINED + 1,
                corpus.WindowLabel.OUTSIDE: tweetpass.OUTSIDE}
@@ -161,7 +160,7 @@ def _pass_fates(stamps: list[str], payload: dict) -> list[tuple[int, int]]:
         labeler = affiliation.PartyLabeler(roster)
         records = corpus.parse_tweets(tweets, stats=log)
         with aggregate.MentionCsvWriter(Path(scratch) / "mentions.csv") as writer:
-            tweetpass._pass_range(records, log, windows, labeler,
+            tweetpass._pass_range(records, tweets, None, log, windows, labeler,
                                   lambda record: ("u1", ()), False, writer, facts)
     assert log.rejected == 0
     assert labeler.entries["u1"] == (1, 0, PartyLabel.DEMOCRAT)
@@ -478,8 +477,8 @@ def test_load_affiliation_data(roster_files):
     assert roster.figureheads["repb"] is PartyLabel.REPUBLICAN
     assert [handle for handle, party in roster.figureheads.items()
             if party is PartyLabel.DEMOCRAT] == ["dema", "demb"]
-    assert b"dem1" in roster.followers["dema"]
-    assert b"dem1" not in roster.followers["repa"]
+    assert b"dem1" in roster.followers["dema"].splitlines()
+    assert b"dem1" not in roster.followers["repa"].splitlines()
 
 
 def test_roster_party_token_is_case_insensitive(tmp_path):
@@ -496,13 +495,15 @@ def test_follower_lists_skip_comments_and_dups(tmp_path):
     followers.mkdir()
     (followers / "a.txt").write_text("# header\nu1\n\nu1\n u2 \n", encoding="utf-8")
     roster = corpus.load_affiliation_data(tmp_path / "roster.csv", followers)
-    assert roster.followers["a"] == frozenset({b"u1", b"u2"})
+    assert roster.followers["a"] == b"# header\nu1\n\nu1\n u2 \n"  # an ASCII list is kept as read
+    counts = affiliation.follow_counts(["u1", "u2", "# header", "", " u2 "], roster)
+    assert counts == {"u1": [1, 0], "u2": [1, 0], "# header": [0, 0], "": [0, 0], " u2 ": [0, 0]}
 
 
 def _reference_follower_ids(path: Path) -> frozenset[bytes]:
     """The per-line loop the loader replaced: strip, skip blanks and #-comments.
 
-    The ids are encoded as UTF-8, the form the follower tables keep them in.
+    The ids are encoded as UTF-8, the form follow_counts compares them in.
     """
     ids = set()
     for line in path.read_text(encoding="utf-8").splitlines():
@@ -518,6 +519,28 @@ def _reference_follower_ids(path: Path) -> frozenset[bytes]:
 _FOLLOWER_PIECES = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85",
                     "\u2028", "\u2029", " ", "\t", "\xa0", "\u3000", "#", "# note", "u1",
                     "u2", "é", "a#b"]
+
+
+# ids no list may match: blank, a comment, padded by str or by bytes whitespace,
+# holding a line break, or a lone surrogate, beside ids some lists hold
+_ODD_PROBES = ["", " ", "\t", "#", "#c", "# note", "#\xe9", " u1", "u1 ", "\tu2", "\x1fu1",
+               "u1\x1f", "\x0bu1", "\xa0u1", "u1\n", "u1\ru2", "\ud800", "u1", "u2", "u3",
+               "\xe9", "caf\xe9", "a#b", "u#1"]
+
+
+def _assert_follows_match_the_reference(roster: corpus.FigureheadRoster, path: Path,
+                                        text: str) -> None:
+    """follow_counts finds an id in the list at `path` exactly when the reference does.
+
+    The probes are each line of `text` as str and as bytes split it, raw and
+    stripped, and _ODD_PROBES.
+    """
+    lines = text.splitlines() + [line.decode("utf-8") for line in text.encode().splitlines()]
+    probes = {*lines, *map(str.strip, lines), *_ODD_PROBES}
+    reference = _reference_follower_ids(path)
+    assert affiliation.follow_counts(probes, roster) == {
+        probe: [int(probe.encode("utf-8", "surrogatepass") in reference), 0] for probe in probes
+    }
 
 
 @given(st.lists(st.sampled_from(_FOLLOWER_PIECES), max_size=40).map("".join))
@@ -545,7 +568,7 @@ def test_follower_loader_matches_the_per_line_loop(text):
         path = directory / "followers" / "a.txt"
         path.write_bytes(text.encode("utf-8"))
         roster = corpus.load_affiliation_data(directory / "roster.csv", directory / "followers")
-        assert roster.followers["a"] == _reference_follower_ids(path)
+        _assert_follows_match_the_reference(roster, path, text)
 
 
 @pytest.mark.parametrize("data", [b"u1\nu2\xff\n", b"u1\x0b\xe9\n", b"\xc3\n"])
@@ -558,47 +581,45 @@ def test_follower_list_that_is_not_utf8_names_the_file(tmp_path, data):
     assert str(raised.value) == "a.txt: invalid UTF-8"
 
 
-def test_a_follower_table_costs_less_than_the_same_ids_as_str(tmp_path):
-    count = 20_000
-    write_roster(tmp_path, [("a", "D")])
-    # 19-digit ids, the length of recent Twitter user ids
-    write_followers(tmp_path, {"a": [str(10**18 + 7919 * index) for index in range(count)]})
+def test_a_loaded_roster_costs_its_files_bytes(tmp_path):
+    # 19-digit ids, the length of recent Twitter user ids, in an ASCII list, a
+    # CRLF one and one that is decoded; one object per id would cost over 50 B each
+    ids = [str(10**18 + 7919 * index) for index in range(30_000)]
+    write_roster(tmp_path, [("a", "D"), ("b", "R"), ("c", "D")])
+    followers = tmp_path / "followers"
+    write_followers(tmp_path, {"a": ids[:10_000], "b": []})
+    (followers / "b.txt").write_bytes("".join(f" {i}\r\n" for i in ids[10_000:20_000]).encode())
+    (followers / "c.txt").write_bytes(("# caf\xe9\n" + "\n".join(ids[20_000:])).encode())
 
-    def load() -> set[bytes]:
-        return corpus.load_affiliation_data(tmp_path / "roster.csv",
-                                            tmp_path / "followers").followers["a"]
+    def load() -> corpus.FigureheadRoster:
+        return corpus.load_affiliation_data(tmp_path / "roster.csv", followers)
 
     load()  # any first-call caches are made outside the measurement
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        table = load()
-        as_bytes = tracemalloc.get_traced_memory()[0] - start
-        start = tracemalloc.get_traced_memory()[0]
-        strings = set((tmp_path / "followers" / "a.txt").read_text(encoding="utf-8").split())
-        as_str = tracemalloc.get_traced_memory()[0] - start
+        roster = load()
+        held = tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()
-    assert len(table) == len(strings) == count
-    assert {user_id.decode("ascii") for user_id in table} == strings
-    # tracemalloc counts the bytes asked for, before pymalloc rounds them up;
-    # the per-id gap is that of the object headers: 16 B on Python 3.10 and
-    # 3.11, 8 B from 3.12 on
-    header_gap = sys.getsizeof("") - sys.getsizeof(b"")
-    assert as_str - as_bytes >= 0.75 * header_gap * count
+    files = sum(path.stat().st_size for path in followers.iterdir())
+    assert held <= files + 1024 * len(roster.followers)
+    counts = affiliation.follow_counts([ids[0], ids[10_000], ids[-1], "nobody"], roster)
+    assert counts == {ids[0]: [1, 0], ids[10_000]: [0, 1], ids[-1]: [1, 0], "nobody": [0, 0]}
 
 
 @pytest.mark.parametrize("extra", ["", "caf\xe9\r"], ids=["ascii", "decoded"])
 def test_a_follower_list_with_cr_line_ends_loads_in_linear_time(tmp_path, extra):
-    # each "#" line must cost the scan one line, not the rest of the file
+    # each "#" line must cost the load and a look-up one line, not the rest of the file
     write_roster(tmp_path, [("a", "D")])
     write_followers(tmp_path, {"a": []})
     path = tmp_path / "followers" / "a.txt"
-    path.write_bytes(("u1\r" + "#c\r" * 20_000 + extra + "u2\r").encode("utf-8"))
+    text = "u1\r" + "#c\r" * 20_000 + extra + "u2\r"
+    path.write_bytes(text.encode("utf-8"))
     started = time.perf_counter()
     roster = corpus.load_affiliation_data(tmp_path / "roster.csv", tmp_path / "followers")
+    _assert_follows_match_the_reference(roster, path, text)
     elapsed = time.perf_counter() - started
-    assert roster.followers["a"] == _reference_follower_ids(path)
     assert elapsed < 1.0
 
 

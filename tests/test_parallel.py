@@ -15,14 +15,17 @@ import logging
 import os
 import re
 import signal
+import subprocess
+import sys
 import time
 from collections import Counter
+from contextlib import closing
 from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
 
-from polarmetrics import annotator, cli, corpus, tweetpass
+from polarmetrics import affiliation, aggregate, annotator, cli, corpus, tweetpass
 from polarmetrics.errors import DataError
 
 from conftest import (
@@ -861,3 +864,152 @@ def test_the_memo_holds_no_more_texts_than_a_chunk_holds_records(monkeypatch, tm
         annotate(corpus.TweetRecord("t0", "dem1", text, stamp))
     # "Acme a" left the memo when "Acme c" came in
     assert calls == Counter({"Acme a": 2, "Acme b": 1, "Acme c": 1})
+
+
+# ==== labelling ahead of need ====
+
+
+def _labelling_lines(escape: bool = False) -> list[str]:
+    """Authors who recur across chunks and ranges; dem9 only in deleted, rejected and
+    duplicate lines, rep3 only in the last. With `escape`, the later half writes its
+    keys "user\\u005fid"."""
+    lines = [_tweet("t0", "dem1", "Acme is good."), _tweet("t1", "dem9", "x", deleted=True)]
+    lines += _filler(30)
+    lines += [_tweet("d1", "dem9", "Acme is good.", "not a time"),
+              json.dumps({"tweet_id": "d2", "user_id": "dem9"}), "{broken"]
+    lines += _filler(30, "g")
+    lines += [_tweet("t0", "dem9", "quorvia is good.", CRISIS_TS),
+              _tweet("d3", "dem9", "Acme is bad.", deleted=True),
+              _tweet("z4", "rep3", "Acme is good.", CRISIS_TS)]
+    if escape:
+        half = len(lines) // 2
+        lines[half:] = [line.replace('"user_id"', '"user\\u005fid"') for line in lines[half:]]
+    return lines
+
+
+def _pad_followers(bundle: dict) -> None:
+    """Pad each follower list with comment lines until it alone outweighs the tweets file."""
+    padding = "# padding\n" * (bundle["tweets"].stat().st_size // 10 + 1)
+    for path in bundle["followers"].iterdir():
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(padding)
+
+
+def _noted_scans(monkeypatch, tmp_path: Path) -> Path:
+    """A file that gets, per corpus.scan_user_ids call in any process, the ids it found."""
+    notes = tmp_path / "scans"
+    notes.write_text("")
+    scan = corpus.scan_user_ids
+
+    def noted(path, start, end):
+        found = scan(path, start, end)
+        with open(notes, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(sorted(found)) + "\n")
+        return found
+
+    monkeypatch.setattr(corpus, "scan_user_ids", noted)
+    return notes
+
+
+def _by_chunk(monkeypatch, tmp_path: Path) -> dict:
+    """The outcome of _labelling_lines with lists too short for any range to scan."""
+    (tmp_path / "plain").mkdir()
+    return _assert_range_invariant(monkeypatch, _bundle(tmp_path / "plain", _labelling_lines()),
+                                   tmp_path / "plain")
+
+
+@pytest.mark.parametrize("chunk", [3, 1024])
+def test_labelling_ahead_gives_the_artifacts_of_labelling_by_chunk(monkeypatch, tmp_path,
+                                                                   chunk):
+    monkeypatch.setattr(tweetpass, "CHUNK_RECORDS", chunk)
+    notes = _noted_scans(monkeypatch, tmp_path)
+    by_chunk = _by_chunk(monkeypatch, tmp_path)
+    assert notes.read_text() == ""
+    (tmp_path / "padded").mkdir()
+    padded = _bundle(tmp_path / "padded", _labelling_lines())
+    _pad_followers(padded)
+    assert _assert_range_invariant(monkeypatch, padded, tmp_path / "padded") == by_chunk
+    assert len(notes.read_text().splitlines()) == sum(RANGE_COUNTS)  # one scan per range
+    assert b"dem1" in by_chunk["artifacts"]["affiliations.csv"]
+
+
+def test_keys_the_scan_misses_give_the_same_artifacts(monkeypatch, tmp_path):
+    monkeypatch.setattr(tweetpass, "CHUNK_RECORDS", 3)
+    notes = _noted_scans(monkeypatch, tmp_path)
+    by_chunk = _by_chunk(monkeypatch, tmp_path)
+    (tmp_path / "escaped").mkdir()
+    escaped = _bundle(tmp_path / "escaped", _labelling_lines(escape=True))
+    _pad_followers(escaped)
+    assert _assert_range_invariant(monkeypatch, escaped, tmp_path / "escaped") == by_chunk
+    # the later ranges of seven hold only escaped keys
+    assert "[]" in notes.read_text().splitlines()
+
+
+def test_an_author_seen_only_in_deleted_and_rejected_lines_is_not_labelled(monkeypatch,
+                                                                           tmp_path):
+    notes = _noted_scans(monkeypatch, tmp_path)
+    lines = _labelling_lines()
+    del lines[-3]  # dem9's one live tweet, a duplicate
+    bundle = _bundle(tmp_path, lines)
+    _pad_followers(bundle)
+    outcome = _assert_range_invariant(monkeypatch, bundle, tmp_path)
+    assert "dem9" in json.loads(notes.read_text().splitlines()[0])  # the one-range run's scan
+    assert b"dem9" not in outcome["artifacts"]["affiliations.csv"]
+    assert b"dem1" in outcome["artifacts"]["affiliations.csv"]
+
+
+@pytest.mark.parametrize("escape", [False, True], ids=["plain", "escaped"])
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_a_range_reads_the_lists_twice_plus_once_per_chunk_with_a_missed_author(
+        monkeypatch, tmp_path, count, escape):
+    chunk = 3
+    monkeypatch.setattr(tweetpass, "CHUNK_RECORDS", chunk)
+    bundle = _bundle(tmp_path, _labelling_lines(escape))
+    _pad_followers(bundle)
+    _force_ranges(monkeypatch, bundle, count)
+    passes = []
+    follow_counts = affiliation.follow_counts
+
+    def counted(user_ids, roster):
+        passes.append(len(user_ids))
+        return follow_counts(user_ids, roster)
+
+    monkeypatch.setattr(affiliation, "follow_counts", counted)
+    roster = corpus.load_affiliation_data(bundle["roster"], bundle["followers"])
+    windows = corpus.load_windows(bundle["windows"])
+    tweets = bundle["tweets"]
+    missed_anywhere = 0
+    for index, span in enumerate(tweetpass._tweet_spans(tweets)):
+        passes.clear()
+        log = corpus.IngestStats()
+        records = corpus.parse_tweets(tweets, stats=log, span=span)
+        with closing(records), aggregate.MentionCsvWriter(tmp_path / f"part{index}") as writer:
+            tweetpass._pass_range(records, tweets, span, log, windows,
+                                  affiliation.PartyLabeler(roster),
+                                  lambda record: (record.user_id, ()), False, writer, None)
+        found = corpus.scan_user_ids(tweets, *(span or (0, tweets.stat().st_size)))
+        kept = list(corpus.parse_tweets(tweets, span=span))
+        missed = sum(any(not record.deleted and record.user_id not in found
+                         for record in kept[start:start + chunk])
+                     for start in range(0, len(kept), chunk))
+        assert 1 <= len(passes) <= 2 + missed, (index, passes, missed)
+        missed_anywhere += missed
+    assert bool(missed_anywhere) is escape
+
+
+def test_a_tweets_pipe_is_read_once(tmp_path):
+    # a pipe's lines can be read only once, so a scan must not read them: its size reads 0
+    bundle = _bundle(tmp_path, _labelling_lines())
+    _pad_followers(bundle)
+    assert cli.main(_args(bundle, tmp_path / "file")) == 0
+    args = _args(bundle, tmp_path / "pipe")
+    args[args.index("--tweets") + 1] = "/dev/stdin"
+    src = str(Path(corpus.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from polarmetrics import cli; "
+         "sys.exit(cli.main(sys.argv[1:]))", *args],
+        input=bundle["tweets"].read_bytes(), capture_output=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    for path in sorted((tmp_path / "file").iterdir()):
+        assert (tmp_path / "pipe" / path.name).read_bytes() == path.read_bytes(), path.name
