@@ -29,7 +29,7 @@ from contextlib import closing
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Callable, Iterator, TextIO
+from typing import BinaryIO, Callable, Iterator, TextIO
 
 from . import affiliation, aggregate, annotator, corpus
 from .atomic import atomic_write
@@ -52,9 +52,6 @@ _SKIP_KEYS = ("deleted", "unaligned", "outside", "unannotated")
 # Records pulled from the parser at a time. A chunk's new authors are labelled
 # together, one follower table at a time, before its first tweet is gated.
 CHUNK_RECORDS = 1024
-
-# kept tweets per pickled chunk of a worker's facts file
-_FACTS_CHUNK = 8192
 
 # name prefix of the scratch directory a pass keeps its part files in, in --out
 SCRATCH_PREFIX = ".tweet-pass-"
@@ -90,44 +87,33 @@ class _KeptFacts:
     """Per kept tweet of a worker's range, in file order: what undoing it takes.
 
     A tweet whose id was kept in an earlier range is a duplicate in a
-    one-range run, so the merge retracts it. The worker writes these facts to
-    a file that the merge reads a chunk at a time, so the parent never holds
-    a worker's tweet ids all at once. The pass notes a tweet's fate and
-    first row as it decides them, and the rest a chunk at a time.
+    one-range run, so the merge retracts it. The pass notes a tweet's fate
+    and first row as it decides them. Once a chunk's rows are written, its
+    facts go to `handle` as one pickled (ids, lines, fates, first rows, end
+    rows, authors) tuple, an end row being the next tweet's first row, and
+    the buffers are emptied: neither the worker nor the merge, which reads
+    the file a chunk at a time, holds a range's facts all at once.
     """
 
-    ids: list[str] = field(default_factory=list)
-    lines: array = field(default_factory=lambda: array("q"))
+    handle: BinaryIO
     fates: bytearray = field(default_factory=bytearray)
     first_rows: array = field(default_factory=lambda: array("q"))  # mention rows before it
-    authors: list[str] = field(default_factory=list)  # one str object per distinct author
-    shared: dict[str, str] = field(default_factory=dict)  # author -> that object
+    labelled: Counter = field(default_factory=Counter)  # author -> tweets that labelled them
 
-    def note_chunk(self, chunk: list[tuple[int, corpus.TweetRecord]]) -> None:
-        """Note the line, id and author of each pair of `chunk` the pass gave a fate."""
-        chunk = chunk[:len(self.fates) - len(self.ids)]
+    def write(self, chunk: list[tuple[int, corpus.TweetRecord]], rows: int) -> None:
+        """Write the facts of `chunk`'s pairs given a fate; `rows` counts the rows written."""
+        fates, first_rows = self.fates, self.first_rows
+        if not fates:  # a strict pass stopped at the chunk's first pair
+            return
+        chunk = chunk[:len(fates)]
         records = list(map(_record_of, chunk))
-        self.lines.extend(map(_line_of, chunk))
-        self.ids.extend(map(_tweet_id_of, records))
-        user_ids = list(map(_user_id_of, records))
-        self.authors.extend(map(self.shared.setdefault, user_ids, user_ids))
-
-    def dump(self, path: Path, rows: int) -> None:
-        """Write (ids, lines, fates, first row, end row, author) chunks to `path`.
-
-        A tweet's end row is the next tweet's first row, or `rows` for the
-        last, so each chunk's ends are sliced from `first_rows` one further on.
-        """
-        first_rows = self.first_rows
-        with open(path, "wb") as handle:
-            for start in range(0, len(self.ids), _FACTS_CHUNK):
-                stop = start + _FACTS_CHUNK
-                ends = first_rows[start + 1:stop + 1]
-                if stop >= len(first_rows):
-                    ends.append(rows)
-                chunk = (self.ids[start:stop], self.lines[start:stop], self.fates[start:stop],
-                         first_rows[start:stop], ends, self.authors[start:stop])
-                pickle.dump(chunk, handle, pickle.HIGHEST_PROTOCOL)
+        authors = list(map(_user_id_of, records))
+        pickle.dump((list(map(_tweet_id_of, records)), array("q", map(_line_of, chunk)), fates,
+                     first_rows, first_rows[1:] + array("q", (rows,)), authors),
+                    self.handle, pickle.HIGHEST_PROTOCOL)
+        # a deleted tweet labels no one: its author may have no entry
+        self.labelled.update(itertools.compress(authors, fates))
+        del fates[:], first_rows[:]
 
 
 def _read_facts(path: Path) -> Iterator[tuple]:
@@ -308,7 +294,7 @@ def _pass_range(
                 cell[offset + 1] += 1
         writer.write_text("".join(lines), len(lines))
         if facts is not None:
-            facts.note_chunk(chunk)
+            facts.write(chunk, writer.count)
         if stopped:
             break
     return _RangeResult(log, tally, window_cells, writer.count, unannotated,
@@ -320,17 +306,15 @@ def _work_range(scratch: Path, index: int, span: tuple[int, int], tweets: Path,
                 annotate: Annotate, strict: bool) -> _RangeResult:
     """Run one byte range in a worker process; rows and facts go to files in scratch."""
     log = corpus.IngestStats()
-    facts = _KeptFacts()
     records = corpus.parse_tweets(tweets, stats=log, span=span)
     with closing(records), aggregate.MentionCsvWriter(_scratch_file(scratch, "part", index),
-                                                      header=False) as writer:
+                                                      header=False) as writer, \
+            open(_scratch_file(scratch, "facts", index), "wb") as handle:
+        facts = _KeptFacts(handle)
         result = _pass_range(records, tweets, span, log, windows, labeler, annotate, strict,
                              writer, facts)
-    facts.dump(_scratch_file(scratch, "facts", index), result.rows)
-    entries = labeler.entries
-    # a deleted tweet labels no one: its author may have no entry
-    counts = Counter(itertools.compress(facts.authors, facts.fates))
-    result.labelled = [(user_id, entries[user_id], count) for user_id, count in counts.items()]
+    result.labelled = [(user_id, labeler.entries[user_id], count)
+                       for user_id, count in facts.labelled.items()]
     return result
 
 

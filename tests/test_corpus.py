@@ -156,17 +156,21 @@ def _pass_fates(stamps: list[str], payload: dict) -> list[tuple[int, int]]:
             json.dumps({"tweet_id": f"t{index}", "user_id": "u1", "text": "",
                         "created_at": stamp}) + "\n"
             for index, stamp in enumerate(stamps)), encoding="utf-8")
-        log, facts = corpus.IngestStats(), tweetpass._KeptFacts()
-        labeler = affiliation.PartyLabeler(roster)
+        log, labeler = corpus.IngestStats(), affiliation.PartyLabeler(roster)
         records = corpus.parse_tweets(tweets, stats=log)
-        with aggregate.MentionCsvWriter(Path(scratch) / "mentions.csv") as writer:
+        facts_path = Path(scratch) / "facts"
+        with aggregate.MentionCsvWriter(Path(scratch) / "mentions.csv") as writer, \
+                open(facts_path, "wb") as handle:
             tweetpass._pass_range(records, tweets, None, log, windows, labeler,
-                                  lambda record: ("u1", ()), False, writer, facts)
+                                  lambda record: ("u1", ()), False, writer,
+                                  tweetpass._KeptFacts(handle))
+        fates = [fate for chunk in tweetpass._read_facts(facts_path) for fate in chunk[2]]
     assert log.rejected == 0
     assert labeler.entries["u1"] == (1, 0, PartyLabel.DEMOCRAT)
     expected = [fate_of[corpus.classify_window(corpus.parse_timestamp(stamp), windows)]
                 for stamp in stamps]
-    return list(zip(facts.fates, expected))
+    assert len(fates) == len(stamps)
+    return list(zip(fates, expected))
 
 
 def _render(moment: datetime, minutes: int, fraction: str) -> str:

@@ -9,6 +9,7 @@ the ranges without the cross-range merge fails each test.
 
 from __future__ import annotations
 
+import csv
 import gc
 import json
 import logging
@@ -31,6 +32,7 @@ from polarmetrics.errors import DataError
 from conftest import (
     BASELINE_TS,
     CRISIS_TS,
+    STD_WINDOWS,
     write_followers,
     write_gazetteer,
     write_lexicon,
@@ -141,31 +143,105 @@ def _strict_errors(monkeypatch, bundle: dict, tmp_path: Path) -> str:
     return messages.pop()
 
 
-def _facts_as_copied(facts: tweetpass._KeptFacts, rows: int) -> list[tuple]:
-    """The chunks of a facts file whose end rows come from one copy of all of first_rows."""
-    ends = facts.first_rows[1:]
-    ends.append(rows)
-    columns = (facts.ids, facts.lines, facts.fates, facts.first_rows, ends, facts.authors)
-    return [tuple(column[start:start + tweetpass._FACTS_CHUNK] for column in columns)
-            for start in range(0, len(facts.ids), tweetpass._FACTS_CHUNK)]
+# a kept tweet of the facts tests by its index mod 7: (author, created_at, text) and
+# the fate it gets; a text of n letters gives n mentions, "none" no annotation
+_FACTS_KINDS = (
+    ("dem1", BASELINE_TS, "", tweetpass.RETAINED),
+    ("rep1", CRISIS_TS, "m", tweetpass.RETAINED + 1),
+    ("dem2", BASELINE_TS, "mm", tweetpass.RETAINED),
+    ("ghost", BASELINE_TS, "m", tweetpass.DELETED),
+    ("nobody", CRISIS_TS, "m", tweetpass.UNALIGNED),
+    ("dem1", OUTSIDE_TS, "m", tweetpass.OUTSIDE),
+    ("rep1", CRISIS_TS, "none", tweetpass.UNANNOTATED),
+)
 
 
-@pytest.mark.parametrize("kept", [0, 1, tweetpass._FACTS_CHUNK, tweetpass._FACTS_CHUNK + 1])
-def test_facts_file_gives_each_kept_tweet_its_end_row(tmp_path, kept):
-    facts, first_row = tweetpass._KeptFacts(), 0
-    for index in range(kept):
-        facts.ids.append(f"t{index}")
-        facts.lines.append(2 * index + 1)
-        facts.fates.append(index % (tweetpass.RETAINED + 2))
-        facts.first_rows.append(first_row)
-        facts.authors.append(f"u{index % 7}")
-        first_row += index % 3  # retained tweets with 0, 1 or 2 mention rows
-    facts.dump(tmp_path / "facts", first_row + 5)
-    chunks = list(tweetpass._read_facts(tmp_path / "facts"))
-    assert chunks == _facts_as_copied(facts, first_row + 5)
-    assert len(chunks) == -(-kept // tweetpass._FACTS_CHUNK)
-    if kept:
-        assert chunks[-1][4][-1] == first_row + 5
+def _annotate_by_text(record: corpus.TweetRecord):
+    """One mention named after the tweet per letter of its text; None for "none"."""
+    if record.text == "none":
+        return None
+    return record.user_id, tuple((record.tweet_id, "MISC", sentiment)
+                                 for sentiment in range(len(record.text)))
+
+
+def _facts_tweet(index: int) -> str:
+    author, created_at, text, _ = _FACTS_KINDS[index % len(_FACTS_KINDS)]
+    return _tweet(f"t{index}", author, text, created_at, deleted=author == "ghost")
+
+
+def _check_facts_file(tmp_path: Path, lines: list[str], strict: bool,
+                      given: int) -> tweetpass._RangeResult:
+    """Run a worker's pass over `lines`; check its facts file against its part file.
+
+    The first `given` kept tweets must be those the pass gave a fate. Their
+    facts, read chunk by chunk, must be (id, line, fate, first row, end row,
+    author) with the rows rebuilt from the part file, whose mentions are
+    named after their tweets, and the pass must hold no facts after it.
+    """
+    tweets = tmp_path / "tweets.jsonl"
+    tweets.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    roster = corpus.FigureheadRoster(
+        {"dema": affiliation.PartyLabel.DEMOCRAT, "repa": affiliation.PartyLabel.REPUBLICAN},
+        {"dema": b"dem1\ndem2\n", "repa": b"rep1\n"})
+    labeler, log = affiliation.PartyLabeler(roster), corpus.IngestStats()
+    records = corpus.parse_tweets(tweets, stats=log)
+    with closing(records), aggregate.MentionCsvWriter(tmp_path / "part", header=False) as writer, \
+            open(tmp_path / "facts", "wb") as handle:
+        facts = tweetpass._KeptFacts(handle)
+        result = tweetpass._pass_range(records, tweets, None, log,
+                                       corpus.parse_event_windows(STD_WINDOWS), labeler,
+                                       _annotate_by_text, strict, writer, facts)
+    assert not facts.fates and not facts.first_rows
+
+    got = []
+    for chunk in tweetpass._read_facts(tmp_path / "facts"):
+        assert 0 < len(chunk[0]) <= tweetpass.CHUNK_RECORDS
+        assert {len(column) for column in chunk} == {len(chunk[0])}
+        got += zip(*chunk)
+
+    with open(tmp_path / "part", encoding="utf-8", newline="") as part:
+        named = [row[0] for row in csv.reader(part)]
+    expected, row = [], 0
+    numbers = [number for number, line in enumerate(lines, 1) if line != "{broken"]
+    for index, number in enumerate(numbers[:given]):
+        first = row
+        while row < len(named) and named[row] == f"t{index}":
+            row += 1
+        author, _, text, fate = _FACTS_KINDS[index % len(_FACTS_KINDS)]
+        assert row - first == (len(text) if fate >= tweetpass.RETAINED else 0)
+        expected.append((f"t{index}", number, fate, first, row, author))
+    assert row == len(named) == result.rows
+    assert got == expected
+    assert facts.labelled == Counter(
+        author for *_, fate, _, _, author in expected if fate != tweetpass.DELETED)
+    return result
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1024])
+@pytest.mark.parametrize("kept", ["none", "one", "a chunk", "a chunk and one"])
+def test_facts_file_gives_each_kept_tweet_its_rows(monkeypatch, tmp_path, chunk, kept):
+    monkeypatch.setattr(tweetpass, "CHUNK_RECORDS", chunk)
+    count = {"none": 0, "one": 1, "a chunk": chunk, "a chunk and one": chunk + 1}[kept]
+    lines = ["{broken"]
+    for index in range(count):
+        lines.append(_facts_tweet(index))
+        if index % 4 == 2:
+            lines.append("{broken")
+    _check_facts_file(tmp_path, lines, False, count)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1024])
+@pytest.mark.parametrize("stop", [3, 4, 6])
+def test_facts_file_of_a_strict_pass_ends_where_the_pass_stops(monkeypatch, tmp_path, chunk,
+                                                               stop):
+    # stopped by a bad line after 3 tweets (at a chunk's start when chunks hold 3)
+    # or after 4, or by tweet 6, the first without annotation
+    monkeypatch.setattr(tweetpass, "CHUNK_RECORDS", chunk)
+    lines = [_facts_tweet(index) for index in range(10)]
+    if stop < 6:
+        lines.insert(stop, "{broken")
+    result = _check_facts_file(tmp_path, lines, True, stop + (stop == 6))
+    assert result.unannotated == ((7, "t6") if stop == 6 else None)
 
 
 def test_duplicate_of_a_tweet_kept_in_an_earlier_range_is_rejected(monkeypatch, tmp_path):
