@@ -35,13 +35,6 @@ class PartyLabel(Enum):
             return "R"
         return "U"
 
-    @classmethod
-    def from_code(cls, code: str) -> PartyLabel:
-        for label in cls:
-            if label.code == code:
-                return label
-        raise ValueError(f"unknown party code {code!r}")
-
 
 def follow_counts(user_ids: Iterable[str], roster: FigureheadRoster) -> dict[str, list[int]]:
     """[f_d, f_r] for each of user_ids: the distinct figureheads of each party they follow.

@@ -41,6 +41,9 @@ Table = dict[str, tuple[int, int, int, int]]
 # Where a party's (sum, count) pair starts in a cell, by party code.
 PARTY_OFFSET = {"D": 0, "R": 2}
 
+# The window values a mention row may carry.
+MENTION_WINDOWS = (WindowLabel.BASELINE.value, WindowLabel.CRISIS.value)
+
 
 def emit_mention_rows(
     annotated: AnnotatedTweet, party: PartyLabel, window: WindowLabel
@@ -204,18 +207,14 @@ def read_mentions_csv(path: Path | str) -> Iterator[MentionRow]:
             raise DataError(f"{path.name} line {lineno}: bad sentiment {raw_sentiment!r}") from exc
         if not 0 <= sentiment <= 4:
             raise DataError(f"{path.name} line {lineno}: sentiment {sentiment} outside 0..4")
-        try:
-            party = PartyLabel.from_code(party_code)
-        except ValueError as exc:
-            raise DataError(f"{path.name} line {lineno}: {exc}") from exc
-        if party is PartyLabel.UNALIGNED:
-            raise DataError(f"{path.name} line {lineno}: mention rows never carry U")
-        try:
-            window = WindowLabel(window_value)
-        except ValueError as exc:
-            raise DataError(f"{path.name} line {lineno}: unknown window {window_value!r}") from exc
-        if window is WindowLabel.OUTSIDE:
-            raise DataError(f"{path.name} line {lineno}: mention rows never carry outside")
+        if party_code not in PARTY_OFFSET:
+            if party_code == PartyLabel.UNALIGNED.code:
+                raise DataError(f"{path.name} line {lineno}: mention rows never carry U")
+            raise DataError(f"{path.name} line {lineno}: unknown party code {party_code!r}")
+        if window_value not in MENTION_WINDOWS:
+            if window_value == WindowLabel.OUTSIDE.value:
+                raise DataError(f"{path.name} line {lineno}: mention rows never carry outside")
+            raise DataError(f"{path.name} line {lineno}: unknown window {window_value!r}")
         yield entity, entity_type, user_id, sentiment, party_code, window_value
 
 

@@ -40,10 +40,6 @@ _UTC_TIMESTAMP_RE = re.compile(
 # the C scanner under json.loads, called on a line with no Python layer around it
 _scan_json = json.JSONDecoder().scan_once
 
-NESTING_PROBLEM = "invalid JSON (nesting too deep)"
-# an integer with more digits than int() may convert (sys.get_int_max_str_digits)
-INTEGER_PROBLEM = "invalid JSON (integer too long)"
-
 # rejected lines beyond this many are counted but their messages are not kept
 MAX_KEPT_ERRORS = 100
 
@@ -110,14 +106,10 @@ def read_json_file(path: Path | str, what: str) -> object:
         raise DataError(f"cannot read {what} file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{path.name}: invalid UTF-8") from exc
-    try:
-        return json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path.name}: invalid JSON ({exc.msg})") from exc
-    except RecursionError as exc:
-        raise DataError(f"{path.name}: {NESTING_PROBLEM}") from exc
-    except ValueError as exc:
-        raise DataError(f"{path.name}: {INTEGER_PROBLEM}") from exc
+    value, problem = decode_json_line(raw)
+    if problem is not None:
+        raise DataError(f"{path.name}: {problem}")
+    return value
 
 
 class _NulLine(Exception):
@@ -291,21 +283,22 @@ def duplicate_problem(tweet_id: str) -> str:
 
 
 def decode_json_line(text: str) -> tuple[object, str | None]:
-    """(the JSON value of a stripped line, None), or (None, the problem with it).
+    """(the JSON value of text, None), or (None, the problem with it).
 
     Gives json.loads's value and message; nesting too deep for the scanner,
-    and an integer too long for int(), are problems too, not errors.
-    `read_json_lines` tries the scanner itself first, so this runs only to
-    name a line's problem.
+    and an integer too long for int(), are problems too, not errors. The text
+    is a stripped tweet line or a whole document (`read_json_file`);
+    `read_json_lines` tries the scanner itself first, so for a tweet line
+    this runs only to name its problem.
     """
     try:
         return json.loads(text), None
     except json.JSONDecodeError as exc:
         return None, f"invalid JSON ({exc.msg})"
     except RecursionError:
-        return None, NESTING_PROBLEM
-    except ValueError:
-        return None, INTEGER_PROBLEM
+        return None, "invalid JSON (nesting too deep)"
+    except ValueError:  # more digits than int() may convert (sys.get_int_max_str_digits)
+        return None, "invalid JSON (integer too long)"
 
 
 class _ByteRange(io.RawIOBase):

@@ -18,7 +18,7 @@ byte-identical bundles.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timedelta
 from pathlib import Path
 from typing import Sequence
@@ -209,36 +209,10 @@ class PlantedTruth:
     def to_dict(self) -> dict:
         return {
             "expected": {
-                "entities": {
-                    name: {
-                        "dem_mean": item.dem_mean,
-                        "rep_mean": item.rep_mean,
-                        "polarization": item.polarization,
-                    }
-                    for name, item in self.expected_entities.items()
-                },
+                "entities": {name: asdict(item) for name, item in self.expected_entities.items()},
                 "polarization": self.expected_polarization,
             },
-            "realized": {
-                window: {
-                    "entities": {
-                        name: {
-                            "dem_count": item.dem_count,
-                            "dem_sum": item.dem_sum,
-                            "dem_mean": item.dem_mean,
-                            "rep_count": item.rep_count,
-                            "rep_sum": item.rep_sum,
-                            "rep_mean": item.rep_mean,
-                            "polarization": item.polarization,
-                            "weight": item.weight,
-                        }
-                        for name, item in stats.entities.items()
-                    },
-                    "polarization": stats.polarization,
-                    "total_weight": stats.total_weight,
-                }
-                for window, stats in self.windows.items()
-            },
+            "realized": {window: asdict(stats) for window, stats in self.windows.items()},
         }
 
 
@@ -408,7 +382,9 @@ def generate_corpus(spec: PlantedSpec, out_dir: Path | str) -> GeneratedBundle:
         for label, _ in spans
     }
 
-    pending: list[dict[str, str]] = []
+    # each tweet is held once, as its JSON object's text less the opening "{":
+    # its tweet_id, known only after the permutation, goes in front
+    rendered: list[str] = []
     party_cursor = {"D": 0, "R": 0}
     window_cursor = {label.value: 0 for label, _ in spans}
     pair_cursor = 0
@@ -432,21 +408,14 @@ def generate_corpus(spec: PlantedSpec, out_dir: Path | str) -> GeneratedBundle:
                         )
                         text = texts[(entity_index, sentiment, pair_cursor % len(_FILLER_PAIRS))]
                         pair_cursor += 1
-                        pending.append(
-                            {
-                                "user_id": author,
-                                "text": text,
-                                "created_at": _format_timestamp(created),
-                            }
-                        )
+                        tweet = {"user_id": author, "text": text,
+                                 "created_at": _format_timestamp(created)}
+                        rendered.append(json.dumps(tweet, ensure_ascii=False)[1:])
 
-    order = rng.permutation(len(pending))
-    lines = []
-    for position, source_index in enumerate(order, start=1):
-        payload = {"tweet_id": f"t{position:07d}", **pending[int(source_index)]}
-        lines.append(json.dumps(payload, ensure_ascii=False))
     tweets_path = directory / "tweets.jsonl"
-    tweets_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(tweets_path, "w", encoding="utf-8") as handle:
+        for position, source_index in enumerate(rng.permutation(len(rendered)), start=1):
+            handle.write(f'{{"tweet_id": "t{position:07d}", {rendered[source_index]}\n')
 
     roster_path = directory / "roster.csv"
     roster_path.write_text(

@@ -14,13 +14,6 @@ from polarmetrics.errors import DataError
 from conftest import write_roster
 
 
-def test_party_codes_round_trip():
-    for label in PartyLabel:
-        assert PartyLabel.from_code(label.code) is label
-    with pytest.raises(ValueError):
-        PartyLabel.from_code("Q")
-
-
 def test_count_affiliation(roster_files):
     roster = corpus.load_affiliation_data(*roster_files)
     assert affiliation.count_affiliation("dem1", roster) == (2, 0)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -332,6 +333,59 @@ def test_truth_realized_matches_independent_recount(tmp_path):
             Fraction(stats["dem_sum"], 30) - Fraction(stats["rep_sum"], 30)
         ) / 5
         assert stats["polarization"] == pytest.approx(float(expected_p))
+
+
+def test_tweet_lines_are_json_dumps_of_their_fields(tmp_path):
+    spec = _spec(
+        _entity(name="zürich", mentions=6), _entity(name='o"hare', etype="MISC", mentions=6)
+    )
+    bundle = synth.generate_corpus(spec, tmp_path / "bundle")
+    lines = bundle.tweets_path.read_bytes().decode("utf-8").split("\n")
+    assert lines.pop() == ""
+    assert len(lines) == 48  # 2 windows x 2 parties x (6 + 6) mentions
+    for line in lines:
+        tweet = json.loads(line)
+        fields = {key: tweet[key] for key in ("tweet_id", "user_id", "text", "created_at")}
+        assert line == json.dumps(fields, ensure_ascii=False)
+    assert any(" zürich " in line for line in lines)
+    assert any(' o\\"hare ' in line for line in lines)
+
+
+def test_truth_json_is_sorted_and_indented_with_fixed_keys(tmp_path):
+    spec = _spec(
+        _entity(name="zürich", mentions=4), _entity(name="xen zone", etype="MISC", mentions=3)
+    )
+    text = synth.generate_corpus(spec, tmp_path / "bundle").truth_path.read_text(encoding="utf-8")
+    truth = json.loads(text)
+    assert text == json.dumps(truth, indent=2, sort_keys=True) + "\n"
+    assert set(truth) == {"expected", "realized"}
+    assert set(truth["expected"]) == {"entities", "polarization"}
+    assert set(truth["expected"]["entities"]) == {"zürich", "xen zone"}
+    for stats in truth["expected"]["entities"].values():
+        assert set(stats) == {"dem_mean", "rep_mean", "polarization"}
+    assert set(truth["realized"]) == {"baseline", "crisis"}
+    for window in truth["realized"].values():
+        assert set(window) == {"entities", "polarization", "total_weight"}
+        assert set(window["entities"]) == {"zürich", "xen zone"}
+        for stats in window["entities"].values():
+            assert set(stats) == {
+                "dem_count", "dem_sum", "dem_mean", "rep_count", "rep_sum", "rep_mean",
+                "polarization", "weight",
+            }
+
+
+def test_generation_holds_each_tweet_once(tmp_path):
+    # 2 windows x 2 parties x (2,500 + 2,500) mentions
+    spec = _spec(_entity(mentions=2_500), _entity(name="zürich", mentions=2_500))
+    tracemalloc.start()
+    try:
+        synth.generate_corpus(spec, tmp_path / "bundle")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one rendered string per tweet is about 250 B; holding each tweet as a
+    # dict, a line and a share of their join is about 1,000 B
+    assert peak / 20_000 <= 400
 
 
 def test_entity_name_collisions_fail_fast(tmp_path):
