@@ -13,16 +13,14 @@ from __future__ import annotations
 
 import argparse
 import functools
-import gc
 import json
 import os
 import re
 import shutil
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from . import affiliation, aggregate, annotator, corpus, polarimetry, tweetpass
 from .errors import ConfigError, DataError, NoJointEntitiesError, PipelineError, WorkerError
@@ -131,10 +129,10 @@ def _write_report(
     return report
 
 
-def _out_dir(path: Path, make: bool = True) -> Path:
-    """The --out directory, made with its parents if `make`.
+def _out_dir(path: Path) -> Path:
+    """The --out directory; a file at `path`, or at a parent it still needs, is a usage error.
 
-    A file at `path`, or at a parent it still needs, is a usage error.
+    Each command makes the directory, with its parents, when it first writes.
     """
     out_dir = Path(path)
     for place in (out_dir, *out_dir.parents):
@@ -142,8 +140,6 @@ def _out_dir(path: Path, make: bool = True) -> Path:
             if not place.is_dir():
                 raise ConfigError(f"--out {out_dir}: {place} is not a directory")
             break
-    if make:
-        out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir
 
 
@@ -168,31 +164,6 @@ def _remove_leftovers(out: Path) -> None:
                 os.unlink(entry.path)
 
 
-@contextmanager
-def _inputs_frozen() -> Iterator[Callable[[], None]]:
-    """Load the inputs with the collector off, then keep them out of collections.
-
-    Entered before the first input is loaded; the function it gives is called
-    once the last one is. The loaders make no reference cycles, so a
-    collection during a load frees nothing: it only walks the tables built
-    so far. Then every object alive, the loaded inputs above all, is frozen
-    and the collector is back on. The annotation tables live until the run
-    ends. Frozen, no collection walks them again, and no collection in a
-    forked worker writes to the pages it shares with this process. (The
-    follower lists are `bytes`, which no collection walks.)
-    """
-    def loaded() -> None:
-        gc.freeze()
-        gc.enable()
-
-    gc.disable()
-    try:
-        yield loaded
-    finally:
-        gc.unfreeze()
-        gc.enable()
-
-
 @dataclass
 class RunResult:
     report: polarimetry.PolarizationReport
@@ -213,29 +184,26 @@ def run_pipeline(config: RunConfig) -> RunResult:
     """
     if config.shards < 1:
         raise ConfigError("--shards must be at least 1")
-    out_dir = _out_dir(config.out, make=False)
+    out_dir = _out_dir(config.out)
     _remove_leftovers(out_dir)
     for stale in ("report.csv", "report.json"):
         (out_dir / stale).unlink(missing_ok=True)
     counters = StreamCounters()
-    with _inputs_frozen() as loaded:
-        annotate = _annotation_source(config.lexicon, config.gazetteer, config.preannotated,
-                                      config.entity_types, config.strict, counters.annotation)
-        roster = corpus.load_affiliation_data(config.roster, config.followers)
-        labeler = affiliation.PartyLabeler(roster)
-        windows = corpus.load_windows(config.windows)
-        loaded()
-        out_dir.mkdir(parents=True, exist_ok=True)
-        builders, mention_count = stream_mentions(config.tweets, windows, labeler, annotate,
-                                                   config.strict, counters, out_dir)
-        tables = {window: builder.build() for window, builder in builders.items()}
-        for window, table in tables.items():
-            aggregate.write_aggregates_csv(out_dir / f"aggregates_{window.value}.csv", table)
-        affiliation.write_affiliation_audit(out_dir / "affiliations.csv", labeler)
-        polarities = {window: polarimetry.entity_polarities(table)
-                      for window, table in tables.items()}
-        polarimetry.write_entities_csv(out_dir / "entities.csv", polarities.items())
-        report = _write_report(out_dir, tables, windows, counters.volumes, polarities)
+    annotate = _annotation_source(config.lexicon, config.gazetteer, config.preannotated,
+                                  config.entity_types, config.strict, counters.annotation)
+    roster = corpus.load_affiliation_data(config.roster, config.followers)
+    labeler = affiliation.PartyLabeler(roster)
+    windows = corpus.load_windows(config.windows)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    builders, mention_count = stream_mentions(config.tweets, windows, labeler, annotate,
+                                               config.strict, counters, out_dir)
+    tables = {window: builder.build() for window, builder in builders.items()}
+    for window, table in tables.items():
+        aggregate.write_aggregates_csv(out_dir / f"aggregates_{window.value}.csv", table)
+    affiliation.write_affiliation_audit(out_dir / "affiliations.csv", labeler)
+    polarities = {window: polarimetry.entity_polarities(table) for window, table in tables.items()}
+    polarimetry.write_entities_csv(out_dir / "entities.csv", polarities.items())
+    report = _write_report(out_dir, tables, windows, counters.volumes, polarities)
     return RunResult(report, out_dir, counters, mention_count)
 
 
@@ -285,7 +253,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_assign(args: argparse.Namespace) -> int:
-    out_dir = _out_dir(args.out, make=False)
+    out_dir = _out_dir(args.out)
     labeler = affiliation.PartyLabeler(corpus.load_affiliation_data(args.roster, args.followers))
     stats = corpus.IngestStats()
     records = corpus.parse_tweets(args.tweets, strict=args.strict, stats=stats)
@@ -301,7 +269,7 @@ def cmd_assign(args: argparse.Namespace) -> int:
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
-    out_dir = _out_dir(args.out, make=False)
+    out_dir = _out_dir(args.out)
     policy = _policy(args.entity_types)
     lexicon = annotator.load_lexicon(args.lexicon)
     gazetteer = annotator.load_gazetteer(args.gazetteer)
@@ -340,24 +308,23 @@ def _mentions_labeler(args: argparse.Namespace) -> affiliation.PartyLabeler:
 
 
 def cmd_mentions(args: argparse.Namespace) -> int:
-    _remove_leftovers(_out_dir(args.out, make=False))
+    out_dir = _out_dir(args.out)
+    _remove_leftovers(out_dir)
     counters = StreamCounters()
-    with _inputs_frozen() as loaded:
-        windows = corpus.load_windows(args.windows)
-        labeler = _mentions_labeler(args)
-        annotate = _annotation_source(args.lexicon, args.gazetteer, args.preannotated,
-                                      args.entity_types, args.strict, counters.annotation)
-        loaded()
-        out_dir = _out_dir(args.out)
-        _, count = stream_mentions(args.tweets, windows, labeler, annotate, args.strict,
-                                   counters, out_dir)
+    windows = corpus.load_windows(args.windows)
+    labeler = _mentions_labeler(args)
+    annotate = _annotation_source(args.lexicon, args.gazetteer, args.preannotated,
+                                  args.entity_types, args.strict, counters.annotation)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _, count = stream_mentions(args.tweets, windows, labeler, annotate, args.strict, counters,
+                               out_dir)
     _print_stream_summary(counters)
     _say(f"[ok] wrote {count} mention rows to {out_dir / 'mentions.csv'}")
     return 0
 
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
-    out_dir = _out_dir(args.out, make=False)
+    out_dir = _out_dir(args.out)
     builders = {window.value: aggregate.AggregateBuilder() for window in WINDOW_STATS_KEYS}
     for row in aggregate.read_mentions_csv(args.mentions):
         builders[row[5]].add(row)
@@ -370,7 +337,7 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
 
 
 def cmd_polarize(args: argparse.Namespace) -> int:
-    out_dir = _out_dir(args.out, make=False)
+    out_dir = _out_dir(args.out)
     tables = [
         (corpus.WindowLabel.BASELINE, aggregate.read_aggregates_csv(args.baseline)),
         (corpus.WindowLabel.CRISIS, aggregate.read_aggregates_csv(args.crisis)),
@@ -394,7 +361,7 @@ def cmd_polarize(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    out_dir = _out_dir(args.out, make=False)
+    out_dir = _out_dir(args.out)
     tables = {
         corpus.WindowLabel.BASELINE: aggregate.read_aggregates_csv(args.baseline),
         corpus.WindowLabel.CRISIS: aggregate.read_aggregates_csv(args.crisis),

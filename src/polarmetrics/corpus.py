@@ -74,10 +74,7 @@ def parse_timestamp(value: str) -> datetime:
     truncated since the pipeline works at second resolution. The grammar is
     checked here rather than left to datetime.fromisoformat, whose accepted
     forms differ between Python versions. Raises ValueError on anything else.
-    The ...Z form most corpora use is matched first, by a stricter pattern.
     """
-    if _UTC_TIMESTAMP_RE.fullmatch(value):
-        return datetime.fromisoformat(value[:19] + "+00:00")
     match = _TIMESTAMP_RE.fullmatch(value.strip())
     if match is None:
         raise ValueError(f"unparseable timestamp {value!r}")
@@ -473,7 +470,7 @@ def _tweet_rest(payload: dict, tweet_id: str, user_id: str) -> TweetRecord | str
     raw_created = payload.get("created_at")
     if type(raw_created) is not str:
         return "missing created_at"
-    try:  # parse_timestamp's fast path first
+    try:  # the ...Z form most corpora use first, then the whole grammar
         if _is_utc(raw_created):
             created_at = _from_iso(raw_created[:19] + "+00:00")
         else:

@@ -130,6 +130,13 @@ def validate_planted_spec(spec: PlantedSpec) -> None:
         _check_distribution(entity.rep_dist, f"entity {entity.name!r} rep distribution")
 
 
+def _typed(value: object, key: str, *kinds: type) -> object:
+    """`value` if the JSON gave it as one of `kinds`: no bool is an int here, nothing converts."""
+    if type(value) not in kinds:
+        raise TypeError(f"{key}: {value!r} is not a JSON {' or '.join(k.__name__ for k in kinds)}")
+    return value
+
+
 def load_planted_spec(path: Path | str) -> PlantedSpec:
     path = Path(path)
     try:
@@ -149,18 +156,22 @@ def load_planted_spec(path: Path | str) -> PlantedSpec:
         try:
             entities.append(
                 PlantedEntity(
-                    name=str(block["name"]),
-                    entity_type=str(block["type"]),
-                    dem_dist=tuple(float(p) for p in block["dem_sentiment_dist"]),
-                    rep_dist=tuple(float(p) for p in block["rep_sentiment_dist"]),
-                    mentions_per_party=int(block["mentions_per_party"]),
+                    name=_typed(block["name"], "name", str),
+                    entity_type=_typed(block["type"], "type", str),
+                    dem_dist=tuple(float(_typed(p, "dem_sentiment_dist", int, float))
+                                   for p in block["dem_sentiment_dist"]),
+                    rep_dist=tuple(float(_typed(p, "rep_sentiment_dist", int, float))
+                                   for p in block["rep_sentiment_dist"]),
+                    mentions_per_party=_typed(block["mentions_per_party"], "mentions_per_party",
+                                              int),
                 )
             )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:  # float() of a huge int overflows
             raise ConfigError(f"{path.name}: entity {index} is malformed ({exc})") from exc
     try:
-        users_per_party, seed = int(payload.get("users_per_party", 0)), int(payload.get("seed", 0))
-    except (TypeError, ValueError, OverflowError) as exc:
+        users_per_party = _typed(payload.get("users_per_party", 0), "users_per_party", int)
+        seed = _typed(payload.get("seed", 0), "seed", int)
+    except TypeError as exc:
         raise ConfigError(f"{path.name}: users_per_party and seed must be integers ({exc})")
     spec = PlantedSpec(tuple(entities), users_per_party, windows, seed)
     validate_planted_spec(spec)

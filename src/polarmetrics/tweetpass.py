@@ -13,6 +13,7 @@ over the whole file gives.
 from __future__ import annotations
 
 import csv
+import gc
 import itertools
 import json
 import math
@@ -321,14 +322,17 @@ def _work_range(scratch: Path, index: int, span: tuple[int, int], tweets: Path,
 def _fork_worker(scratch: Path, index: int, *args) -> int:
     """Fork a worker for `_work_range(scratch, index, *args)`; returns its pid.
 
-    The worker pickles the result, or the PipelineError raised, to scratch and
-    leaves by `os._exit`, so no `finally` of the caller runs in it: with 0 once
-    that file is whole, with 1 after printing the traceback of anything else.
+    The worker first freezes every object it inherits, so no collection in it
+    walks them and so writes to the pages it shares with this process. It
+    pickles the result, or the PipelineError raised, to scratch and leaves by
+    `os._exit`, so no `finally` of the caller runs in it: with 0 once that
+    file is whole, with 1 after printing the traceback of anything else.
     """
     pid = os.fork()
     if pid:
         return pid
     try:
+        gc.freeze()
         try:
             outcome = _work_range(scratch, index, *args)
         except PipelineError as exc:  # the parent raises it as its own

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 import sys
@@ -122,6 +123,14 @@ def write_gazetteer(directory: Path, types: dict[str, str]) -> Path:
     path = directory / "gazetteer.tsv"
     path.write_text("".join(f"{s}\t{t}\n" for s, t in types.items()), encoding="utf-8")
     return path
+
+
+@pytest.fixture(autouse=True)
+def collector_left_alone():
+    """Fail a test that leaves the collector on or off, or frozen, other than it found it."""
+    before = gc.isenabled(), gc.get_freeze_count()
+    yield
+    assert (gc.isenabled(), gc.get_freeze_count()) == before, "collector state leaked"
 
 
 @pytest.fixture

@@ -67,30 +67,6 @@ def test_unparseable_timestamps_raise(bad):
         corpus.parse_timestamp(bad)
 
 
-def _grammar_timestamp(value: str) -> datetime:
-    """parse_timestamp without its UTC fast path: the grammar alone."""
-    match = corpus._TIMESTAMP_RE.fullmatch(value.strip())
-    if match is None:
-        raise ValueError(f"unparseable timestamp {value!r}")
-    day, clock, zone = match.groups()
-    if clock is None:
-        clock = "T00:00:00"
-    if zone in (None, "Z", "z"):
-        return datetime.fromisoformat(day + clock + "+00:00")
-    try:
-        return datetime.fromisoformat(day + clock + zone).astimezone(timezone.utc)
-    except OverflowError:
-        raise ValueError(f"unparseable timestamp {value!r}") from None
-
-
-def _outcome(parse, value: str):
-    try:
-        moment = parse(value)
-    except ValueError as exc:
-        return "error", str(exc)
-    return moment, moment.tzinfo
-
-
 _FULLWIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
 
 
@@ -128,7 +104,15 @@ _timestamps = st.builds(
 @example("2021-03-05T06:07:08+02:00")
 @example("9999-12-31T23:59:59-05:30")
 def test_timestamp_fast_path_matches_the_grammar(value):
-    assert _outcome(corpus.parse_timestamp, value) == _outcome(_grammar_timestamp, value)
+    # the reader's inline ...Z path, then parse_timestamp, which is the grammar alone;
+    # their messages differ by design, so only the outcome is compared
+    record = corpus._tweet_rest({"text": "", "created_at": value}, "t1", "u1")
+    try:
+        moment = corpus.parse_timestamp(value)
+    except ValueError:
+        assert isinstance(record, str)
+    else:
+        assert (record.created_at, record.created_at.tzinfo) == (moment, moment.tzinfo)
 
 
 # a gap between the windows, and bounds that are not midnight UTC

@@ -777,56 +777,49 @@ def test_an_error_in_any_range_ends_the_run_without_waiting_for_the_others(
 
 
 @pytest.mark.parametrize("count", [1, 2])
-def test_inputs_stay_frozen_while_the_pass_runs(monkeypatch, tmp_path, capsys, count):
-    lines = [_tweet("t0", "dem1", "Acme is good.")] + _filler(40)
-    bundle = _bundle(tmp_path, lines)
-    _force_ranges(monkeypatch, bundle, count)
-    before = gc.get_freeze_count()
-    during = []
-    pass_range = tweetpass._pass_range
-
-    def watched(*args, **kwargs):
-        during.append(gc.get_freeze_count())
-        return pass_range(*args, **kwargs)
-
-    monkeypatch.setattr(tweetpass, "_pass_range", watched)
-    cli.run_pipeline(_config(bundle, tmp_path / "ok"))
-    assert during and min(during) > before
-    assert gc.get_freeze_count() == before
-
-    during.clear()
-    broken = _bundle(tmp_path, lines + ["{broken"])
-    assert cli.main(_args(broken, tmp_path / "bad", "--strict")) == 2
-    capsys.readouterr()
-    assert during and min(during) > before
-    assert gc.get_freeze_count() == before
-
-
 @pytest.mark.parametrize("command", ["run", "mentions"])
-def test_inputs_load_with_the_collector_off(monkeypatch, tmp_path, capsys, command):
+def test_the_callers_collector_is_left_as_it_was(monkeypatch, tmp_path, capsys, command, count):
+    # run_pipeline runs in its caller's interpreter, so it must not turn the
+    # caller's collector back on or unfreeze what the caller froze
     bundle = _bundle(tmp_path, [_tweet("t0", "dem1", "Acme is good.")] + _filler(40))
-    before = gc.get_freeze_count()
-    enabled = []
-    load = corpus.load_affiliation_data
-
-    def watched(*args, **kwargs):
-        enabled.append(gc.isenabled())
-        return load(*args, **kwargs)
+    _force_ranges(monkeypatch, bundle, count)
 
     def args(out: Path) -> list[str]:
         return [command, *_args(bundle, out)[1:]]
 
-    monkeypatch.setattr(corpus, "load_affiliation_data", watched)
-    assert cli.main(args(tmp_path / "ok")) == 0
-    assert enabled == [False] and gc.isenabled()
-    assert gc.get_freeze_count() == before
-
-    # a load that fails leaves the collector on and nothing frozen
-    bundle["roster"].write_text("handle,party\ndema,X\n", encoding="utf-8")
-    assert cli.main(args(tmp_path / "bad")) == 2
+    was_enabled = gc.isenabled()
+    gc.disable()
+    gc.freeze()
+    try:
+        assert cli.main(args(tmp_path / "ok")) == 0
+        assert not gc.isenabled() and gc.get_freeze_count() > 0
+        # a load that fails leaves it as it was too
+        bundle["roster"].write_text("handle,party\ndema,X\n", encoding="utf-8")
+        assert cli.main(args(tmp_path / "bad")) == 2
+        assert not gc.isenabled() and gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+        if was_enabled:
+            gc.enable()
     capsys.readouterr()
-    assert enabled == [False, False] and gc.isenabled()
-    assert gc.get_freeze_count() == before
+    _assert_no_children()
+
+
+def test_each_worker_freezes_what_it_inherits(monkeypatch, tmp_path):
+    # frozen, the inherited objects are not walked by the worker's collections,
+    # which would write to the pages the worker shares with the parent
+    bundle = _bundle(tmp_path, [_tweet("t0", "dem1", "Acme is good.")] + _filler(40))
+    _force_ranges(monkeypatch, bundle, 2)
+    work_range = tweetpass._work_range
+
+    def watched(scratch, index, *args):
+        (tmp_path / f"frozen-{index}").write_text(str(gc.get_freeze_count()), encoding="utf-8")
+        return work_range(scratch, index, *args)
+
+    monkeypatch.setattr(tweetpass, "_work_range", watched)
+    cli.run_pipeline(_config(bundle, tmp_path / "out"))
+    assert [path.name for path in tmp_path.glob("frozen-*")] == ["frozen-1"]
+    assert int((tmp_path / "frozen-1").read_text(encoding="utf-8")) > 0
 
 
 def test_mentions_with_empty_names_give_one_warning_per_run(monkeypatch, tmp_path, caplog):

@@ -116,7 +116,16 @@ def test_load_planted_spec(tmp_path):
     ],
 )
 def test_load_planted_spec_rejects(tmp_path, mutate):
-    payload = {
+    payload = _spec_payload()
+    mutate(payload)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ConfigError):
+        synth.load_planted_spec(path)
+
+
+def _spec_payload() -> dict:
+    return {
         "seed": 1,
         "users_per_party": 2,
         "windows": json.loads(json.dumps(STD_WINDOWS)),
@@ -130,11 +139,38 @@ def test_load_planted_spec_rejects(tmp_path, mutate):
             }
         ],
     }
-    mutate(payload)
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(ConfigError):
-        synth.load_planted_spec(path)
+
+
+_INTEGERS = "spec.json: users_per_party and seed must be integers"
+_ENTITY = "spec.json: entity 0 is malformed"
+
+
+@pytest.mark.parametrize("field, value, message", [
+    # each of these once ran, as int(), float() or str() of the value
+    ("seed", 7.9, f"{_INTEGERS} (seed: 7.9 is not a JSON int)"),
+    ("seed", True, f"{_INTEGERS} (seed: True is not a JSON int)"),
+    ("seed", "7", f"{_INTEGERS} (seed: '7' is not a JSON int)"),
+    ("users_per_party", True, f"{_INTEGERS} (users_per_party: True is not a JSON int)"),
+    ("users_per_party", 2.0, f"{_INTEGERS} (users_per_party: 2.0 is not a JSON int)"),
+    ("mentions_per_party", 2.7, f"{_ENTITY} (mentions_per_party: 2.7 is not a JSON int)"),
+    ("mentions_per_party", True, f"{_ENTITY} (mentions_per_party: True is not a JSON int)"),
+    ("dem_sentiment_dist", ["0.2", 0.8, 0, 0, 0],
+     f"{_ENTITY} (dem_sentiment_dist: '0.2' is not a JSON int or float)"),
+    ("rep_sentiment_dist", [True, 0, 0, 0, 0],
+     f"{_ENTITY} (rep_sentiment_dist: True is not a JSON int or float)"),
+    ("name", None, f"{_ENTITY} (name: None is not a JSON str)"),
+    ("name", 5, f"{_ENTITY} (name: 5 is not a JSON str)"),
+    ("type", 5, f"{_ENTITY} (type: 5 is not a JSON str)"),
+], ids=["seed-float", "seed-bool", "seed-str", "users-bool", "users-float", "mentions-float",
+        "mentions-bool", "dem-str", "rep-bool", "name-null", "name-int", "type-int"])
+def test_spec_values_are_not_converted(tmp_path, capsys, field, value, message):
+    payload = _spec_payload()
+    (payload if field in ("seed", "users_per_party") else payload["entities"][0])[field] = value
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(payload), encoding="utf-8")
+    assert cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_spec_file_errors(tmp_path):
