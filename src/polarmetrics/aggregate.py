@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 from .affiliation import PartyLabel
-from .annotator import AnnotatedTweet
 from .atomic import atomic_write
 from .corpus import WindowLabel, read_csv
 from .errors import DataError
@@ -46,9 +45,9 @@ MENTION_WINDOWS = (WindowLabel.BASELINE.value, WindowLabel.CRISIS.value)
 
 
 def emit_mention_rows(
-    annotated: AnnotatedTweet, party: PartyLabel, window: WindowLabel
+    annotated: dict, party: PartyLabel, window: WindowLabel
 ) -> list[MentionRow]:
-    """Produce one mention row per entity per sentence of one tweet.
+    """Produce one mention row per entity per sentence of one adapter object.
 
     Unaligned authors and tweets outside both windows produce nothing.
     Entity names are normalized; a name that normalizes to nothing is
@@ -56,19 +55,19 @@ def emit_mention_rows(
     """
     if party is PartyLabel.UNALIGNED or window is WindowLabel.OUTSIDE:
         return []
-    code, window_value = party.code, window.value
+    code, window_value, user_id = party.code, window.value, annotated["user_id"]
     rows: list[MentionRow] = []
-    for sentence in annotated.sentences:
-        for surface, entity_type in sentence.entities:
-            name = normalize_entity_name(surface)
+    for sentence in annotated["sentences"]:
+        for entity in sentence["entities"]:
+            name = normalize_entity_name(entity["surface"])
             if not name:
                 logger.warning(
                     "dropping mention with empty normalized name (tweet %s)",
-                    annotated.tweet_id,
+                    annotated["tweet_id"],
                 )
                 continue
             rows.append(
-                (name, entity_type, annotated.user_id, sentence.sentiment, code, window_value)
+                (name, entity["type"], user_id, sentence["sentiment"], code, window_value)
             )
     return rows
 

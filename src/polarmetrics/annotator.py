@@ -10,6 +10,7 @@ annotations from JSON lines produced by external annotators.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
@@ -166,22 +167,6 @@ def policy_for(types: Iterable[str]) -> EntityTypePolicy:
 # ==== annotation ====
 
 
-@dataclass(frozen=True)
-class SentenceAnnotation:
-    """One sentence with its sentiment and the (surface, type) entities kept."""
-
-    text: str
-    sentiment: int
-    entities: tuple[tuple[str, str], ...] = ()
-
-
-@dataclass(frozen=True)
-class AnnotatedTweet:
-    tweet_id: str
-    user_id: str
-    sentences: tuple[SentenceAnnotation, ...] = ()
-
-
 def split_sentences(text: str) -> list[str]:
     """Split on '.', '!', or '?' followed by whitespace; keep terminators.
 
@@ -288,60 +273,47 @@ def annotate_mentions(
 
 
 def annotate_tweet(
-    tweet: TweetRecord, lexicon: Lexicon, gazetteer: Gazetteer, policy: EntityTypePolicy
-) -> AnnotatedTweet:
-    """Annotate every sentence of a live tweet.
+    text: str, lexicon: Lexicon, gazetteer: Gazetteer, policy: EntityTypePolicy
+) -> list[dict]:
+    """The "sentences" list of a tweet text's adapter object; it depends on the text alone.
 
-    Deleted tweets must never reach annotation; passing one raises
-    ValueError. The function is pure: identical inputs give identical
-    annotations.
+    Each sentence has its sentiment and its kept entities as {"surface", "type"} objects.
     """
-    if tweet.deleted:
-        raise ValueError(f"tweet {tweet.tweet_id} is marked deleted and must not be annotated")
-    sentences = tuple(
-        SentenceAnnotation(
-            text=sentence,
-            sentiment=score_sentence(sentence, lexicon),
-            entities=tuple(extract_entities(sentence, gazetteer, policy)),
-        )
-        for sentence in split_sentences(tweet.text)
-    )
-    return AnnotatedTweet(tweet.tweet_id, tweet.user_id, sentences)
+    return [
+        {"text": sentence, "sentiment": score_sentence(sentence, lexicon),
+         "entities": [{"surface": surface, "type": entity_type} for surface, entity_type
+                      in extract_entities(sentence, gazetteer, policy)]}
+        for sentence in split_sentences(text)
+    ]
 
 
 # ==== pre-annotated adapter ====
 
 
-def annotation_payload(annotated: AnnotatedTweet) -> dict:
-    """Render one annotated tweet as the JSON-lines adapter object."""
-    return {
-        "tweet_id": annotated.tweet_id,
-        "user_id": annotated.user_id,
-        "sentences": [
-            {
-                "text": sentence.text,
-                "sentiment": sentence.sentiment,
-                "entities": [
-                    {"surface": surface, "type": entity_type}
-                    for surface, entity_type in sentence.entities
-                ],
-            }
-            for sentence in annotated.sentences
-        ],
-    }
+# what json.dumps(value, ensure_ascii=False) builds on each call, built once
+_encode = json.JSONEncoder(ensure_ascii=False).encode
 
 
-def write_preannotated(path: Path | str, annotated: Iterable[AnnotatedTweet]) -> int:
-    """Serialize annotated tweets to the adapter format, one JSON object per line."""
+def write_preannotated(path: Path | str, records: Iterable[TweetRecord], lexicon: Lexicon,
+                       gazetteer: Gazetteer, policy: EntityTypePolicy, memo_size: int) -> int:
+    """Annotate tweets into the adapter format, one JSON object per line.
+
+    Retweets and bots repeat texts verbatim, so a text's encoded "sentences" list
+    is kept for the `memo_size` most recently used texts. A line holding a lone
+    surrogate, which has no UTF-8, is written with \\u escapes instead.
+    """
+    @functools.lru_cache(maxsize=memo_size)
+    def sentences_of(text: str) -> str:
+        return _encode(annotate_tweet(text, lexicon, gazetteer, policy))
+
     count = 0
     with atomic_write(path) as handle:
-        for item in annotated:
-            payload = annotation_payload(item)
-            line = json.dumps(payload, ensure_ascii=False)
-            if has_lone_surrogate(line):  # no UTF-8 for it; \u escapes carry it
-                line = json.dumps(payload)
-            handle.write(line)
-            handle.write("\n")
+        for record in records:
+            line = (f'{{"tweet_id": {_encode(record.tweet_id)}, "user_id": '
+                    f'{_encode(record.user_id)}, "sentences": {sentences_of(record.text)}}}')
+            if has_lone_surrogate(line):
+                line = json.dumps(json.loads(line))
+            handle.write(line + "\n")
             count += 1
     return count
 

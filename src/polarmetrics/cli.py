@@ -20,7 +20,7 @@ import shutil
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import affiliation, aggregate, annotator, corpus, polarimetry, tweetpass
 from .errors import ConfigError, DataError, NoJointEntitiesError, PipelineError, WorkerError
@@ -276,17 +276,12 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     stats = corpus.IngestStats()
     out_dir.mkdir(parents=True, exist_ok=True)
     annotated_path = out_dir / "annotated.jsonl"
-    deleted = 0
-
-    def live_annotations() -> Iterator[annotator.AnnotatedTweet]:
-        nonlocal deleted
-        for record in corpus.parse_tweets(args.tweets, strict=args.strict, stats=stats):
-            if record.deleted:
-                deleted += 1
-                continue
-            yield annotator.annotate_tweet(record, lexicon, gazetteer, policy)
-
-    count = annotator.write_preannotated(annotated_path, live_annotations())
+    records = corpus.parse_tweets(args.tweets, strict=args.strict, stats=stats)
+    # the memo is bounded as the run's is, by what one chunk of records holds
+    count = annotator.write_preannotated(
+        annotated_path, (record for record in records if not record.deleted), lexicon,
+        gazetteer, policy, tweetpass.CHUNK_RECORDS)
+    deleted = stats.kept - count  # every kept tweet but a deleted one is written
     _say(f"[ok] tweets kept: {stats.kept}, rejected: {stats.rejected}, deleted: {deleted}")
     _say(f"[ok] wrote {count} annotated tweets to {annotated_path}")
     return 0

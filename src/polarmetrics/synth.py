@@ -72,6 +72,9 @@ _FIGUREHEADS = (
     ("fig_rep_b", "R"),
 )
 
+# what json.dumps(value, ensure_ascii=False) builds on each call, built once
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+
 
 # ==== spec ====
 
@@ -421,7 +424,7 @@ def generate_corpus(spec: PlantedSpec, out_dir: Path | str) -> GeneratedBundle:
                         pair_cursor += 1
                         tweet = {"user_id": author, "text": text,
                                  "created_at": _format_timestamp(created)}
-                        rendered.append(json.dumps(tweet, ensure_ascii=False)[1:])
+                        rendered.append(_encode(tweet)[1:])
 
     tweets_path = directory / "tweets.jsonl"
     with open(tweets_path, "w", encoding="utf-8") as handle:

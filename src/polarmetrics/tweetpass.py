@@ -97,12 +97,15 @@ class _KeptFacts:
     """
 
     handle: BinaryIO
+    parent: int  # pid of the process that forked the worker
     fates: bytearray = field(default_factory=bytearray)
     first_rows: array = field(default_factory=lambda: array("q"))  # mention rows before it
     labelled: Counter = field(default_factory=Counter)  # author -> tweets that labelled them
 
     def write(self, chunk: list[tuple[int, corpus.TweetRecord]], rows: int) -> None:
         """Write the facts of `chunk`'s pairs given a fate; `rows` counts the rows written."""
+        if os.getppid() != self.parent:  # the parent died: no one will read this range
+            os._exit(1)
         fates, first_rows = self.fates, self.first_rows
         if not fates:  # a strict pass stopped at the chunk's first pair
             return
@@ -302,7 +305,7 @@ def _pass_range(
                         empty_names=empty_names)
 
 
-def _work_range(scratch: Path, index: int, span: tuple[int, int], tweets: Path,
+def _work_range(scratch: Path, index: int, parent: int, span: tuple[int, int], tweets: Path,
                 windows: corpus.EventWindows, labeler: affiliation.PartyLabeler,
                 annotate: Annotate, strict: bool) -> _RangeResult:
     """Run one byte range in a worker process; rows and facts go to files in scratch."""
@@ -311,7 +314,7 @@ def _work_range(scratch: Path, index: int, span: tuple[int, int], tweets: Path,
     with closing(records), aggregate.MentionCsvWriter(_scratch_file(scratch, "part", index),
                                                       header=False) as writer, \
             open(_scratch_file(scratch, "facts", index), "wb") as handle:
-        facts = _KeptFacts(handle)
+        facts = _KeptFacts(handle, parent)
         result = _pass_range(records, tweets, span, log, windows, labeler, annotate, strict,
                              writer, facts)
     result.labelled = [(user_id, labeler.entries[user_id], count)
@@ -326,15 +329,17 @@ def _fork_worker(scratch: Path, index: int, *args) -> int:
     walks them and so writes to the pages it shares with this process. It
     pickles the result, or the PipelineError raised, to scratch and leaves by
     `os._exit`, so no `finally` of the caller runs in it: with 0 once that
-    file is whole, with 1 after printing the traceback of anything else.
+    file is whole, with 1 after printing the traceback of anything else, and
+    with 1 and no result at the end of a chunk once this process has died.
     """
+    parent = os.getpid()
     pid = os.fork()
     if pid:
         return pid
     try:
         gc.freeze()
         try:
-            outcome = _work_range(scratch, index, *args)
+            outcome = _work_range(scratch, index, parent, *args)
         except PipelineError as exc:  # the parent raises it as its own
             outcome = exc
         with open(_scratch_file(scratch, "result", index), "wb") as handle:

@@ -15,7 +15,6 @@ from polarmetrics.aggregate import (
     merge_aggregates,
     normalize_entity_name,
 )
-from polarmetrics.annotator import AnnotatedTweet, SentenceAnnotation
 from polarmetrics.corpus import WindowLabel
 from polarmetrics.errors import DataError
 
@@ -44,14 +43,20 @@ def test_normalize_entity_name():
 # ==== fan-out ====
 
 
-def _annotated(*sentences: SentenceAnnotation) -> AnnotatedTweet:
-    return AnnotatedTweet("t1", "u1", sentences)
+def _sentence(sentiment: int, *entities: tuple[str, str]) -> dict:
+    return {"text": "x", "sentiment": sentiment,
+            "entities": [{"surface": surface, "type": entity_type}
+                         for surface, entity_type in entities]}
+
+
+def _annotated(*sentences: dict) -> dict:
+    return {"tweet_id": "t1", "user_id": "u1", "sentences": list(sentences)}
 
 
 def test_emit_mention_rows():
     annotated = _annotated(
-        SentenceAnnotation("x", 3, (("Springfield", "LOCATION"), ("Acme  Accord", "MISC"))),
-        SentenceAnnotation("y", 0, (("springfield", "LOCATION"),)),
+        _sentence(3, ("Springfield", "LOCATION"), ("Acme  Accord", "MISC")),
+        _sentence(0, ("springfield", "LOCATION")),
     )
     rows = aggregate.emit_mention_rows(annotated, D, BASE)
     assert rows == [
@@ -62,13 +67,13 @@ def test_emit_mention_rows():
 
 
 def test_emit_skips_unaligned_and_outside():
-    annotated = _annotated(SentenceAnnotation("x", 3, (("Springfield", "LOCATION"),)))
+    annotated = _annotated(_sentence(3, ("Springfield", "LOCATION")))
     assert aggregate.emit_mention_rows(annotated, PartyLabel.UNALIGNED, BASE) == []
     assert aggregate.emit_mention_rows(annotated, D, WindowLabel.OUTSIDE) == []
 
 
 def test_emit_drops_empty_normalized_names():
-    annotated = _annotated(SentenceAnnotation("x", 3, ((" ", "LOCATION"),)))
+    annotated = _annotated(_sentence(3, (" ", "LOCATION")))
     assert aggregate.emit_mention_rows(annotated, D, BASE) == []
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from datetime import datetime, timezone
 
@@ -397,68 +398,66 @@ def test_extraction_invariants_on_random_text():
 # ==== whole-tweet annotation ====
 
 
-def _record(text: str, deleted: bool = False) -> corpus.TweetRecord:
-    return corpus.TweetRecord("t1", "u1", text, datetime(2021, 1, 2, tzinfo=UTC), deleted)
+def _record(text: str, tweet_id: str = "t1") -> corpus.TweetRecord:
+    return corpus.TweetRecord(tweet_id, "u1", text, datetime(2021, 1, 2, tzinfo=UTC))
 
 
 def test_annotate_tweet():
     lex = _lexicon(good=1, awful=-2)
     gaz = _gazetteer(springfield="LOCATION")
-    annotated = annotator.annotate_tweet(
-        _record("Good day in Springfield. Awful traffic though."), lex, gaz, default_policy()
+    first, second = annotator.annotate_tweet(
+        "Good day in Springfield. Awful traffic though.", lex, gaz, default_policy()
     )
-    assert annotated.tweet_id == "t1"
-    first, second = annotated.sentences
-    assert first.sentiment == 3
-    assert first.entities == (("Springfield", "LOCATION"),)
-    assert second.sentiment == 0
-    assert second.entities == ()
-
-
-def test_annotate_tweet_refuses_deleted():
-    with pytest.raises(ValueError, match="deleted"):
-        annotator.annotate_tweet(
-            _record("text", deleted=True), _lexicon(), _gazetteer(), default_policy()
-        )
+    assert first["text"] == "Good day in Springfield."
+    assert first["sentiment"] == 3
+    assert first["entities"] == [{"surface": "Springfield", "type": "LOCATION"}]
+    assert second["sentiment"] == 0
+    assert second["entities"] == []
 
 
 def test_annotation_is_deterministic():
     lex = _lexicon(good=1)
     gaz = _gazetteer(springfield="LOCATION")
-    record = _record("Good Springfield. Good again!")
-    first = annotator.annotate_tweet(record, lex, gaz, default_policy())
-    second = annotator.annotate_tweet(record, lex, gaz, default_policy())
+    text = "Good Springfield. Good again!"
+    first = annotator.annotate_tweet(text, lex, gaz, default_policy())
+    second = annotator.annotate_tweet(text, lex, gaz, default_policy())
     assert first == second
 
 
 # ==== pre-annotated adapter ====
 
 
-def _annotated(tid: str = "t1") -> annotator.AnnotatedTweet:
-    return annotator.AnnotatedTweet(
-        tid,
-        "u1",
-        (
-            annotator.SentenceAnnotation(
-                "Good day in Springfield.", 3, (("Springfield", "LOCATION"),)
-            ),
-            annotator.SentenceAnnotation("Nothing else.", 2, ()),
-        ),
-    )
+_ROUND_TRIP_TEXT = "Good day in Springfield. Nothing else."
 
 
-def _entry(annotated: annotator.AnnotatedTweet) -> tuple:
+def _write(path, records: list[corpus.TweetRecord]) -> int:
+    lex, gaz = _lexicon(good=1), _gazetteer(springfield="LOCATION")
+    return annotator.write_preannotated(path, records, lex, gaz, default_policy(), 8)
+
+
+def _annotated(tid: str = "t1") -> dict:
+    # the adapter object the reference annotator writes for _ROUND_TRIP_TEXT
+    return {"tweet_id": tid, "user_id": "u1", "sentences": [
+        {"text": "Good day in Springfield.", "sentiment": 3,
+         "entities": [{"surface": "Springfield", "type": "LOCATION"}]},
+        {"text": "Nothing else.", "sentiment": 2, "entities": []},
+    ]}
+
+
+def _entry(annotated: dict) -> tuple:
     # what ingest_preannotated yields for a tweet: its mentions in sentence order
-    mentions = tuple((surface, entity_type, sentence.sentiment)
-                     for sentence in annotated.sentences
-                     for surface, entity_type in sentence.entities)
-    return annotated.tweet_id, (annotated.user_id, mentions)
+    mentions = tuple((entity["surface"], entity["type"], sentence["sentiment"])
+                     for sentence in annotated["sentences"]
+                     for entity in sentence["entities"])
+    return annotated["tweet_id"], (annotated["user_id"], mentions)
 
 
 def test_preannotated_round_trip(tmp_path):
     path = tmp_path / "annotated.jsonl"
-    written = annotator.write_preannotated(path, [_annotated("t1"), _annotated("t2")])
+    written = _write(path, [_record(_ROUND_TRIP_TEXT, "t1"), _record(_ROUND_TRIP_TEXT, "t2")])
     assert written == 2
+    assert [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()] == [
+        _annotated("t1"), _annotated("t2")]
     stats = corpus.IngestStats()
     loaded = list(annotator.ingest_preannotated(path, default_policy(), stats=stats))
     assert loaded == [_entry(_annotated("t1")), _entry(_annotated("t2"))]
@@ -524,7 +523,7 @@ def test_ingest_rejects_malformed_lines(tmp_path, payload, problem):
 
 def test_ingest_rejects_duplicate_ids(tmp_path):
     path = tmp_path / "annotated.jsonl"
-    annotator.write_preannotated(path, [_annotated("t1")])
+    _write(path, [_record(_ROUND_TRIP_TEXT)])
     content = path.read_text(encoding="utf-8")
     path.write_text(content + content, encoding="utf-8")
     stats = corpus.IngestStats()
@@ -557,9 +556,11 @@ def test_adapter_round_trips_reference_annotator_output(tmp_path):
         records.append(
             corpus.TweetRecord(f"t{index}", "u1", text, datetime(2021, 1, 2, tzinfo=UTC))
         )
-    annotated = [annotator.annotate_tweet(r, lex, gaz, policy) for r in records]
+    annotated = [{"tweet_id": r.tweet_id, "user_id": r.user_id,
+                  "sentences": annotator.annotate_tweet(r.text, lex, gaz, policy)}
+                 for r in records]
     path = tmp_path / "annotated.jsonl"
-    annotator.write_preannotated(path, annotated)
+    annotator.write_preannotated(path, records, lex, gaz, policy, 8)
     assert list(annotator.ingest_preannotated(path, policy)) == [_entry(a) for a in annotated]
     # the same mentions, in the same order, as the fused annotator gives
     assert [mentions for _, (_, mentions) in annotator.ingest_preannotated(path, policy)] == [

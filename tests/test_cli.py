@@ -314,10 +314,8 @@ def _write_preannotated(bundle: dict, path: Path) -> None:
     policy = annotator.default_policy()
     lines = []
     for record in corpus.parse_tweets(bundle["tweets"]):
-        payload = annotator.annotation_payload(
-            annotator.annotate_tweet(record._replace(deleted=False), lexicon, gazetteer, policy)
-        )
-        payload["user_id"] = "annotated-" + record.user_id
+        payload = {"tweet_id": record.tweet_id, "user_id": "annotated-" + record.user_id,
+                   "sentences": annotator.annotate_tweet(record.text, lexicon, gazetteer, policy)}
         for sentence in payload["sentences"]:
             if " " in sentence["text"]:
                 sentence["entities"].append({"surface": " ", "type": "MISC"})
@@ -332,17 +330,21 @@ def _reference_rows(config: cli.RunConfig) -> list[aggregate.MentionRow]:
     if config.preannotated is not None:
         # each (surface, type, sentiment) mention as a one-entity sentence
         annotations = {
-            tweet_id: annotator.AnnotatedTweet(tweet_id, user_id, tuple(
-                annotator.SentenceAnnotation("", sentiment, ((surface, entity_type),))
-                for surface, entity_type, sentiment in mentions))
+            tweet_id: {"tweet_id": tweet_id, "user_id": user_id, "sentences": [
+                {"text": "", "sentiment": sentiment,
+                 "entities": [{"surface": surface, "type": entity_type}]}
+                for surface, entity_type, sentiment in mentions]}
             for tweet_id, (user_id, mentions)
             in annotator.ingest_preannotated(config.preannotated, policy)
         }
     else:
         lexicon = annotator.load_lexicon(config.lexicon)
         gazetteer = annotator.load_gazetteer(config.gazetteer)
-        annotations = {record.tweet_id: annotator.annotate_tweet(record, lexicon, gazetteer, policy)
-                       for record in live}
+        annotations = {
+            record.tweet_id: {"tweet_id": record.tweet_id, "user_id": record.user_id,
+                              "sentences": annotator.annotate_tweet(record.text, lexicon,
+                                                                    gazetteer, policy)}
+            for record in live}
     roster = corpus.load_affiliation_data(config.roster, config.followers)
     windows = corpus.load_windows(config.windows)
     rows = []
@@ -405,10 +407,11 @@ def test_mentions_csv_quotes_fields_as_csv_writer_does(monkeypatch, tmp_path, ra
         config.preannotated = tmp_path / "annotated.jsonl"
         lines = []
         for record in corpus.parse_tweets(config.tweets):
-            payload = annotator.annotation_payload(annotator.annotate_tweet(
-                record, annotator.load_lexicon(lexicon), annotator.load_gazetteer(gazetteer),
-                cli._policy(config.entity_types)))
-            payload["user_id"] = f'{record.user_id}\r\nvia "x",\r'
+            payload = {"tweet_id": record.tweet_id,
+                       "user_id": f'{record.user_id}\r\nvia "x",\r',
+                       "sentences": annotator.annotate_tweet(
+                           record.text, annotator.load_lexicon(lexicon),
+                           annotator.load_gazetteer(gazetteer), cli._policy(config.entity_types))}
             for sentence in payload["sentences"]:
                 if "acme\r\ncorp" in sentence["text"].lower():
                     sentence["entities"].append({"surface": "Acme\r\nCorp", "type": "MISC"})
@@ -765,7 +768,13 @@ def test_out_naming_a_file_is_a_usage_error(tiny_bundle, tmp_path, capsys, comma
 
 def test_annotate_writes_a_lone_surrogate_as_an_escape(tiny_bundle, tmp_path, capsys):
     tweets = tiny_bundle["tweets"]
-    extra = [{"tweet_id": "s1", "user_id": "dem1", "text": "Springfield \udc80 is good.",
+    # the whole line of a tweet whose id alone holds the surrogate is escaped too
+    surrogate_id = {"tweet_id": "s0\udc81", "user_id": "rep1", "sentences": [
+        {"text": "Springfield — awful.", "sentiment": 0,
+         "entities": [{"surface": "Springfield", "type": "LOCATION"}]}]}
+    extra = [{"tweet_id": "s0\udc81", "user_id": "rep1", "text": "Springfield — awful.",
+              "created_at": CRISIS_TS},
+             {"tweet_id": "s1", "user_id": "dem1", "text": "Springfield \udc80 is good.",
               "created_at": BASELINE_TS},
              {"tweet_id": "s2", "user_id": "rep1", "text": "Springfield — awful.",
               "created_at": CRISIS_TS}]
@@ -776,6 +785,7 @@ def test_annotate_writes_a_lone_surrogate_as_an_escape(tiny_bundle, tmp_path, ca
                      "--lexicon", str(tiny_bundle["lexicon"]),
                      "--gazetteer", str(tiny_bundle["gazetteer"]), "--out", str(staged)]) == 0
     lines = (staged / "annotated.jsonl").read_bytes().splitlines()
+    assert lines[-3] == json.dumps(surrogate_id).encode()
     assert b"Springfield \\udc80 is good." in lines[-2]
     assert "Springfield — awful.".encode() in lines[-1]  # other lines stay raw UTF-8
     base = ["mentions", "--tweets", str(tweets), "--roster", str(tiny_bundle["roster"]),
@@ -790,6 +800,27 @@ def test_annotate_writes_a_lone_surrogate_as_an_escape(tiny_bundle, tmp_path, ca
     assert adapted == (tmp_path / "reference" / "mentions.csv").read_bytes()
     assert adapted.endswith(b"springfield,LOCATION,dem1,3,D,baseline\r\n"
                             b"springfield,LOCATION,rep1,0,R,crisis\r\n")
+
+
+def test_annotate_annotates_each_distinct_text_once(tiny_bundle, tmp_path, monkeypatch):
+    tweets = write_tweets(tmp_path, [
+        {"tweet_id": f"r{index}", "user_id": "dem1", "text": "Springfield is good.",
+         "created_at": BASELINE_TS} for index in range(50)])
+    annotate_tweet, texts = annotator.annotate_tweet, []
+
+    def counted(text, *resources):
+        texts.append(text)
+        return annotate_tweet(text, *resources)
+
+    monkeypatch.setattr(annotator, "annotate_tweet", counted)
+    staged = tmp_path / "staged"
+    assert cli.main(["annotate", "--tweets", str(tweets),
+                     "--lexicon", str(tiny_bundle["lexicon"]),
+                     "--gazetteer", str(tiny_bundle["gazetteer"]), "--out", str(staged)]) == 0
+    assert texts == ["Springfield is good."]
+    lines = (staged / "annotated.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["tweet_id"] for line in lines] == [f"r{i}" for i in range(50)]
+    assert len(set(line.partition('"sentences": ')[2] for line in lines)) == 1
 
 
 def test_console_script_is_installed():

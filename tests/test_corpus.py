@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 import tempfile
 import time
@@ -147,7 +148,7 @@ def _pass_fates(stamps: list[str], payload: dict) -> list[tuple[int, int]]:
                 open(facts_path, "wb") as handle:
             tweetpass._pass_range(records, tweets, None, log, windows, labeler,
                                   lambda record: ("u1", ()), False, writer,
-                                  tweetpass._KeptFacts(handle))
+                                  tweetpass._KeptFacts(handle, os.getppid()))
         fates = [fate for chunk in tweetpass._read_facts(facts_path) for fate in chunk[2]]
     assert log.rejected == 0
     assert labeler.entries["u1"] == (1, 0, PartyLabel.DEMOCRAT)

@@ -187,7 +187,7 @@ def _check_facts_file(tmp_path: Path, lines: list[str], strict: bool,
     records = corpus.parse_tweets(tweets, stats=log)
     with closing(records), aggregate.MentionCsvWriter(tmp_path / "part", header=False) as writer, \
             open(tmp_path / "facts", "wb") as handle:
-        facts = tweetpass._KeptFacts(handle)
+        facts = tweetpass._KeptFacts(handle, os.getppid())
         result = tweetpass._pass_range(records, tweets, None, log,
                                        corpus.parse_event_windows(STD_WINDOWS), labeler,
                                        _annotate_by_text, strict, writer, facts)

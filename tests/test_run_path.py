@@ -1,4 +1,4 @@
-"""The run path in fresh interpreters: what it loads, and a stdout closed early.
+"""The run path in fresh interpreters: what it loads, a stdout closed early, a killed run.
 
 Each command runs in a fresh interpreter over the golden fixture, and then
 reports which of numpy and polarmetrics.synth it had loaded: only the synth
@@ -7,21 +7,26 @@ parent's modules, so the parent's list covers the workers too. A two-range
 run loads neither multiprocessing nor concurrent.futures. Each command also
 runs with a stdout whose reader is gone, as under `| head -1`: that is the
 reader's choice, so the command writes the same files and exits 0 with
-nothing on stderr.
+nothing on stderr. A worker whose run is killed leaves at its next chunk,
+and the bench tracer finds every function it wraps.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import polarmetrics
-from test_golden import write_fixture
+from polarmetrics import cli, tweetpass
+from test_golden import GOLDEN, write_fixture
 
 # runs one command through cli.main, then prints its exit code and what it loaded
 _PROBE = """\
@@ -134,3 +139,80 @@ def test_closed_stdout_is_no_error(probed, chained, tmp_path, command, unbuffere
         os.close(write)
     assert (done.returncode, done.stderr) == (0, b"")
     assert _files(tmp_path) == _files(out)
+
+
+# a two-range run, a record a chunk, whose worker sleeps at each chunk's end
+# and names its pid in the file argv[1] at the first
+_SLOW_WORKER_PROBE = """\
+import os, sys, time
+from pathlib import Path
+from polarmetrics import cli, tweetpass
+tweetpass.MIN_RANGE_BYTES = 1
+tweetpass._available_cpus = lambda: 2
+tweetpass.CHUNK_RECORDS = 1
+write, started = tweetpass._KeptFacts.write, Path(sys.argv[1])
+def slowed(self, chunk, rows):
+    if not started.exists():
+        Path(f"{started}.tmp").write_text(str(os.getpid()))
+        os.replace(f"{started}.tmp", started)
+    time.sleep(float(sys.argv[2]))
+    write(self, chunk, rows)
+tweetpass._KeptFacts.write = slowed
+sys.exit(cli.main(sys.argv[3:]))
+"""
+
+
+def _ended(pid: int) -> bool:
+    """True once `pid` is gone or a zombie, as /proc tells."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat.rpartition(")")[2].split()[0] == "Z"
+
+
+def test_a_worker_whose_parent_is_killed_leaves_at_its_next_chunk(chained, tmp_path):
+    if not Path("/proc/self/stat").exists():
+        pytest.skip("no /proc to read a process's state from")
+    args, _ = chained["run-lexicon"]
+    out, started, chunk_seconds, grace = tmp_path / "out", tmp_path / "worker-pid", 0.5, 5.0
+    parent = subprocess.Popen([sys.executable, "-c", _SLOW_WORKER_PROBE,
+                               *map(str, (started, chunk_seconds, *args, "--out", out))],
+                              env=_env(),
+                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    worker = None
+    try:
+        deadline = time.monotonic() + 60
+        while not started.exists() and parent.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert started.exists(), "the worker never reached the end of a chunk"
+        worker = int(started.read_text())
+        parent.send_signal(signal.SIGKILL)
+        parent.wait()
+        # the worker has about 30 chunks left: at the parent's death it finishes one
+        deadline = time.monotonic() + chunk_seconds + grace
+        while not _ended(worker) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _ended(worker)
+    finally:
+        if parent.poll() is None:
+            parent.kill()
+            parent.wait()
+        if worker is not None and not _ended(worker):
+            os.kill(worker, signal.SIGKILL)
+    scratch = [path for path in out.iterdir() if path.name.startswith(tweetpass.SCRATCH_PREFIX)]
+    assert scratch and not [path for path in scratch if (path / "result-1").exists()]
+    assert _probe([*args, "--out", out]) == [0, []]
+    assert sorted(path.name for path in out.iterdir()) == sorted(cli.RUN_ARTIFACTS)
+    for name in cli.RUN_ARTIFACTS:
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == GOLDEN["lexicon"][name]
+
+
+def test_the_bench_tracer_wraps_every_name_it_names():
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    done = subprocess.run(
+        [sys.executable, "-c", "import tracer; tracer.install(tracer.Tracer(1))"],
+        env=_env(PYTHONPATH=os.pathsep.join(filter(None, (str(bench),
+                                                          os.environ.get("PYTHONPATH"))))),
+        capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")

@@ -328,12 +328,12 @@ def test_generated_texts_annotate_to_planted_sentiments(tmp_path):
     policy = annotator.default_policy()
     tallies: dict[str, list[int]] = {"quorvia": [], "xen zone": []}
     for record in corpus.parse_tweets(bundle.tweets_path, strict=True):
-        annotated = annotator.annotate_tweet(record, lexicon, gazetteer, policy)
-        assert len(annotated.sentences) == 1
-        sentence = annotated.sentences[0]
-        assert len(sentence.entities) == 1
-        surface, _ = sentence.entities[0]
-        tallies[surface].append(sentence.sentiment)
+        sentences = annotator.annotate_tweet(record.text, lexicon, gazetteer, policy)
+        assert len(sentences) == 1
+        sentence = sentences[0]
+        assert len(sentence["entities"]) == 1
+        surface = sentence["entities"][0]["surface"]
+        tallies[surface].append(sentence["sentiment"])
     assert len(tallies["quorvia"]) == 100  # 25 x 2 parties x 2 windows
     assert len(tallies["xen zone"]) == 40
     assert set(tallies["xen zone"]) == {2}
@@ -356,8 +356,8 @@ def test_truth_realized_matches_independent_recount(tmp_path):
     for record in corpus.parse_tweets(bundle.tweets_path, strict=True):
         label = corpus.classify_window(record.created_at, windows)
         party = "D" if record.user_id.startswith("dem") else "R"
-        annotated = annotator.annotate_tweet(record, lexicon, gazetteer, policy)
-        sums[label.value][party] += annotated.sentences[0].sentiment
+        sentences = annotator.annotate_tweet(record.text, lexicon, gazetteer, policy)
+        sums[label.value][party] += sentences[0]["sentiment"]
         counts[label.value][party] += 1
 
     for window in ("baseline", "crisis"):
