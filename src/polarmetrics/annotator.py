@@ -14,6 +14,7 @@ import functools
 import json
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -57,53 +58,46 @@ class Gazetteer:
     """
 
     def __init__(self, surfaces: Mapping[str, str]):
-        cleaned: dict[str, str] = {}
-        for surface, entity_type in surfaces.items():
-            if not surface or surface != surface.lower():
-                raise ValueError(f"gazetteer surface {surface!r} must be nonempty lowercase")
-            cleaned[surface] = entity_type
-        self.surfaces = cleaned
-        self._singles = frozenset(surface for surface in cleaned if len(surface) == 1)
-        lengths: dict[str, set[int]] = {}
-        for surface in cleaned:
-            if len(surface) > 1:
-                lengths.setdefault(surface[:2], set()).add(len(surface))
-        self._lengths = {}
-        for pair, found in lengths.items():
-            ordered = self._lengths[pair] = sorted(found, reverse=True)
-            if pair[0] in self._singles:
-                ordered.append(1)
-        first_chars = "".join(sorted({pair[0] for pair in lengths} | self._singles))
+        self.surfaces = surfaces = dict(surfaces)
+        if bad := [surface for surface in surfaces if not surface or surface != surface.lower()]:
+            raise ValueError(f"gazetteer surface {bad[0]!r} must be nonempty lowercase")
+        found: dict[str, list[int]] = {}  # first two characters (a single: itself) -> lengths
+        for pair, length in set(zip(map(itemgetter(slice(0, 2)), surfaces), map(len, surfaces))):
+            found.setdefault(pair, []).append(length)
+        self._singles = frozenset(pair for pair in found if len(pair) == 1)
+        self._lengths = {pair: sorted(lengths, reverse=True) + [1] * (pair[0] in self._singles)
+                         for pair, lengths in found.items() if len(pair) == 2}
+        first_chars = "".join(sorted(self._singles.union(map(itemgetter(0), self._lengths))))
         self._starts = re.compile("[" + re.escape(first_chars) + "]") if first_chars else None
 
 
-def _tsv_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
-    try:
+def _tsv_rows(path: Path, layout: str) -> Iterator[tuple[int, list[str]]]:
+    try:  # as text, "\r\n" and "\r" read as "\n", so the "\n" split gives the handle's lines
         # bytes that are not UTF-8 decode to lone surrogates, so the bad line is named
-        handle = open(path, encoding="utf-8", errors="surrogateescape")
+        with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+            text = handle.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    with handle:
-        for lineno, line in enumerate(handle, start=1):
-            if has_undecodable_byte(line):
-                raise DataError(f"{path.name} line {lineno}: invalid UTF-8")
-            stripped = line.rstrip("\r\n")
-            if not stripped.strip():
-                continue
-            yield lineno, stripped.split("\t")
+    undecodable = has_undecodable_byte(text)  # then each line is checked
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if undecodable and has_undecodable_byte(line):
+            raise DataError(f"{path.name} line {lineno}: invalid UTF-8")
+        if line.strip():
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise DataError(f"{path.name} line {lineno}: expected {layout}")
+            yield lineno, fields
 
 
 def load_lexicon(path: Path | str) -> Lexicon:
     """Load a token<TAB>delta file. Deltas must be -2, -1, +1, or +2."""
     path = Path(path)
     deltas: dict[str, int] = {}
-    for lineno, fields in _tsv_rows(path):
-        if len(fields) != 2:
-            raise DataError(f"{path.name} line {lineno}: expected token<TAB>delta")
+    for lineno, fields in _tsv_rows(path, "token<TAB>delta"):
         token = fields[0].strip().lower()
         if not token:
             raise DataError(f"{path.name} line {lineno}: empty token")
-        if any(ch.isspace() for ch in token):
+        if len(token.split()) != 1:
             raise DataError(f"{path.name} line {lineno}: token must not contain whitespace")
         try:
             delta = int(fields[1].strip())
@@ -123,17 +117,18 @@ def load_gazetteer(path: Path | str) -> Gazetteer:
     """Load a surface<TAB>TYPE file. Surfaces are matched case-insensitively."""
     path = Path(path)
     surfaces: dict[str, str] = {}
-    for lineno, fields in _tsv_rows(path):
-        if len(fields) != 2:
-            raise DataError(f"{path.name} line {lineno}: expected surface<TAB>TYPE")
+    types: set[str] = set()  # the entity types found good, each checked once
+    for lineno, fields in _tsv_rows(path, "surface<TAB>TYPE"):
         surface = fields[0].strip().lower()
         if not surface:
             raise DataError(f"{path.name} line {lineno}: empty surface")
         entity_type = fields[1].strip()
-        if not entity_type or any(ch.isspace() for ch in entity_type):
-            raise DataError(f"{path.name} line {lineno}: entity type must be one token")
-        if entity_type != entity_type.upper():
-            raise DataError(f"{path.name} line {lineno}: entity type must be uppercase")
+        if entity_type not in types:
+            if len(entity_type.split()) != 1:
+                raise DataError(f"{path.name} line {lineno}: entity type must be one token")
+            if entity_type != entity_type.upper():
+                raise DataError(f"{path.name} line {lineno}: entity type must be uppercase")
+            types.add(entity_type)
         if "\0" in surface or "\0" in entity_type:
             raise DataError(f"{path.name} line {lineno}: surface or type holds a NUL")
         if surface in surfaces:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import re
 import stat
 from dataclasses import dataclass, field
@@ -577,9 +578,9 @@ def load_affiliation_data(roster_path: Path | str, followers_dir: Path | str) ->
         raise DataError(f"followers path {followers_dir} is not a directory")
     followers: dict[str, bytes] = {}
     for handle in figureheads:
-        follower_path = followers_dir / f"{handle}.txt"
-        try:
-            data = follower_path.read_bytes()
+        try:  # unbuffered: read to its end by one call, not copied through a buffer
+            with open(followers_dir / f"{handle}.txt", "rb", buffering=0) as raw:
+                data = raw.read()
         except FileNotFoundError as exc:
             raise DataError(f"missing follower list for handle {handle!r}: {exc}") from exc
         except OSError as exc:
@@ -588,10 +589,14 @@ def load_affiliation_data(roster_path: Path | str, followers_dir: Path | str) ->
             try:
                 text = data.decode("utf-8")
             except UnicodeDecodeError as exc:
-                raise DataError(f"{follower_path.name}: invalid UTF-8") from exc
+                raise DataError(f"{handle}.txt: invalid UTF-8") from exc
             data = "\n".join(map(str.strip, text.splitlines())).encode()
         followers[handle] = data
-    for stray in sorted(followers_dir.glob("*.txt")):
-        if stray.stem not in figureheads:
-            raise DataError(f"follower list {stray.name} names a handle missing from the roster")
+    try:  # the names Path.glob("*.txt") sees, hidden ones and directories too, by Path.stem
+        strays = [name for name in os.listdir(followers_dir)  # ".txt" is its own stem
+                  if name.endswith(".txt") and (name[:-4] or name) not in figureheads]
+    except OSError:  # a directory it cannot list, where Path.glob saw no names either
+        strays = []
+    if strays:
+        raise DataError(f"follower list {min(strays)} names a handle missing from the roster")
     return FigureheadRoster(figureheads, followers)

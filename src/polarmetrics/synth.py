@@ -21,7 +21,7 @@ import json
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timedelta
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -312,6 +312,26 @@ def _format_timestamp(moment: datetime) -> str:
     return moment.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+def _timestamps_after(start: datetime) -> Callable[[int], str]:
+    """`_format_timestamp(start + timedelta(seconds=offset))` for an offset of 0 or more.
+
+    Each day's date is rendered once, by the same strftime; the clock comes
+    from the whole seconds into that day.
+    """
+    midnight = start.replace(hour=0, minute=0, second=0, microsecond=0)
+    into_day = start.hour * 3600 + start.minute * 60 + start.second
+    dates: dict[int, str] = {}
+
+    def render(offset: int) -> str:
+        day, clock = divmod(into_day + offset, 86400)
+        date = dates.get(day)
+        if date is None:
+            date = dates[day] = (midnight + timedelta(days=day)).strftime("%Y-%m-%dT")
+        return f"{date}{clock // 3600:02d}:{clock // 60 % 60:02d}:{clock % 60:02d}Z"
+
+    return render
+
+
 def _build_validated_texts(
     spec: PlantedSpec, lexicon: Lexicon, gazetteer: Gazetteer, policy: EntityTypePolicy
 ) -> dict[tuple[int, int, int], str]:
@@ -401,30 +421,30 @@ def generate_corpus(spec: PlantedSpec, out_dir: Path | str) -> GeneratedBundle:
     rendered: list[str] = []
     party_cursor = {"D": 0, "R": 0}
     window_cursor = {label.value: 0 for label, _ in spans}
+    stamps = {label.value: _timestamps_after(span.start) for label, span in spans}
     pair_cursor = 0
     for entity_index, entity in enumerate(spec.entities):
         name = normalize_entity_name(entity.name)
         for label, span in spans:
+            window = label.value
+            slot, stamp = window_cursor[window], stamps[window]
             duration = int(span.duration.total_seconds())
             for party_code, dist in (("D", entity.dem_dist), ("R", entity.rep_dist)):
                 counts = sample_sentiment_counts(rng, dist, entity.mentions_per_party)
-                bucket = realized[label.value][name][party_code]
+                bucket = realized[window][name][party_code]
                 users = dem_users if party_code == "D" else rep_users
                 for sentiment, count in enumerate(counts):
                     bucket.extend([sentiment] * count)
                     for _ in range(count):
                         author = users[party_cursor[party_code] % len(users)]
                         party_cursor[party_code] += 1
-                        slot = window_cursor[label.value]
-                        window_cursor[label.value] += 1
-                        created = span.start + timedelta(
-                            seconds=(slot * duration) // mentions_per_window
-                        )
                         text = texts[(entity_index, sentiment, pair_cursor % len(_FILLER_PAIRS))]
                         pair_cursor += 1
                         tweet = {"user_id": author, "text": text,
-                                 "created_at": _format_timestamp(created)}
+                                 "created_at": stamp((slot * duration) // mentions_per_window)}
+                        slot += 1
                         rendered.append(_encode(tweet)[1:])
+            window_cursor[window] = slot
 
     tweets_path = directory / "tweets.jsonl"
     with open(tweets_path, "w", encoding="utf-8") as handle:

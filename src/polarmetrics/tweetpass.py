@@ -23,6 +23,7 @@ import pickle
 import shutil
 import signal
 import tempfile
+import threading
 import traceback
 from array import array
 from collections import Counter
@@ -322,11 +323,50 @@ def _work_range(scratch: Path, index: int, parent: int, span: tuple[int, int], t
     return result
 
 
+class _Terminated(BaseException):
+    """A SIGTERM reached the pass; no `except Exception` stops it before the clean-up."""
+
+
+class _Sigterm:
+    """While a pass holds workers, a SIGTERM ends it as an error does, then kills the process.
+
+    `install` takes over SIGTERM only from the main thread, where `signal.signal`
+    works, and only where its disposition is the default: a caller's own handler
+    gets its signal as before. Until `armed` is cleared, the signal raises
+    _Terminated, so the pass's `finally` kills and reaps its workers and removes
+    its scratch directory; after that it is only noted. `restore` puts the
+    previous handler back and, if the signal came, delivers it again, so the
+    process dies by SIGTERM as it would have.
+    """
+
+    def __init__(self) -> None:
+        self.previous = None  # the disposition replaced, if any
+        self.armed = self.caught = False
+
+    def install(self) -> None:
+        if (threading.current_thread() is threading.main_thread()
+                and signal.getsignal(signal.SIGTERM) == signal.SIG_DFL):
+            self.previous = signal.signal(signal.SIGTERM, self._handle)
+            self.armed = True
+
+    def _handle(self, signum: int, frame: object) -> None:
+        self.caught = True
+        if self.armed:
+            raise _Terminated
+
+    def restore(self) -> None:
+        if self.previous is not None:
+            signal.signal(signal.SIGTERM, self.previous)
+            if self.caught:
+                signal.raise_signal(signal.SIGTERM)
+
+
 def _fork_worker(scratch: Path, index: int, *args) -> int:
     """Fork a worker for `_work_range(scratch, index, *args)`; returns its pid.
 
-    The worker first freezes every object it inherits, so no collection in it
-    walks them and so writes to the pages it shares with this process. It
+    The worker first puts SIGTERM back to its default, then freezes every
+    object it inherits, so no collection in it walks them and so writes to the
+    pages it shares with this process. It
     pickles the result, or the PipelineError raised, to scratch and leaves by
     `os._exit`, so no `finally` of the caller runs in it: with 0 once that
     file is whole, with 1 after printing the traceback of anything else, and
@@ -337,6 +377,7 @@ def _fork_worker(scratch: Path, index: int, *args) -> int:
     if pid:
         return pid
     try:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
         gc.freeze()
         try:
             outcome = _work_range(scratch, index, parent, *args)
@@ -525,7 +566,9 @@ def stream_mentions(
     merge = _Merge(tweets_path.name, strict, counters.ingest, labeler)
     scratch = Path(tempfile.mkdtemp(prefix=SCRATCH_PREFIX, dir=out_dir))
     workers: list[int] = []  # pids of the workers not yet reaped, in range order
+    sigterm = _Sigterm()
     try:
+        sigterm.install()
         # forked, so the workers inherit the loaded inputs instead of loading them again
         for index, span in enumerate(spans[1:], 1):
             workers.append(_fork_worker(scratch, index, span, tweets_path, windows, labeler,
@@ -543,10 +586,15 @@ def stream_mentions(
                 merge.append_part(_scratch_file(scratch, "part", index), target, retracted)
         os.replace(mentions_path, out_dir / "mentions.csv")
     finally:
+        sigterm.armed = False
         for pid in workers:  # after an error, no range still running is needed
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):  # reaped just before a SIGTERM
+                pass
         shutil.rmtree(scratch, ignore_errors=True)
+        sigterm.restore()
     if merge.empty_names:
         aggregate.logger.warning("dropped %d mentions whose names normalize to nothing "
                                  "(the first in tweet %s)", merge.empty_names, merge.first_empty)

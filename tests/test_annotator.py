@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from datetime import datetime, timezone
 
 import pytest
@@ -136,11 +137,17 @@ def test_load_lexicon(tmp_path):
         ("good\t0\n", "zero delta"),
         ("good\t3\n", "outside -2..2"),
         ("good\t1\ngood\t2\n", "duplicate"),
+        # the first bad line in file order, whatever is wrong with it
+        (b"good\t1\nnot two fields\nok\xff\t1\n", "line 2: expected token<TAB>delta"),
+        (b"good\t1\nok\xff\t1\nnot two fields\n", "line 2: invalid UTF-8"),
+        (b"good\t1\r\nok\x0b\t1\rbad\xff\t1\n", "line 3: invalid UTF-8"),
+        (b"good\t1\n\x85x\t1\n", "line 2: invalid UTF-8"),
+        ("good\t1\nok\u2028x\t1\n", "line 2: token must not contain whitespace"),
     ],
 )
 def test_load_lexicon_rejects(tmp_path, content, problem):
     path = tmp_path / "lex.tsv"
-    path.write_text(content, encoding="utf-8")
+    path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
     with pytest.raises(DataError, match=problem):
         annotator.load_lexicon(path)
 
@@ -174,6 +181,110 @@ def test_blank_tsv_lines_are_skipped(tmp_path):
     path = tmp_path / "lex.tsv"
     path.write_text("\ngood\t1\n   \n", encoding="utf-8")
     assert annotator.load_lexicon(path).deltas == {"good": 1}
+
+
+# The loaders as they read a file line by line from its text handle: the
+# reference for reading it at once.
+
+
+def _reference_rows(path: Path):
+    try:
+        handle = open(path, encoding="utf-8", errors="surrogateescape")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    with handle:
+        for lineno, line in enumerate(handle, start=1):
+            if corpus.has_undecodable_byte(line):
+                raise DataError(f"{path.name} line {lineno}: invalid UTF-8")
+            stripped = line.rstrip("\r\n")
+            if not stripped.strip():
+                continue
+            yield lineno, stripped.split("\t")
+
+
+def _reference_lexicon(path: Path) -> dict[str, int]:
+    deltas: dict[str, int] = {}
+    for lineno, fields in _reference_rows(path):
+        if len(fields) != 2:
+            raise DataError(f"{path.name} line {lineno}: expected token<TAB>delta")
+        token = fields[0].strip().lower()
+        if not token:
+            raise DataError(f"{path.name} line {lineno}: empty token")
+        if any(ch.isspace() for ch in token):
+            raise DataError(f"{path.name} line {lineno}: token must not contain whitespace")
+        try:
+            delta = int(fields[1].strip())
+        except ValueError as exc:
+            raise DataError(f"{path.name} line {lineno}: delta must be an integer") from exc
+        if delta == 0:
+            raise DataError(f"{path.name} line {lineno}: zero delta for token {token!r}")
+        if not -2 <= delta <= 2:
+            raise DataError(f"{path.name} line {lineno}: delta {delta} outside -2..2")
+        if token in deltas:
+            raise DataError(f"{path.name} line {lineno}: duplicate token {token!r}")
+        deltas[token] = delta
+    return deltas
+
+
+def _reference_gazetteer(path: Path) -> dict[str, str]:
+    surfaces: dict[str, str] = {}
+    for lineno, fields in _reference_rows(path):
+        if len(fields) != 2:
+            raise DataError(f"{path.name} line {lineno}: expected surface<TAB>TYPE")
+        surface = fields[0].strip().lower()
+        if not surface:
+            raise DataError(f"{path.name} line {lineno}: empty surface")
+        entity_type = fields[1].strip()
+        if not entity_type or any(ch.isspace() for ch in entity_type):
+            raise DataError(f"{path.name} line {lineno}: entity type must be one token")
+        if entity_type != entity_type.upper():
+            raise DataError(f"{path.name} line {lineno}: entity type must be uppercase")
+        if "\0" in surface or "\0" in entity_type:
+            raise DataError(f"{path.name} line {lineno}: surface or type holds a NUL")
+        if surface in surfaces:
+            raise DataError(f"{path.name} line {lineno}: duplicate surface {surface!r}")
+        surfaces[surface] = entity_type
+    return surfaces
+
+
+def _outcome(load, path: Path) -> tuple[str, object]:
+    try:
+        return "table", list(load(path).items())
+    except DataError as exc:
+        return "error", str(exc)
+
+
+# fields with the characters at which str.splitlines breaks a line and a text
+# handle does not (\x0b \x0c \x1c \x85 \u2028), several of them whitespace to
+# str.strip and str.split; fields with a NUL, an undecodable byte, inner
+# whitespace, and none at all
+_TSV_KEYS = [b"good", b"Bad", b" ok ", "straße".encode(), "İstanbul".encode(),
+             b"new york", b"a\x0bb", b"a\x0cb", b"a\x1cb", "a\x85b".encode(),
+             "a\u2028b".encode(), b"\x0b", b"a\0b", b"a\xffb", b"", b"  "]
+_TSV_VALUES = [b"1", b"-2", b" 2 ", b"0", b"x", b"3", b"MISC", b"LOCATION", b" PERSON ", b"loc",
+               b"TWO WORDS", b"A\x1cB", "A\x85B".encode(), b"A\x0c", b"A\0", b"\xff", b""]
+_TSV_JUNK = [b"\t", b"good", b"1", b" ", b"\x0b", b"\x0c", b"\x1c", b"\x1e", b"\x85",
+             "\x85".encode(), "\u2028".encode(), "\u2029".encode(), b"\0", b"\xff", b"\xc3",
+             b"\r", b"\n", b"\r\n"]
+_tsv_line = st.one_of(
+    st.tuples(st.sampled_from(_TSV_KEYS), st.sampled_from(_TSV_VALUES)).map(b"\t".join),
+    st.lists(st.sampled_from(_TSV_JUNK), max_size=5).map(b"".join),
+)
+
+
+@given(st.lists(st.tuples(_tsv_line, st.sampled_from([b"\n", b"\r\n", b"\r", b""])),
+                max_size=8).map(lambda lines: b"".join(map(b"".join, lines))))
+@example(b"good\t1\r\nbad\x0bline\nok\t1\rfine\t-2")  # a table
+@example(b"good\t1\nnot two fields\nok\xff\t1\n")  # a bad line, then an undecodable byte
+@example(b"good\t1\nok\xff\t1\nnot two fields\n")  # and the other way round
+@example(b"\n  \t \r\n\x0b\t1\nA\0\tMISC")
+def test_tsv_loaders_read_as_the_per_line_reader(tmp_path_factory, content):
+    path = tmp_path_factory.mktemp("tsv") / "table.tsv"
+    path.write_bytes(content)
+    assert _outcome(lambda p: annotator.load_lexicon(p).deltas, path) == _outcome(
+        _reference_lexicon, path)
+    assert _outcome(lambda p: annotator.load_gazetteer(p).surfaces, path) == _outcome(
+        _reference_gazetteer, path)
 
 
 # ==== entity type policy ====
@@ -349,6 +460,46 @@ def test_two_character_index_matches_brute_force():
             assert annotator.extract_entities(sentence, gaz, policy) == _brute_force_entities(
                 sentence, PREFIX_SURFACES, policy.allowed
             ), sentence
+
+
+def _reference_index(surfaces: dict[str, str]) -> tuple[dict, frozenset, str | None]:
+    """The gazetteer's index as built one pass per part: (_lengths, _singles, _starts pattern)."""
+    singles = frozenset(surface for surface in surfaces if len(surface) == 1)
+    found: dict[str, set[int]] = {}
+    for surface in surfaces:
+        if len(surface) > 1:
+            found.setdefault(surface[:2], set()).add(len(surface))
+    lengths = {}
+    for pair, sizes in found.items():
+        ordered = lengths[pair] = sorted(sizes, reverse=True)
+        if pair[0] in singles:
+            ordered.append(1)
+    first_chars = "".join(sorted({pair[0] for pair in found} | singles))
+    return lengths, singles, "[" + re.escape(first_chars) + "]" if first_chars else None
+
+
+# one-character surfaces, non-ASCII first characters ("é", "ı", "σ" and "i" plus
+# a combining dot, the lowercase of "İ") and characters re.escape escapes
+_INDEX_CHARS = "ab\u00e9\u0131i\u0307\u03c3\u03c2 .-"
+
+
+@given(st.dictionaries(st.text(_INDEX_CHARS, min_size=1, max_size=4).filter(
+           lambda surface: surface == surface.lower()),
+       st.sampled_from(["MISC", "DATE"]), max_size=12),
+       st.lists(st.text(_INDEX_CHARS + "AB\u00c9\u0130\u03a3", max_size=24), max_size=6))
+def test_gazetteer_index_gives_the_reference_matches(surfaces, sentences):
+    gaz = Gazetteer(surfaces)
+    lengths, singles, pattern = _reference_index(surfaces)
+    assert (gaz._lengths, gaz._singles) == (lengths, singles)
+    assert (gaz._starts and gaz._starts.pattern) == pattern
+    reference = object.__new__(Gazetteer)
+    reference.surfaces, reference._lengths, reference._singles = dict(surfaces), lengths, singles
+    reference._starts = pattern and re.compile(pattern)
+    for policy in (default_policy(), annotator.policy_for(["DATE", "MISC"])):
+        for sentence in sentences:
+            found = annotator.extract_entities(sentence, gaz, policy)
+            assert found == annotator.extract_entities(sentence, reference, policy)
+            assert found == _brute_force_entities(sentence, surfaces, policy.allowed)
 
 
 def test_match_at_string_edges():

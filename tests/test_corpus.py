@@ -689,6 +689,36 @@ def test_stray_follower_list_is_an_error(tmp_path):
         corpus.load_affiliation_data(tmp_path / "roster.csv", tmp_path / "followers")
 
 
+@pytest.mark.parametrize("handles, extras", [
+    (("a", "b"), (".x.txt", "y.txt/", "Z.TXT", "w.txt.bak")),
+    (("a", "b"), ("y.txt/", "Z.TXT")),
+    (("a", "b"), ("Z.TXT",)),
+    (("a", "b"), ("w.txt.bak",)),
+    (("a", "b"), (".txt", "b.txt.txt")),
+    # a file ".txt" is its own Path.stem, so it is the list of handle ".txt" too
+    (("a", ".txt"), (".txt",)),
+], ids=["all", "directory", "upper-case", "other suffix", "bare suffix", "dot handle"])
+def test_stray_follower_list_is_the_first_that_path_glob_names(tmp_path, handles, extras):
+    # what the loader named when it looked for strays with sorted(Path.glob("*.txt"))
+    write_roster(tmp_path, [(handle, "D") for handle in handles])
+    followers = write_followers(tmp_path, {handle: ["u1"] for handle in handles})
+    for name in extras:
+        if name.endswith("/"):
+            (followers / name).mkdir()
+        else:
+            (followers / name).write_text("u2\n", encoding="utf-8")
+    strays = [path.name for path in sorted(followers.glob("*.txt")) if path.stem not in handles]
+    if "Z.TXT" in extras or "w.txt.bak" in extras:
+        assert (len(extras) == 1) == (strays == [])
+    try:
+        corpus.load_affiliation_data(tmp_path / "roster.csv", followers)
+    except DataError as exc:
+        assert strays and str(exc) == (f"follower list {strays[0]} names a handle missing "
+                                       "from the roster")
+    else:
+        assert not strays
+
+
 def test_line_spans_read_back_as_the_whole_file(tmp_path):
     # CRLF and LF endings, a bare CR inside a line, non-ASCII text on both
     # sides of every cut, a duplicate across cuts and no final newline

@@ -7,20 +7,25 @@ parent's modules, so the parent's list covers the workers too. A two-range
 run loads neither multiprocessing nor concurrent.futures. Each command also
 runs with a stdout whose reader is gone, as under `| head -1`: that is the
 reader's choice, so the command writes the same files and exits 0 with
-nothing on stderr. A worker whose run is killed leaves at its next chunk,
-and the bench tracer finds every function it wraps.
+nothing on stderr. A worker whose run is killed outright leaves at its next
+chunk; a SIGTERM to the run first stops every worker and removes the scratch
+directory, and a caller's own SIGTERM handler stays in place. The bench
+tracer finds every function it wraps.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -141,24 +146,23 @@ def test_closed_stdout_is_no_error(probed, chained, tmp_path, command, unbuffere
     assert _files(tmp_path) == _files(out)
 
 
-# a two-range run, a record a chunk, whose worker sleeps at each chunk's end
-# and names its pid in the file argv[1] at the first
+# a run in argv[3] byte ranges, a record a chunk, whose workers sleep argv[2]
+# seconds at each chunk's end and, at the first, each name their pid by a file
+# in the directory argv[1]
 _SLOW_WORKER_PROBE = """\
 import os, sys, time
 from pathlib import Path
 from polarmetrics import cli, tweetpass
 tweetpass.MIN_RANGE_BYTES = 1
-tweetpass._available_cpus = lambda: 2
+tweetpass._available_cpus = lambda: int(sys.argv[3])
 tweetpass.CHUNK_RECORDS = 1
 write, started = tweetpass._KeptFacts.write, Path(sys.argv[1])
 def slowed(self, chunk, rows):
-    if not started.exists():
-        Path(f"{started}.tmp").write_text(str(os.getpid()))
-        os.replace(f"{started}.tmp", started)
+    (started / str(os.getpid())).touch()
     time.sleep(float(sys.argv[2]))
     write(self, chunk, rows)
 tweetpass._KeptFacts.write = slowed
-sys.exit(cli.main(sys.argv[3:]))
+sys.exit(cli.main(sys.argv[4:]))
 """
 
 
@@ -171,41 +175,147 @@ def _ended(pid: int) -> bool:
     return stat.rpartition(")")[2].split()[0] == "Z"
 
 
-def test_a_worker_whose_parent_is_killed_leaves_at_its_next_chunk(chained, tmp_path):
+@contextlib.contextmanager
+def _slow_run(args: list, out: Path, tmp_path: Path, ranges: int,
+              chunk_seconds: float) -> Iterator[tuple[subprocess.Popen, list[int]]]:
+    """A `_SLOW_WORKER_PROBE` run and its workers' pids, once each has ended a chunk.
+
+    The run's stderr goes to the file "stderr" in tmp_path. On the way out,
+    whatever of the run is still running is killed.
+    """
     if not Path("/proc/self/stat").exists():
         pytest.skip("no /proc to read a process's state from")
-    args, _ = chained["run-lexicon"]
-    out, started, chunk_seconds, grace = tmp_path / "out", tmp_path / "worker-pid", 0.5, 5.0
-    parent = subprocess.Popen([sys.executable, "-c", _SLOW_WORKER_PROBE,
-                               *map(str, (started, chunk_seconds, *args, "--out", out))],
-                              env=_env(),
-                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    worker = None
+    started = tmp_path / "workers"
+    started.mkdir()
+    with open(tmp_path / "stderr", "wb") as stderr:
+        parent = subprocess.Popen(
+            [sys.executable, "-c", _SLOW_WORKER_PROBE,
+             *map(str, (started, chunk_seconds, ranges, *args, "--out", out))],
+            env=_env(), stdout=subprocess.DEVNULL, stderr=stderr)
+    workers: list[int] = []
     try:
         deadline = time.monotonic() + 60
-        while not started.exists() and parent.poll() is None and time.monotonic() < deadline:
+        while (len(list(started.iterdir())) < ranges - 1 and parent.poll() is None
+               and time.monotonic() < deadline):
             time.sleep(0.01)
-        assert started.exists(), "the worker never reached the end of a chunk"
-        worker = int(started.read_text())
-        parent.send_signal(signal.SIGKILL)
-        parent.wait()
-        # the worker has about 30 chunks left: at the parent's death it finishes one
-        deadline = time.monotonic() + chunk_seconds + grace
-        while not _ended(worker) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert _ended(worker)
+        workers = [int(path.name) for path in started.iterdir()]
+        assert len(workers) == ranges - 1, "a worker never reached the end of a chunk"
+        yield parent, workers
     finally:
         if parent.poll() is None:
             parent.kill()
             parent.wait()
-        if worker is not None and not _ended(worker):
-            os.kill(worker, signal.SIGKILL)
-    scratch = [path for path in out.iterdir() if path.name.startswith(tweetpass.SCRATCH_PREFIX)]
-    assert scratch and not [path for path in scratch if (path / "result-1").exists()]
+        for worker in workers:
+            if not _ended(worker):
+                os.kill(worker, signal.SIGKILL)
+
+
+def _scratch_dirs(out: Path) -> list[Path]:
+    return [path for path in out.iterdir() if path.name.startswith(tweetpass.SCRATCH_PREFIX)]
+
+
+def _assert_golden_rerun(args: list, out: Path) -> None:
     assert _probe([*args, "--out", out]) == [0, []]
     assert sorted(path.name for path in out.iterdir()) == sorted(cli.RUN_ARTIFACTS)
     for name in cli.RUN_ARTIFACTS:
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == GOLDEN["lexicon"][name]
+
+
+def _kill_the_parent(args: list, tmp_path: Path, ranges: int) -> None:
+    out, chunk_seconds, grace = tmp_path / "out", 0.5, 5.0
+    with _slow_run(args, out, tmp_path, ranges, chunk_seconds) as (parent, workers):
+        parent.send_signal(signal.SIGKILL)
+        parent.wait()
+        # each worker has about 60 / ranges chunks left: at the parent's death it finishes one
+        deadline = time.monotonic() + chunk_seconds + grace
+        while not all(map(_ended, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert all(map(_ended, workers))
+    scratch = _scratch_dirs(out)
+    assert scratch and not [path for path in scratch if list(path.glob("result-*"))]
+    _assert_golden_rerun(args, out)
+
+
+def test_a_worker_whose_parent_is_killed_leaves_at_its_next_chunk(chained, tmp_path):
+    _kill_the_parent(chained["run-lexicon"][0], tmp_path, 2)
+
+
+def test_every_worker_whose_parent_is_killed_leaves_at_its_next_chunk(chained, tmp_path):
+    _kill_the_parent(chained["run-lexicon"][0], tmp_path, 3)
+
+
+@pytest.mark.parametrize("ranges", [2, 3])
+def test_a_sigterm_stops_every_worker_and_leaves_no_scratch_directory(chained, tmp_path, ranges):
+    args, _ = chained["run-lexicon"]
+    out = tmp_path / "out"
+    with _slow_run(args, out, tmp_path, ranges, 0.5) as (parent, workers):
+        parent.send_signal(signal.SIGTERM)
+        assert parent.wait(timeout=30) == -signal.SIGTERM
+        assert _scratch_dirs(out) == []
+        # reaped before the parent died, not left to notice at their next chunk
+        assert [worker for worker in workers if not _ended(worker)] == []
+    _assert_golden_rerun(args, out)
+
+
+def test_a_sigterm_to_a_worker_kills_it_by_that_signal(chained, tmp_path):
+    # the worker leaves the parent's handler behind, so the run names the signal
+    args, _ = chained["run-lexicon"]
+    out = tmp_path / "out"
+    with _slow_run(args, out, tmp_path, 2, 0.5) as (parent, (worker,)):
+        os.kill(worker, signal.SIGTERM)
+        assert parent.wait(timeout=30) == 4
+    assert (tmp_path / "stderr").read_text().endswith(
+        "ended before finishing its range: signal 15 (Terminated)\n")
+    assert _scratch_dirs(out) == []
+
+
+def _ignore(signum, frame):
+    pass
+
+
+@pytest.mark.parametrize("handler", [_ignore, signal.SIG_DFL], ids=["own", "default"])
+def test_a_run_leaves_the_sigterm_disposition_as_it_found_it(monkeypatch, tmp_path, capsys,
+                                                             handler):
+    # an exit-0 run, then an exit-2 one that stops inside the pass, both in two
+    # ranges; a handler of the caller's own is left in place all along
+    paths = write_fixture(tmp_path)
+    monkeypatch.setattr(tweetpass, "MIN_RANGE_BYTES", 1)
+    monkeypatch.setattr(tweetpass, "_available_cpus", lambda: 2)
+    during, pass_range = [], tweetpass._pass_range
+
+    def noting(*args):
+        during.append(signal.getsignal(signal.SIGTERM))
+        return pass_range(*args)
+
+    monkeypatch.setattr(tweetpass, "_pass_range", noting)
+    args = ["run", "--tweets", paths["tweets"], "--roster", paths["roster"],
+            "--followers", paths["followers"], "--lexicon", paths["lexicon"],
+            "--gazetteer", paths["gazetteer"], "--windows", paths["windows"],
+            "--out", tmp_path / "out"]
+    previous = signal.signal(signal.SIGTERM, handler)
+    try:
+        for extra, code in (([], 0), (["--strict"], 2)):
+            assert cli.main([*map(str, args), *extra]) == code
+            assert signal.getsignal(signal.SIGTERM) is handler
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert [found is handler for found in during] == [handler is _ignore] * 2
+    assert capsys.readouterr().err == "error: tweets.jsonl line 7: blank line\n"
+
+
+def test_a_run_in_another_thread_leaves_sigterm_alone(tmp_path):
+    # signal.signal works only in the main thread; one range, so nothing forks
+    paths = write_fixture(tmp_path)
+    args = ["run", "--tweets", paths["tweets"], "--roster", paths["roster"],
+            "--followers", paths["followers"], "--lexicon", paths["lexicon"],
+            "--gazetteer", paths["gazetteer"], "--windows", paths["windows"],
+            "--out", tmp_path / "out"]
+    before, codes = signal.getsignal(signal.SIGTERM), []
+    thread = threading.Thread(target=lambda: codes.append(cli.main([*map(str, args)])))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and codes == [0]
+    assert signal.getsignal(signal.SIGTERM) is before
 
 
 def test_the_bench_tracer_wraps_every_name_it_names():

@@ -5,9 +5,12 @@ from __future__ import annotations
 import json
 import tracemalloc
 from dataclasses import replace
+from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from polarmetrics import annotator, cli, corpus, synth
 from polarmetrics.corpus import parse_event_windows
@@ -385,6 +388,15 @@ def test_tweet_lines_are_json_dumps_of_their_fields(tmp_path):
         assert line == json.dumps(fields, ensure_ascii=False)
     assert any(" zürich " in line for line in lines)
     assert any(' o\\"hare ' in line for line in lines)
+
+
+@given(st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9000, 1, 1),
+                    timezones=st.sampled_from([None, timezone.utc, timezone(timedelta(hours=2))])),
+       st.lists(st.integers(0, 10**9), max_size=20))
+def test_timestamps_after_a_start_render_as_strftime(start, offsets):
+    stamp = synth._timestamps_after(start)
+    for offset in sorted(offsets) + offsets:  # in order, then again from the memo
+        assert stamp(offset) == synth._format_timestamp(start + timedelta(seconds=offset))
 
 
 def test_truth_json_is_sorted_and_indented_with_fixed_keys(tmp_path):
