@@ -162,11 +162,10 @@ AGGREGATES_HEADER = ("entity", "party", "sentiment_sum", "mention_count", "mean_
 class MentionCsvWriter:
     """Streams mention rows to CSV without holding them in memory."""
 
-    def __init__(self, path: Path | str, header: bool = True):
+    def __init__(self, path: Path | str):
         self._handle = open(path, "w", encoding="utf-8", newline="")
         self._writer = csv.writer(self._handle)
-        if header:
-            self._writer.writerow(MENTIONS_HEADER)
+        self._writer.writerow(MENTIONS_HEADER)
         self.count = 0
 
     def write(self, row: MentionRow) -> None:

@@ -4,16 +4,17 @@ Every kept tweet is gated (deleted, unaligned author, outside both windows,
 no annotation), and each mention of a retained tweet becomes one mentions.csv
 row and one integer cell update. The file is cut at line ends into one byte
 range per available CPU, none under MIN_RANGE_BYTES. This process runs the
-first range; forked workers run the others, each into a part file. The merge
-joins the ranges in file order and takes back every tweet whose id an earlier
-range already kept, so every artifact and count is the one a single range
-over the whole file gives.
+first range; forked workers run the others, each into a file of chunk records
+that carry the chunk's rows. The merge joins the ranges in file order and
+takes back every tweet whose id an earlier range already kept, so every
+artifact and count is the one a single range over the whole file gives.
 """
 
 from __future__ import annotations
 
 import csv
 import gc
+import io
 import itertools
 import json
 import math
@@ -31,7 +32,7 @@ from contextlib import closing
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, TextIO
+from typing import BinaryIO, Callable, Iterator
 
 from . import affiliation, aggregate, annotator, corpus
 from .atomic import atomic_write
@@ -55,7 +56,7 @@ _SKIP_KEYS = ("deleted", "unaligned", "outside", "unannotated")
 # together, one follower table at a time, before its first tweet is gated.
 CHUNK_RECORDS = 1024
 
-# name prefix of the scratch directory a pass keeps its part files in, in --out
+# name prefix of the scratch directory a pass keeps its workers' files in, in --out
 SCRATCH_PREFIX = ".tweet-pass-"
 
 
@@ -86,25 +87,30 @@ _deleted_of = attrgetter("deleted")
 
 @dataclass
 class _KeptFacts:
-    """Per kept tweet of a worker's range, in file order: what undoing it takes.
+    """A worker's writer: per chunk, its rows and what undoing each kept tweet takes.
 
     A tweet whose id was kept in an earlier range is a duplicate in a
     one-range run, so the merge retracts it. The pass notes a tweet's fate
-    and first row as it decides them. Once a chunk's rows are written, its
-    facts go to `handle` as one pickled (ids, lines, fates, first rows, end
-    rows, authors) tuple, an end row being the next tweet's first row, and
-    the buffers are emptied: neither the worker nor the merge, which reads
-    the file a chunk at a time, holds a range's facts all at once.
+    and first row as it decides them. `write` pickles a chunk's (ids, lines,
+    fates, first rows, end rows, authors, rows' UTF-8 text) to `handle`, an
+    end row being the next tweet's first row, and empties the buffers: no
+    process holds a range's rows or facts all at once.
     """
 
     handle: BinaryIO
     parent: int  # pid of the process that forked the worker
+    count: int = 0  # rows written
+    text: str = ""  # the chunk's rows
     fates: bytearray = field(default_factory=bytearray)
     first_rows: array = field(default_factory=lambda: array("q"))  # mention rows before it
     labelled: Counter = field(default_factory=Counter)  # author -> tweets that labelled them
 
-    def write(self, chunk: list[tuple[int, corpus.TweetRecord]], rows: int) -> None:
-        """Write the facts of `chunk`'s pairs given a fate; `rows` counts the rows written."""
+    def write_text(self, text: str, rows: int) -> None:
+        self.text = text
+        self.count += rows
+
+    def write(self, chunk: list[tuple[int, corpus.TweetRecord]]) -> None:
+        """Write the record of `chunk`'s pairs given a fate."""
         if os.getppid() != self.parent:  # the parent died: no one will read this range
             os._exit(1)
         fates, first_rows = self.fates, self.first_rows
@@ -114,7 +120,8 @@ class _KeptFacts:
         records = list(map(_record_of, chunk))
         authors = list(map(_user_id_of, records))
         pickle.dump((list(map(_tweet_id_of, records)), array("q", map(_line_of, chunk)), fates,
-                     first_rows, first_rows[1:] + array("q", (rows,)), authors),
+                     first_rows, first_rows[1:] + array("q", (self.count,)), authors,
+                     self.text.encode("utf-8")),
                     self.handle, pickle.HIGHEST_PROTOCOL)
         # a deleted tweet labels no one: its author may have no entry
         self.labelled.update(itertools.compress(authors, fates))
@@ -199,8 +206,7 @@ def _pass_range(
     labeler: affiliation.PartyLabeler,
     annotate: Annotate,
     strict: bool,
-    writer: aggregate.MentionCsvWriter,
-    facts: _KeptFacts | None,
+    writer: aggregate.MentionCsvWriter | _KeptFacts,
 ) -> _RangeResult:
     """Gate, label, annotate, write and reduce the tweets of one byte range.
 
@@ -237,6 +243,7 @@ def _pass_range(
     empty_names: list[tuple[int, str]] = []
     unannotated, stopped = None, False
     entries = labeler.entries  # filled in place, a chunk ahead of the gate
+    facts = writer if isinstance(writer, _KeptFacts) else None
     if facts is not None:
         note_fate, note_rows = facts.fates.append, facts.first_rows.append
     for chunk in _pulled(records, log, labeler, tweets, span):
@@ -299,7 +306,7 @@ def _pass_range(
                 cell[offset + 1] += 1
         writer.write_text("".join(lines), len(lines))
         if facts is not None:
-            facts.write(chunk, writer.count)
+            facts.write(chunk)
         if stopped:
             break
     return _RangeResult(log, tally, window_cells, writer.count, unannotated,
@@ -309,15 +316,13 @@ def _pass_range(
 def _work_range(scratch: Path, index: int, parent: int, span: tuple[int, int], tweets: Path,
                 windows: corpus.EventWindows, labeler: affiliation.PartyLabeler,
                 annotate: Annotate, strict: bool) -> _RangeResult:
-    """Run one byte range in a worker process; rows and facts go to files in scratch."""
+    """Run one byte range in a worker process; its chunk records go to a file in scratch."""
     log = corpus.IngestStats()
     records = corpus.parse_tweets(tweets, stats=log, span=span)
-    with closing(records), aggregate.MentionCsvWriter(_scratch_file(scratch, "part", index),
-                                                      header=False) as writer, \
-            open(_scratch_file(scratch, "facts", index), "wb") as handle:
+    with closing(records), open(scratch / f"facts-{index}", "wb") as handle:
         facts = _KeptFacts(handle, parent)
         result = _pass_range(records, tweets, span, log, windows, labeler, annotate, strict,
-                             writer, facts)
+                             facts)
     result.labelled = [(user_id, labeler.entries[user_id], count)
                        for user_id, count in facts.labelled.items()]
     return result
@@ -342,6 +347,7 @@ class _Sigterm:
     def __init__(self) -> None:
         self.previous = None  # the disposition replaced, if any
         self.armed = self.caught = False
+        self.pid = os.getpid()  # the process whose pass the handler ends
 
     def install(self) -> None:
         if (threading.current_thread() is threading.main_thread()
@@ -350,6 +356,9 @@ class _Sigterm:
             self.armed = True
 
     def _handle(self, signum: int, frame: object) -> None:
+        if os.getpid() != self.pid:  # a worker not yet reset: it dies by the signal
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            signal.raise_signal(signal.SIGTERM)
         self.caught = True
         if self.armed:
             raise _Terminated
@@ -383,7 +392,7 @@ def _fork_worker(scratch: Path, index: int, *args) -> int:
             outcome = _work_range(scratch, index, parent, *args)
         except PipelineError as exc:  # the parent raises it as its own
             outcome = exc
-        with open(_scratch_file(scratch, "result", index), "wb") as handle:
+        with open(scratch / f"result-{index}", "wb") as handle:
             pickle.dump(outcome, handle, pickle.HIGHEST_PROTOCOL)
         os._exit(0)
     except Exception:
@@ -400,15 +409,11 @@ def _reap(workers: list[int], scratch: Path, index: int, source: str) -> _RangeR
         how = f"exit code {code}" if code > 0 else f"signal {-code} ({signal.strsignal(-code)})"
         raise WorkerError(f"a worker process reading {source} ended before finishing "
                           f"its range: {how}")
-    with open(_scratch_file(scratch, "result", index), "rb") as handle:
+    with open(scratch / f"result-{index}", "rb") as handle:
         outcome = pickle.load(handle)
     if isinstance(outcome, PipelineError):
         raise outcome
     return outcome
-
-
-def _scratch_file(scratch: Path, kind: str, index: int) -> Path:
-    return scratch / f"{kind}-{index}"
 
 
 def _available_cpus() -> int:
@@ -432,6 +437,26 @@ def _tweet_spans(path: Path) -> list[tuple[int, int] | None]:
     return spans if len(spans) > 1 else [None]
 
 
+def _drop_rows(text: bytes, first: int, drop: set[int], cells: tuple[dict, ...]) -> bytes:
+    """`text`'s rows, numbered from `first`, but those in `drop`, which leave `cells`."""
+    window_cells = dict(zip(aggregate.MENTION_WINDOWS, cells))
+    kept = io.StringIO(newline="")
+    writer = csv.writer(kept)
+    # a quoted field may hold CR or LF, so the rows are found by parsing
+    for index, row in enumerate(csv.reader(io.StringIO(text.decode("utf-8"), newline="")), first):
+        if index not in drop:
+            writer.writerow(row)
+            continue
+        entity, _, _, sentiment, code, window_value = row
+        window = window_cells[window_value]
+        cell, offset = window[entity], aggregate.PARTY_OFFSET[code]
+        cell[offset] -= int(sentiment)
+        cell[offset + 1] -= 1
+        if not cell[1] and not cell[3]:
+            del window[entity]
+    return kept.getvalue().encode("utf-8")
+
+
 class _Merge:
     """Joins range results, in file order, into what one range over the whole file gives."""
 
@@ -449,28 +474,33 @@ class _Merge:
         self.first_empty: str | None = None  # the tweet id of the first of them
 
     def add(self, result: _RangeResult, seen: set[str] | None = None,
-            facts: Path | None = None, grow: bool = False) -> list[tuple]:
+            facts: Path | None = None, target: BinaryIO | None = None,
+            grow: bool = False) -> None:
         """Merge one range; `seen` holds the ids kept before it, `facts` is a worker's file.
 
-        Returns the retracted tweets as (line, tweet_id, fate, first row, end
-        row, author). With `grow`, the range's kept ids are added to `seen`.
-        With --strict, raises the DataError a one-range run raises if the
-        range holds the file's first bad line.
+        Its chunks' rows go to `target` as written, but a retracted tweet's,
+        which leave the cells too. With `grow`, the range's kept ids are added
+        to `seen`. With --strict, raises the DataError a one-range run raises
+        if the range holds the file's first bad line.
         """
         earlier = seen if seen is not None else set()
         problems = [
             (line, corpus.duplicate_problem(tweet_id) if tweet_id in earlier else problem)
             for line, problem, tweet_id in result.log.lines
         ]
-        retracted = []
-        if facts is not None:
-            for ids, lines, fates, firsts, ends, authors in _read_facts(facts):
-                if not earlier.isdisjoint(ids):
-                    retracted += [(lines[index], tweet_id, fates[index], firsts[index],
-                                   ends[index], authors[index])
-                                  for index, tweet_id in enumerate(ids) if tweet_id in earlier]
-                if grow:
-                    earlier.update(ids)  # ids within a range are distinct
+        retracted, dropped = [], 0  # (line, tweet_id, fate, author) per tweet; rows
+        for ids, lines, fates, firsts, ends, authors, text in _read_facts(facts) if facts else ():
+            if not earlier.isdisjoint(ids):
+                repeats = [index for index, tweet_id in enumerate(ids) if tweet_id in earlier]
+                retracted += [(lines[index], ids[index], fates[index], authors[index])
+                              for index in repeats]
+                drop = {row for index in repeats for row in range(firsts[index], ends[index])}
+                if drop:
+                    dropped += len(drop)
+                    text = _drop_rows(text, firsts[0], drop, result.cells)
+            target.write(text)
+            if grow:
+                earlier.update(ids)  # ids within a range are distinct
         problems += [(line, corpus.duplicate_problem(tweet_id))
                      for line, tweet_id, *_ in retracted]
         problems.sort()
@@ -490,10 +520,10 @@ class _Merge:
         stats.kept += result.log.kept - len(retracted)
         stats.rejected += result.log.rejected + len(retracted)
         self.lines += result.log.kept + result.log.rejected
-        self.rows += result.rows
+        self.rows += result.rows - dropped
         for fate, count in enumerate(result.tally):
             self.tally[fate] += count
-        for _, _, fate, *_ in retracted:
+        for _, _, fate, _ in retracted:
             self.tally[fate] -= 1
         undone = {line for line, *_ in retracted}
         empty = [tweet_id for line, tweet_id in result.empty_names if line not in undone]
@@ -503,38 +533,9 @@ class _Merge:
         for builder, cells in zip(self.totals, result.cells):
             builder.absorb(cells)
         # an author stays only if some tweet that labelled them stays
-        undone = Counter(author for _, _, fate, *_, author in retracted if fate != DELETED)
+        undone = Counter(author for _, _, fate, author in retracted if fate != DELETED)
         self.labeler.adopt((user_id, entry) for user_id, entry, count in result.labelled
                            if undone[user_id] < count)
-        return retracted
-
-    def append_part(self, part: Path, target: TextIO, retracted: list[tuple]) -> None:
-        """Append a worker's rows to mentions.csv; a retracted tweet's rows leave the totals."""
-        drop: set[int] = set()
-        for _, _, _, first, end, _ in retracted:
-            drop.update(range(first, end))
-        if not drop:
-            target.flush()
-            with open(part, "rb") as source:
-                shutil.copyfileobj(source, target.buffer)
-            return
-        self.rows -= len(drop)
-        cells = {window.value: builder.cells
-                 for window, builder in zip(WINDOW_STATS_KEYS, self.totals)}
-        writer = csv.writer(target)
-        with open(part, encoding="utf-8", newline="") as source:
-            for index, row in enumerate(csv.reader(source)):
-                if index not in drop:
-                    writer.writerow(row)
-                    continue
-                entity, _, _, sentiment, code, window_value = row
-                window_cells = cells[window_value]
-                cell = window_cells[entity]
-                offset = aggregate.PARTY_OFFSET[code]
-                cell[offset] -= int(sentiment)
-                cell[offset + 1] -= 1
-                if not cell[1] and not cell[3]:
-                    del window_cells[entity]
 
 
 def stream_mentions(
@@ -549,7 +550,7 @@ def stream_mentions(
     """Gate every tweet, write mentions.csv and window_stats.json, reduce per window.
 
     The tweets file is read in byte ranges (see `_tweet_spans`). This process
-    runs the first; forked workers run the others, each into a part file.
+    runs the first; forked workers run the others (see `_KeptFacts`).
     Each range adds its mentions into one cell dict per window. The merge
     joins the ranges in file order, adding each dict into its window's one
     builder, so every artifact and count equals what one range gives.
@@ -577,13 +578,12 @@ def stream_mentions(
         # opened after the forks, so no worker inherits its unwritten buffer
         with closing(records), aggregate.MentionCsvWriter(mentions_path) as writer:
             merge.add(_pass_range(records, tweets_path, spans[0], log, windows, labeler, annotate,
-                                  strict, writer, None))
-        with open(mentions_path, "a", encoding="utf-8", newline="") as target:
+                                  strict, writer))
+        with open(mentions_path, "ab") as target:
             for index in range(1, len(spans)):
                 result = _reap(workers, scratch, index, tweets_path.name)
-                retracted = merge.add(result, seen, _scratch_file(scratch, "facts", index),
-                                      grow=index < len(spans) - 1)
-                merge.append_part(_scratch_file(scratch, "part", index), target, retracted)
+                merge.add(result, seen, scratch / f"facts-{index}", target,
+                          grow=index < len(spans) - 1)
         os.replace(mentions_path, out_dir / "mentions.csv")
     finally:
         sigterm.armed = False

@@ -386,13 +386,15 @@ _QUOTED_TEXTS = ['Acme, "the firm", is good.', 'Big, "bad" co is awful! acme',
                  'Acme\r\nCorp and "The Firm".', "Nothing here."]
 
 
-@pytest.mark.parametrize("preannotated", [False, True])
-@pytest.mark.parametrize("ranges", [1, 2])
-def test_mentions_csv_quotes_fields_as_csv_writer_does(monkeypatch, tmp_path, ranges,
-                                                       preannotated):
+def _quoted_config(tmp_path: Path, preannotated: bool, repeats: bool = False) -> cli.RunConfig:
+    """300 tweets by _QUOTED_USERS, of _QUOTED_TEXTS; with `repeats`, every fifth
+    repeats an earlier tweet's id. With `preannotated`, each tweet kept first
+    is annotated under a user_id holding CR, LF, a quote and a comma, and a
+    sentence naming "Acme\\r\\nCorp" gets that surface too.
+    """
     rng = random.Random(89)
-    tweets = [{"tweet_id": f"t{index}", "user_id": rng.choice(_QUOTED_USERS),
-               "text": rng.choice(_QUOTED_TEXTS),
+    tweets = [{"tweet_id": f"t{rng.randrange(index) if repeats and index % 5 == 4 else index}",
+               "user_id": rng.choice(_QUOTED_USERS), "text": rng.choice(_QUOTED_TEXTS),
                "created_at": rng.choice([BASELINE_TS, CRISIS_TS, "2021-02-01T00:00:00Z"])}
               for index in range(300)]
     config = cli.RunConfig(
@@ -419,6 +421,14 @@ def test_mentions_csv_quotes_fields_as_csv_writer_does(monkeypatch, tmp_path, ra
         config.preannotated.write_text("".join(lines), encoding="utf-8")
     else:
         config.lexicon, config.gazetteer = lexicon, gazetteer
+    return config
+
+
+@pytest.mark.parametrize("preannotated", [False, True])
+@pytest.mark.parametrize("ranges", [1, 2])
+def test_mentions_csv_quotes_fields_as_csv_writer_does(monkeypatch, tmp_path, ranges,
+                                                       preannotated):
+    config = _quoted_config(tmp_path, preannotated)
     monkeypatch.setattr(tweetpass, "MIN_RANGE_BYTES", 1)
     monkeypatch.setattr(tweetpass, "_available_cpus", lambda: ranges)
     assert len(tweetpass._tweet_spans(config.tweets)) == ranges
@@ -430,6 +440,32 @@ def test_mentions_csv_quotes_fields_as_csv_writer_does(monkeypatch, tmp_path, ra
     assert written == (tmp_path / "expected.csv").read_bytes()
     assert b'"big, ""bad"" co","LO""C,X",' in written
     assert (b',"d""1",' in written) != preannotated
+
+
+@pytest.mark.parametrize("preannotated", [False, True])
+@pytest.mark.parametrize("chunk", [1, 3])
+@pytest.mark.parametrize("ranges", [1, 2, 3])
+def test_retracted_rows_that_span_lines_leave_as_in_one_range(monkeypatch, tmp_path, ranges,
+                                                              chunk, preannotated):
+    # a later range's repeat of an id is retracted from a chunk whose quoted
+    # rows hold CR and LF; the chunk's other rows stay as csv.writer wrote them
+    config = _quoted_config(tmp_path, preannotated, repeats=True)
+    monkeypatch.setattr(tweetpass, "MIN_RANGE_BYTES", 1)
+    monkeypatch.setattr(tweetpass, "CHUNK_RECORDS", chunk)
+    monkeypatch.setattr(tweetpass, "_available_cpus", lambda: 1)
+    one = cli.run_pipeline(config).counters.ingest
+    assert one.rejected >= 40  # a repeat may name an id that no tweet kept
+    expected = {name: (config.out / name).read_bytes() for name in (
+        "mentions.csv", "aggregates_baseline.csv", "aggregates_crisis.csv", "affiliations.csv")}
+    monkeypatch.setattr(tweetpass, "_available_cpus", lambda: ranges)
+    assert len(tweetpass._tweet_spans(config.tweets)) == ranges
+    config.out = tmp_path / "ranges"
+    assert cli.run_pipeline(config).counters.ingest == one
+
+    assert {name: (config.out / name).read_bytes() for name in expected} == expected
+    assert write_mentions_csv(tmp_path / "expected.csv", _reference_rows(config)) > 100
+    assert expected["mentions.csv"] == (tmp_path / "expected.csv").read_bytes()
+    assert (b'\r\nvia ""x"",\r"' in expected["mentions.csv"]) is preannotated
 
 
 def test_mentions_stage_with_live_roster_matches_audit_path(tiny_bundle, tmp_path):
@@ -687,7 +723,7 @@ def test_run_removes_what_a_killed_run_left_and_nothing_else(tiny_bundle, tmp_pa
     out = tmp_path / "out"
     scratch = out / ".tweet-pass-k9x2"
     scratch.mkdir(parents=True)
-    (scratch / "part-1").write_text("acme,MISC,dem1,3,D,baseline\n", encoding="utf-8")
+    (scratch / "mentions.csv").write_text("acme,MISC,dem1,3,D,baseline\n", encoding="utf-8")
     (out / ".report.csv.4242.tmp").write_text("event,", encoding="utf-8")
     (out / ".aggregates_crisis.csv.7.tmp").write_text("entity,", encoding="utf-8")
     unrelated = {"notes.txt": "keep", ".notes.txt.4242.tmp": "keep", ".tweet-pass-log": "keep"}

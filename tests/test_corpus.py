@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polarmetrics import affiliation, aggregate, corpus, tweetpass
+from polarmetrics import affiliation, corpus, tweetpass
 from polarmetrics.affiliation import PartyLabel
 from polarmetrics.errors import DataError
 
@@ -144,10 +144,9 @@ def _pass_fates(stamps: list[str], payload: dict) -> list[tuple[int, int]]:
         log, labeler = corpus.IngestStats(), affiliation.PartyLabeler(roster)
         records = corpus.parse_tweets(tweets, stats=log)
         facts_path = Path(scratch) / "facts"
-        with aggregate.MentionCsvWriter(Path(scratch) / "mentions.csv") as writer, \
-                open(facts_path, "wb") as handle:
+        with open(facts_path, "wb") as handle:
             tweetpass._pass_range(records, tweets, None, log, windows, labeler,
-                                  lambda record: ("u1", ()), False, writer,
+                                  lambda record: ("u1", ()), False,
                                   tweetpass._KeptFacts(handle, os.getppid()))
         fates = [fate for chunk in tweetpass._read_facts(facts_path) for fate in chunk[2]]
     assert log.rejected == 0

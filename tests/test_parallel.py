@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import gc
+import io
 import json
 import logging
 import os
@@ -23,6 +24,7 @@ from collections import Counter
 from contextlib import closing
 from datetime import datetime, timezone
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -171,11 +173,11 @@ def _facts_tweet(index: int) -> str:
 
 def _check_facts_file(tmp_path: Path, lines: list[str], strict: bool,
                       given: int) -> tweetpass._RangeResult:
-    """Run a worker's pass over `lines`; check its facts file against its part file.
+    """Run a worker's pass over `lines`; check its facts file against the rows it carries.
 
     The first `given` kept tweets must be those the pass gave a fate. Their
     facts, read chunk by chunk, must be (id, line, fate, first row, end row,
-    author) with the rows rebuilt from the part file, whose mentions are
+    author) with the rows rebuilt from the chunks' rows, whose mentions are
     named after their tweets, and the pass must hold no facts after it.
     """
     tweets = tmp_path / "tweets.jsonl"
@@ -185,22 +187,23 @@ def _check_facts_file(tmp_path: Path, lines: list[str], strict: bool,
         {"dema": b"dem1\ndem2\n", "repa": b"rep1\n"})
     labeler, log = affiliation.PartyLabeler(roster), corpus.IngestStats()
     records = corpus.parse_tweets(tweets, stats=log)
-    with closing(records), aggregate.MentionCsvWriter(tmp_path / "part", header=False) as writer, \
-            open(tmp_path / "facts", "wb") as handle:
+    with closing(records), open(tmp_path / "facts", "wb") as handle:
         facts = tweetpass._KeptFacts(handle, os.getppid())
         result = tweetpass._pass_range(records, tweets, None, log,
                                        corpus.parse_event_windows(STD_WINDOWS), labeler,
-                                       _annotate_by_text, strict, writer, facts)
+                                       _annotate_by_text, strict, facts)
     assert not facts.fates and not facts.first_rows
 
-    got = []
+    got, named = [], []
     for chunk in tweetpass._read_facts(tmp_path / "facts"):
-        assert 0 < len(chunk[0]) <= tweetpass.CHUNK_RECORDS
-        assert {len(column) for column in chunk} == {len(chunk[0])}
-        got += zip(*chunk)
+        *columns, text = chunk
+        assert 0 < len(columns[0]) <= tweetpass.CHUNK_RECORDS
+        assert {len(column) for column in columns} == {len(columns[0])}
+        got += zip(*columns)
+        rows = [row[0] for row in csv.reader(io.StringIO(text.decode("utf-8"), newline=""))]
+        assert columns[3][0] == len(named)  # a chunk's rows start at its first tweet's
+        named += rows
 
-    with open(tmp_path / "part", encoding="utf-8", newline="") as part:
-        named = [row[0] for row in csv.reader(part)]
     expected, row = [], 0
     numbers = [number for number, line in enumerate(lines, 1) if line != "{broken"]
     for index, number in enumerate(numbers[:given]):
@@ -257,6 +260,41 @@ def test_duplicate_of_a_tweet_kept_in_an_earlier_range_is_rejected(monkeypatch, 
     assert b"quorvia" not in artifacts["mentions.csv"]
     assert b"quorvia" not in artifacts["aggregates_crisis.csv"]
     assert b"dem9" not in artifacts["affiliations.csv"]
+
+
+def test_a_retracted_tweet_costs_the_merge_only_its_chunk(monkeypatch, tmp_path):
+    # each ordinary tweet gives one row; dem9's repeat of t0, deep in the
+    # worker's range and in a full chunk of 3, gives two, and is retracted:
+    # the merge may parse that chunk's 4 rows and write back the other 2, no more
+    monkeypatch.setattr(tweetpass, "CHUNK_RECORDS", 3)
+    lines = [_tweet(f"a{index}", ("dem1", "rep1")[index % 2], "Acme is good.",
+                    (BASELINE_TS, CRISIS_TS)[index // 2 % 2]) for index in range(90)]
+    lines[0] = _tweet("t0", "dem1", "Acme is good.")
+    lines.insert(70, _tweet("t0", "dem9", "quorvia is good. Acme is awful.", CRISIS_TS))
+    bundle = _bundle(tmp_path, lines)
+    _force_ranges(monkeypatch, bundle, 1)
+    whole = cli.run_pipeline(_config(bundle, tmp_path / "whole"))
+    _force_ranges(monkeypatch, bundle, 2)
+    assert tweetpass._tweet_spans(bundle["tweets"])[1][0] < len("\n".join(lines[:50]))
+    parsed, written = [], []
+
+    def reader(source):
+        for row in csv.reader(source):
+            parsed.append(row)
+            yield row
+
+    def writer(handle):
+        inner = csv.writer(handle)
+        return SimpleNamespace(writerow=lambda row: written.append(row) or inner.writerow(row))
+
+    monkeypatch.setattr(tweetpass, "csv", SimpleNamespace(reader=reader, writer=writer))
+    split = cli.run_pipeline(_config(bundle, tmp_path / "split"))
+    _assert_no_children()
+    assert split.mention_count == whole.mention_count == 90
+    assert (tmp_path / "split" / "mentions.csv").read_bytes() == \
+        (tmp_path / "whole" / "mentions.csv").read_bytes()
+    assert len(parsed) == 4 and [row[0] for row in parsed].count("quorvia") == 1
+    assert written == [row for row in parsed if row[2] != "dem9"] and len(written) == 2
 
 
 def test_later_line_is_kept_when_the_earlier_one_was_rejected(monkeypatch, tmp_path):
@@ -1055,7 +1093,7 @@ def test_a_range_reads_the_lists_twice_plus_once_per_chunk_with_a_missed_author(
         with closing(records), aggregate.MentionCsvWriter(tmp_path / f"part{index}") as writer:
             tweetpass._pass_range(records, tweets, span, log, windows,
                                   affiliation.PartyLabeler(roster),
-                                  lambda record: (record.user_id, ()), False, writer, None)
+                                  lambda record: (record.user_id, ()), False, writer)
         found = corpus.scan_user_ids(tweets, *(span or (0, tweets.stat().st_size)))
         kept = list(corpus.parse_tweets(tweets, span=span))
         missed = sum(any(not record.deleted and record.user_id not in found

@@ -9,7 +9,8 @@ runs with a stdout whose reader is gone, as under `| head -1`: that is the
 reader's choice, so the command writes the same files and exits 0 with
 nothing on stderr. A worker whose run is killed outright leaves at its next
 chunk; a SIGTERM to the run first stops every worker and removes the scratch
-directory, and a caller's own SIGTERM handler stays in place. The bench
+directory, one to a worker still holding the run's handler kills that worker
+alone, and a caller's own SIGTERM handler stays in place. The bench
 tracer finds every function it wraps.
 """
 
@@ -157,10 +158,10 @@ tweetpass.MIN_RANGE_BYTES = 1
 tweetpass._available_cpus = lambda: int(sys.argv[3])
 tweetpass.CHUNK_RECORDS = 1
 write, started = tweetpass._KeptFacts.write, Path(sys.argv[1])
-def slowed(self, chunk, rows):
+def slowed(self, chunk):
     (started / str(os.getpid())).touch()
     time.sleep(float(sys.argv[2]))
-    write(self, chunk, rows)
+    write(self, chunk)
 tweetpass._KeptFacts.write = slowed
 sys.exit(cli.main(sys.argv[4:]))
 """
@@ -267,6 +268,50 @@ def test_a_sigterm_to_a_worker_kills_it_by_that_signal(chained, tmp_path):
     assert (tmp_path / "stderr").read_text().endswith(
         "ended before finishing its range: signal 15 (Terminated)\n")
     assert _scratch_dirs(out) == []
+
+
+# a run in argv[2] byte ranges whose every worker gets a SIGTERM as soon as it
+# is forked, before it puts the default disposition back; the parent names
+# each worker's pid by a file in the directory argv[1]
+_SIGTERM_AT_FORK_PROBE = """\
+import os, signal, sys
+from pathlib import Path
+from polarmetrics import cli, tweetpass
+tweetpass.MIN_RANGE_BYTES = 1
+tweetpass._available_cpus = lambda: int(sys.argv[2])
+fork = os.fork
+def forked():
+    pid = fork()
+    if pid:
+        (Path(sys.argv[1]) / str(pid)).touch()
+    else:
+        signal.raise_signal(signal.SIGTERM)
+    return pid
+os.fork = forked
+sys.exit(cli.main(sys.argv[3:]))
+"""
+
+
+@pytest.mark.parametrize("ranges", [2, 3])
+def test_a_sigterm_to_a_worker_still_holding_the_parents_handler_kills_only_it(
+        chained, tmp_path, ranges):
+    # the worker must die by the signal, not run the parent's clean-up: that
+    # would kill its elder siblings and remove the scratch directory the
+    # parent still writes to
+    if not Path("/proc/self/stat").exists():
+        pytest.skip("no /proc to read a process's state from")
+    args, _ = chained["run-lexicon"]
+    out, started = tmp_path / "out", tmp_path / "workers"
+    started.mkdir()
+    done = subprocess.run(
+        [sys.executable, "-c", _SIGTERM_AT_FORK_PROBE, *map(str, (started, ranges, *args)),
+         "--out", out], env=_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 4
+    assert done.stderr.startswith("error: ") and done.stderr.endswith(
+        "ended before finishing its range: signal 15 (Terminated)\n")
+    assert list(out.iterdir()) == []
+    workers = [int(path.name) for path in started.iterdir()]
+    assert len(workers) == ranges - 1 and all(map(_ended, workers))
 
 
 def _ignore(signum, frame):
